@@ -4,7 +4,7 @@
 Usage:
     python scripts/reproduce_all.py [--output-root DIR] [--workers N] [--plot]
 
-Each bundle is written to <output-root>/<figure>-<confighash>/ as CSV files
+Each bundle is written to <output-root>/<figure>_<confighash>/ as CSV files
 (and SVG plots with --plot).  Output root defaults to $ECHOSENSE_OUTPUT_ROOT
 or ./runs.
 """

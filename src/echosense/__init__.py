@@ -13,7 +13,7 @@ from .rf import (ResetMode, RFWaveform, build_split_interval,
 from .analytic import (PhaseAccumulation, accumulate_phase,
                        accumulate_phase_quadrature, phase_vs_rf_phase,
                        split_interval_decomposition)
-from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace, SpinPacket,
+from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace,
                        echo_observable, evolve, trace_to_csv)
 from .echo import EchoResult, add_measurement_noise, from_complex, wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .core import CoilCalibration, ConfigError, SpinSystem
 from .rf import RFWaveform
 from .sequence import FilterFunction
@@ -58,6 +56,10 @@ def accumulate_phase_quadrature(sys: SpinSystem, cal: CoilCalibration,
     Integrates sign(t)*B(t) piecewise between every filter breakpoint and
     window edge so each piece is smooth.
     """
+    # imported here: scipy.integrate costs most of `import echosense`, and
+    # only this oracle needs it
+    from scipy.integrate import quad
+
     _check_domain(filt, wave)
     gamma_eff = sys.gamma * cal.coupling_eta
     edges = {0.0, filt.domain_end}

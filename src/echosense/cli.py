@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
 from .core import ConfigError, NumericalError
@@ -157,8 +158,11 @@ def main(argv=None) -> int:
                 seq, float(amp), int(cfg.rf.get("n", 1)),
                 _m.radians(float(cfg.rf.get("phase_deg", 0.0))),
                 cfg.reset_mode())
-            tr = blochsim.evolve(cfg.spin_system, seq, wave, cfg.ensemble,
-                                 cfg.pulse_mode(), cfg.calibration)
+            # the ensemble and trace grid of grid point 0, as in the sweep
+            ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
+            tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
+                                 cfg.pulse_mode(), cfg.calibration,
+                                 trace_points=cfg.trace_points())
             path = written[0].parent / "trace.csv"
             blochsim.trace_to_csv(tr, path)
             written.append(path)

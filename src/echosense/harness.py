@@ -97,6 +97,9 @@ class ExperimentConfig:
     def reset_mode(self) -> ResetMode:
         return ResetMode(self.rf.get("reset_mode", "continuous"))
 
+    def trace_points(self) -> int:
+        return int(self.simulation.get("trace_points", 61))
+
     def point_seed(self, *idx) -> int:
         return int(np.random.SeedSequence((self.seed, *idx)).generate_state(1)[0])
 
@@ -215,7 +218,7 @@ def _results_from_observables(cfg: ExperimentConfig, zs, seed_tag: int = 7919):
 def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
            metadata, workers: int = 1, seed_offset=()) -> SweepResult:
     mode = cfg.pulse_mode()
-    trace_points = int(cfg.simulation.get("trace_points", 61))
+    trace_points = cfg.trace_points()
     filt = filter_function(seq)
     tasks = []
     for i, wave in enumerate(waves):

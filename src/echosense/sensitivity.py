@@ -21,8 +21,6 @@ from .sequence import SequenceKind, build_cp, build_pdd
 
 #: linear fit residual (deg) above which the max-derivative estimate is used
 RESIDUAL_THRESHOLD_DEG = 2.0
-#: reference lower bound on spectral sensitivity quoted for this setup [T/sqrt(Hz)]
-THEORETICAL_BOUND_S_MIN = 1.5e-6
 
 
 class FitMethod(str, Enum):

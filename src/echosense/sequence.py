@@ -80,8 +80,6 @@ class PulseSequence:
         origin = self.pulses[0].center
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "total_time", origin + self.echo_time)
-        if self.echo_time > self.total_time:
-            raise ConfigError("echo_time exceeds total_time")
         last = self.pulses[-1].center - origin
         if self.echo_time <= last:
             raise ConfigError("echo must come after the last pulse")

@@ -8,8 +8,8 @@ import pytest
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        PulseMode, ResetMode, SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
-                       echo_observable, evolve, filter_function)
-from echosense.blochsim import _rk4
+                       echo_observable, evolve, filter_function, zero_field)
+from echosense.blochsim import _evolve_ideal, _rk4, _trace_window
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -62,6 +62,79 @@ class TestIdealEquivalence:
         ens = EnsembleConfig(n_packets=400, detuning_sigma=3e6, seed=5)
         z = simulated_phase(seq, wave, ens)
         assert np.angle(z) == pytest.approx(phi, abs=1e-9)
+
+
+def _rotate(mx, my, mz, angle, axis_phase):
+    """Rodrigues rotation by `angle` about the transverse axis at azimuth
+    `axis_phase` (generator Omega x M), on real components."""
+    ux, uy = math.cos(axis_phase), math.sin(axis_phase)
+    c, s = math.cos(angle), math.sin(angle)
+    dot = ux * mx + uy * my
+    cx = uy * mz
+    cy = -ux * mz
+    cz = ux * my - uy * mx
+    return (mx * c + cx * s + ux * dot * (1 - c),
+            my * c + cy * s + uy * dot * (1 - c),
+            mz * c + cz * s)
+
+
+def _ideal_loop(seq, wave, geff, det, fac, w, times):
+    """Reference ideal-pulse trace: real-component rotations and one
+    complex exponential per trace sample (works on any time grid)."""
+    m = np.zeros(len(det), dtype=complex)
+    mz = np.ones(len(det))
+    amp = wave.amplitude
+    t_prev = 0.0
+    for k, p in enumerate(seq.pulses):
+        c = p.center - seq.origin
+        if k > 0:
+            alpha = det * (c - t_prev) + geff * fac * amp * wave.unit_integral(
+                t_prev, c)
+            m = m * np.exp(1j * alpha)
+        mx, my, mz = _rotate(m.real, m.imag, mz, p.nominal_angle, p.axis_phase)
+        m = mx + 1j * my
+        t_prev = c
+    rf_tail = geff * fac * amp * wave.unit_integral(t_prev, seq.echo_time)
+    out = np.empty(len(times), dtype=complex)
+    for j, t in enumerate(times):
+        mj = m * np.exp(1j * (det * (t - t_prev) + rf_tail))
+        if seq.n_pi % 2 == 1:
+            mj = np.conj(mj)
+        out[j] = np.sum(w * mj)
+    return out
+
+
+class TestIdealAgainstLoop:
+    """The vectorised ideal path against the per-sample reference loop."""
+
+    @pytest.mark.parametrize("seq", [
+        build_hahn(1.2e-6, T_PI2, T_PI),
+        build_pdd(2, 1.2e-6, T_PI2, T_PI),
+        build_pdd(3, 1.2e-6, T_PI2, T_PI),
+        build_cp(4, 1.7e-6, T_PI2, T_PI),
+        build_cp(5, 1.7e-6, T_PI2, T_PI),
+    ], ids=["hahn", "pdd2", "pdd3", "cp4", "cp5"])
+    @pytest.mark.parametrize("b1", [0.0, 0.3e-3])
+    @pytest.mark.parametrize("ens", [
+        EnsembleConfig(n_packets=1),
+        EnsembleConfig(n_packets=1, detuning_sigma=2e6,
+                       rf_amplitude_spread=0.2, seed=4),
+        EnsembleConfig(n_packets=300, detuning_sigma=2e6,
+                       rf_amplitude_spread=0.2, seed=8),
+    ], ids=["delta", "p1-spread", "p300-spread"])
+    def test_matches_loop(self, seq, b1, ens):
+        wave = (build_synchronized(seq, b1, 1, 0.35,
+                                   ResetMode.PER_WINDOW_RESET)
+                if b1 else zero_field())
+        geff = SYS.gamma * 6.682e-3
+        det, fac, w = ens.draw()
+        a, b = _trace_window(seq, None)
+        for n_t in (1, 2, 61):
+            times = np.linspace(a, b, n_t)
+            got = _evolve_ideal(seq, wave, geff, det, fac, w, times)
+            want = _ideal_loop(seq, wave, geff, det, fac, w, times)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestEnsembleDephasing:

@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from echosense import ConfigError
+from echosense import ConfigError, blochsim, build_synchronized
 from echosense import harness
 from echosense.cli import main
 
@@ -264,6 +265,27 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         rows = list(csv.DictReader(open(out[0])))
         assert rows[0]["protocol"] == "cp"
+
+    def test_dump_trace_is_grid_point_zero(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(FAST_RAW))
+        raw["rf"]["amplitude_sweep_mt"]["start"] = 0.1
+        rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path, raw),
+                   "-o", str(tmp_path / "out"), "--dump-trace"])
+        assert rc == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[-1].endswith("trace.csv")
+        rows = list(csv.DictReader(open(out[-1])))
+
+        cfg = harness.load_config(raw)
+        seq = cfg.build_sequence()
+        wave = build_synchronized(seq, 0.1e-3, 1, 0.0)
+        ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
+        tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
+                             cfg.pulse_mode(), cfg.calibration,
+                             trace_points=21)
+        assert [float(r["time_s"]) for r in rows] == tr.times.tolist()
+        assert [float(r["mx"]) for r in rows] == tr.ensemble_mxy.real.tolist()
+        assert [float(r["my"]) for r in rows] == tr.ensemble_mxy.imag.tolist()
 
     def test_plot_flag_writes_svg(self, tmp_path, capsys):
         rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),
