@@ -1,9 +1,9 @@
 """Spin-echo AC magnetometry: sequences, RF phase accumulation, Bloch
 ensemble simulation, and the sensitivity analysis chain."""
 
-from .core import (CONSTANTS, HBAR, MU0_OVER_4PI, MU_B, CoilCalibration,
-                   ConfigError, NumericalError, SampleSpec, SpinSystem,
-                   gyromagnetic_ratio, volts_to_field)
+from .core import (HBAR, MU0_OVER_4PI, MU_B, CoilCalibration, ConfigError,
+                   NumericalError, SampleSpec, SpinSystem, gyromagnetic_ratio,
+                   volts_to_field)
 from .sequence import (FilterFunction, Pulse, PulseSequence, SequenceKind,
                        build_cp, build_custom, build_hahn, build_pdd,
                        filter_function)

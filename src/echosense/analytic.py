@@ -2,8 +2,10 @@
 
 phi = gamma(g) * eta * sum_k s_k * int_{I_k} B(t) dt over the
 constant-sign intervals I_k of the sequence filter.  The production path
-evaluates each sinusoidal piece in closed form; an adaptive-quadrature
-twin of the same integral serves as the independent oracle in tests.
+evaluates each sinusoidal piece in closed form, all intervals in one walk
+over the RF windows (`RFWaveform.integrals`), so its cost is linear in
+the pulse and window counts; an adaptive-quadrature twin of the same
+integral serves as the independent oracle in tests.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
     """Closed-form signed phase accumulated over the whole sequence."""
     _check_domain(filt, wave)
     gamma_eff = sys.gamma * cal.coupling_eta
-    per = tuple(s * gamma_eff * wave.integral(a, b)
-                for a, b, s in filt.intervals())
+    # the sign starts at +1 and toggles at every breakpoint
+    signed = (gamma_eff, -gamma_eff)
+    ints = wave.integrals((0.0, *filt.breakpoints, filt.domain_end))
+    per = tuple([signed[k % 2] * v for k, v in enumerate(ints)])
     return PhaseAccumulation(sum(per), per)
 
 

@@ -8,11 +8,12 @@ Two pulse models:
 
 * IdealPulse -- pulses are instantaneous rotations at the pulse centers;
   free evolution advances each packet's transverse phase with the exact
-  closed-form RF integrals, so the ensemble phase matches the analytic
-  module to rounding.  The path is vectorised over packets: the state is
-  one complex array m = Mx + iMy plus Mz, each pulse and each free
-  interval is a few whole-array operations, and the readout over the
-  uniform trace grid is a geometric recurrence in the per-sample
+  closed-form RF integrals of every free interval, taken in one walk over
+  the RF windows (`RFWaveform.integrals`), so the ensemble phase matches
+  the analytic module to rounding.  The path is vectorised over packets:
+  the state is one complex array m = Mx + iMy plus Mz, each pulse and
+  each free interval is a few whole-array operations, and the readout
+  over the uniform trace grid is a geometric recurrence in the per-sample
   detuning factor, so Python-level work grows with the pulse count and
   not with the number of trace samples.
 * FinitePulse -- fixed-step RK4 through the real timeline, with the RF
@@ -65,6 +66,8 @@ class EnsembleConfig:
             raise ConfigError("n_packets must be >= 1")
         if self.detuning_sigma < 0 or self.rf_amplitude_spread < 0:
             raise ConfigError("distribution widths must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def draw(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(detunings, rf amplitude factors, weights); deterministic in seed.
@@ -157,20 +160,24 @@ def _evolve_ideal(seq: PulseSequence, wave: RFWaveform, geff: float,
     builds them with linspace)."""
     m = np.zeros(len(det), dtype=complex)
     mz = np.ones(len(det))
-    # per-packet RF phase per unit-amplitude integral; a zero-amplitude
-    # wave contributes nothing, so its integrals are never evaluated
-    grf = geff * fac * wave.amplitude if wave.amplitude != 0.0 else None
+    # Per-packet RF phase of each free interval, from one walk over the
+    # RF windows (geff*fac*A times the unit-amplitude integral I/A); a
+    # zero-amplitude wave contributes nothing, so its integrals are never
+    # evaluated.
+    edges = (0.0, *seq.pi_centers, seq.echo_time)
+    amp = wave.amplitude
+    if amp != 0.0:
+        grf = geff * fac * amp
+        rf = [grf * (v / amp) for v in wave.integrals(edges)]
+    else:
+        rf = [0.0] * (len(edges) - 1)
 
-    def rf_phase(a: float, b: float):
-        return 0.0 if grf is None else grf * wave.unit_integral(a, b)
-
-    t_prev = 0.0
-    for k, p in enumerate(seq.pulses):
-        c = p.center - seq.origin
-        if k > 0:
-            m = m * np.exp(1j * (det * (c - t_prev) + rf_phase(t_prev, c)))
+    first, *pis = seq.pulses
+    m, mz = _pulse(m, mz, first.nominal_angle, first.axis_phase)
+    for k, p in enumerate(pis):
+        m = m * np.exp(1j * (det * (edges[k + 1] - edges[k]) + rf[k]))
         m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
-        t_prev = c
+    t_prev = edges[-2]
 
     # Readout: detuning keeps evolving across the acquisition window, but
     # the RF phase is referred to the echo time (acquisition happens with
@@ -180,7 +187,7 @@ def _evolve_ideal(seq: PulseSequence, wave: RFWaveform, geff: float,
     # doubling: each pass extends the filled rows by multiplying them with
     # q**n, which is cheaper in numpy than a complex cumprod.
     n_t = len(times)
-    alpha = det * (times[0] - t_prev) + rf_phase(t_prev, seq.echo_time)
+    alpha = det * (times[0] - t_prev) + rf[-1]
     z = np.empty((n_t, len(det)), dtype=complex)
     z[0] = w * m * np.exp(1j * alpha)
     if n_t > 1:

@@ -18,18 +18,6 @@ HBAR = 1.054571817e-34
 MU0_OVER_4PI = 1e-7
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed constants bundle (mostly for documentation / serialization)."""
-
-    mu_b: float = MU_B
-    hbar: float = HBAR
-    mu0_over_4pi: float = MU0_OVER_4PI
-
-
-CONSTANTS = PhysicalConstants()
-
-
 class ConfigError(ValueError):
     """Invalid input or configuration (precondition violation)."""
 

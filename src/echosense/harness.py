@@ -139,6 +139,8 @@ def load_config(source) -> ExperimentConfig:
         )
         en = raw.get("ensemble", {})
         seed = int(raw.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         ens = blochsim.EnsembleConfig(
             n_packets=int(en.get("n_packets", 200)),
             detuning_sigma=float(en.get("detuning_sigma_mhz", 0.0)) * MHZ_TO_RAD,
@@ -159,8 +161,16 @@ def load_config(source) -> ExperimentConfig:
         cfg.build_sequence()           # sequence spec must validate up front
         cfg.pulse_mode()
         cfg.reset_mode()
+        if float(cfg.noise.get("sigma", 0.0)) < 0:
+            raise ConfigError("noise.sigma must be >= 0")
+        if int(cfg.noise.get("n_averages", 1)) < 1:
+            raise ConfigError("noise.n_averages must be >= 1")
+        if cfg.trace_points() < 2:
+            raise ConfigError("simulation.trace_points must be >= 2")
         return cfg
-    except (KeyError, TypeError) as e:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config: {e}") from e
 
 
@@ -355,7 +365,7 @@ def run_sensitivity(cfg: ExperimentConfig, workers: int = 1):
                     cfg.measurement.get("phase_resolution_deg", 1.0)),
                 t_meas=float(cfg.measurement.get("t_meas_s", 0.375)),
                 reset_mode=ResetMode(dd.get("reset_mode", "per-window-reset")),
-                mode=cfg.pulse_mode()))
+                mode=cfg.pulse_mode(), trace_points=cfg.trace_points()))
     return reports
 
 

@@ -47,6 +47,8 @@ class RFWaveform:
 
     window_phases, when given, overrides the global phase per window
     (same length as windows).  amplitude may be zero (reference runs).
+    Windows are validated ordered and disjoint, which lets `integrals`
+    evaluate every interval of a filter in one walk over them.
     """
 
     amplitude: float
@@ -61,16 +63,17 @@ class RFWaveform:
             raise ConfigError("amplitude must be >= 0")
         if not self.frequency > 0:
             raise ConfigError("frequency must be positive")
-        wins = tuple((float(a), float(b)) for a, b in self.windows)
+        wins = tuple([(float(a), float(b)) for a, b in self.windows])
         object.__setattr__(self, "windows", wins)
+        prev_end = -math.inf
         for a, b in wins:
             if b <= a:
                 raise ConfigError(f"empty or inverted window [{a}, {b})")
-        for (_, b), (a2, _) in zip(wins, wins[1:]):
-            if a2 < b:
+            if a < prev_end:
                 raise ConfigError("windows must be disjoint and ordered")
+            prev_end = b
         if self.window_phases is not None:
-            ph = tuple(float(p) for p in self.window_phases)
+            ph = tuple([float(p) for p in self.window_phases])
             if len(ph) != len(wins):
                 raise ConfigError("window_phases length must match windows")
             object.__setattr__(self, "window_phases", ph)
@@ -91,26 +94,50 @@ class RFWaveform:
             out = np.where(inside, self.amplitude * np.sin(arg), out)
         return out if out.ndim else float(out)
 
-    def integral(self, a: float, b: float) -> float:
-        """Closed-form integral of the field over [a, b] (antiderivative of sin)."""
-        if b < a:
-            raise ConfigError("integration bounds must satisfy a <= b")
-        w = TWO_PI * self.frequency
-        total = 0.0
-        for k, (wa, wb) in enumerate(self.windows):
-            lo, hi = max(a, wa), min(b, wb)
-            if hi <= lo:
-                continue
-            t0 = 0.0 if self.reset_mode is ResetMode.CONTINUOUS else wa
-            ph = self._phase_of(k)
-            total += (math.cos(w * (lo - t0) + ph) - math.cos(w * (hi - t0) + ph)) / w
-        return self.amplitude * total
+    def integrals(self, edges) -> list[float]:
+        """Closed-form integral of the field over each [edges[i], edges[i+1]].
 
-    def unit_integral(self, a: float, b: float) -> float:
-        """integral(a, b) for unit amplitude (per-packet amplitude scaling)."""
-        if self.amplitude == 0.0:
-            return replace(self, amplitude=1.0).integral(a, b)
-        return self.integral(a, b) / self.amplitude
+        `edges` must be non-decreasing.  One merge walk over the ordered
+        windows and the edges: a window is visited once per interval it
+        overlaps, so the cost is linear in len(edges) + len(windows).
+        Each interval sums its window pieces (antiderivative of sin) in
+        window order, exactly as a separate integral(a, b) call would.
+        """
+        edges = tuple(edges)
+        wins = self.windows
+        n_win = len(wins)
+        phases = self.window_phases or (self.phase,) * n_win
+        reset = self.reset_mode is not ResetMode.CONTINUOUS
+        w = TWO_PI * self.frequency
+        amp = self.amplitude
+        cos = math.cos
+        out = []
+        j = 0  # first window that may still overlap the current interval
+        for a, b in zip(edges, edges[1:]):
+            if b < a:
+                raise ConfigError("integration bounds must satisfy a <= b")
+            while j < n_win and wins[j][1] <= a:
+                j += 1
+            total = 0.0
+            for k in range(j, n_win):
+                wa, wb = wins[k]
+                if wa >= b:
+                    break
+                # max(a, wa) and min(b, wb) without the builtin calls,
+                # which cost more than the arithmetic in this loop
+                lo = wa if wa > a else a
+                hi = wb if wb < b else b
+                if hi <= lo:
+                    continue
+                t0 = wa if reset else 0.0
+                ph = phases[k]
+                total += (cos(w * (lo - t0) + ph) - cos(w * (hi - t0) + ph)) / w
+            out.append(amp * total)
+        return out
+
+    def integral(self, a: float, b: float) -> float:
+        """Closed-form integral of the field over [a, b]."""
+        return self.integrals((a, b))[0]
 
     def piece(self, k: int) -> tuple[float, float, float, float]:
         """(t_on, t_off, t0, phase) of window k, such that the field inside
@@ -221,13 +248,18 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     if reset_mode is ResetMode.CONTINUOUS:
         return RFWaveform(amplitude, nu, phase, ((0.0, seq.echo_time),),
                           ResetMode.CONTINUOUS)
-    n_windows = int(round(seq.echo_time / seq.tau))
-    centers = np.asarray(seq.pi_centers)
+    tau = seq.tau
+    n_windows = int(round(seq.echo_time / tau))
+    centers = seq.pi_centers  # strictly increasing
+    n_centers = len(centers)
+    eps = 1e-15 * seq.echo_time
     windows, phases = [], []
+    flips = 0  # pi centers at or before the current window start
     for k in range(n_windows):
-        a = k * seq.tau
-        flips = int(np.count_nonzero(centers <= a + 1e-15 * seq.echo_time))
-        windows.append((a, (k + 1) * seq.tau))
+        a = k * tau
+        while flips < n_centers and centers[flips] <= a + eps:
+            flips += 1
+        windows.append((a, (k + 1) * tau))
         phases.append(phase + flips * math.pi)
     return RFWaveform(amplitude, nu, phase, tuple(windows),
                       ResetMode.PER_WINDOW_RESET, tuple(phases))

@@ -58,37 +58,50 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                      ) -> TransductionFit:
     """Fit phase [deg] vs field [T] points to a transduction slope.
 
-    LinearRegression is kept only when its residual rms stays under the
-    threshold; otherwise the maximum of the centered finite differences
-    is reported (nonlinear regime).  Input phases must already be
-    unwrapped; a wrap flyback (a jump > 90 deg running against the
-    overall trend) is rejected.
+    AUTO keeps the least-squares line only when its residual rms stays
+    under the threshold; otherwise the maximum of the centered finite
+    differences is reported (nonlinear regime).  A forced method is
+    always used.  Input phases must already be unwrapped; a wrap flyback
+    (a jump > 90 deg running against the overall trend) is rejected.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ConfigError("fit_transduction needs at least 3 points")
-    b = np.asarray([p[0] for p in pts], dtype=float)
-    phi = np.asarray([p[1] for p in pts], dtype=float)
-    if np.any(np.diff(b) <= 0):
+    # a few dozen points: plain float arithmetic is far cheaper than numpy
+    # calls on arrays this small, and needs no BLAS
+    b = [float(p[0]) for p in pts]
+    phi = [float(p[1]) for p in pts]
+    if any(b1 - b0 <= 0 for b0, b1 in zip(b, b[1:])):
         raise ConfigError("field values must be strictly increasing")
     # Data wrapped to (-90, 90] shows up as a sawtooth: large flybacks
     # running against the trend.  A steep but genuinely unwrapped line has
     # every jump along the trend, so only counter-trend jumps are rejected.
-    jumps = np.diff(phi)
-    trend = np.sign(np.median(jumps)) or 1.0
-    if np.any((np.sign(jumps) == -trend) & (np.abs(jumps) > 90.0)):
+    jumps = [p1 - p0 for p0, p1 in zip(phi, phi[1:])]
+    ordered = sorted(jumps)
+    mid = len(ordered) // 2
+    median = (ordered[mid] if len(ordered) % 2
+              else (ordered[mid - 1] + ordered[mid]) / 2)
+    trend = -1.0 if median < 0 else 1.0
+    if any(j * trend < 0 and abs(j) > 90.0 for j in jumps):
         raise ConfigError("wrapped-phase discontinuity detected: "
                           "unwrap the phases before fitting")
-    b_range = (float(b[0]), float(b[-1]))
+    b_range = (b[0], b[-1])
 
-    slope_lin, intercept = np.polyfit(b, phi, 1)
-    resid = phi - (slope_lin * b + intercept)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    # least-squares line in centred form:
+    # slope = sum((b - <b>)(phi - <phi>)) / sum((b - <b>)**2)
+    n = len(b)
+    b_mean, phi_mean = sum(b) / n, sum(phi) / n
+    db = [x - b_mean for x in b]
+    slope_lin = (sum(d * (y - phi_mean) for d, y in zip(db, phi))
+                 / sum(d * d for d in db))
+    intercept = phi_mean - slope_lin * b_mean
+    rms = math.sqrt(sum((y - (slope_lin * x + intercept)) ** 2
+                        for x, y in zip(b, phi)) / n)
 
     use_linear = (method is FitMethod.LINEAR_REGRESSION
-                  or method is FitMethod.AUTO) and rms < residual_threshold
+                  or (method is FitMethod.AUTO and rms < residual_threshold))
     if use_linear:
-        return TransductionFit(float(slope_lin), float(intercept), rms,
+        return TransductionFit(slope_lin, intercept, rms,
                                FitMethod.LINEAR_REGRESSION, b_range)
     grad = np.gradient(phi, b)
     k = int(np.argmax(np.abs(grad)))
@@ -142,11 +155,13 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                          t_pi2: float, t_pi: float,
                          phase_resolution: float = 1.0, t_meas: float = 0.375,
                          reset_mode: ResetMode = ResetMode.PER_WINDOW_RESET,
-                         mode=None) -> list[SensitivityReport]:
+                         mode=None, trace_points: int = 61,
+                         ) -> list[SensitivityReport]:
     """Simulated amplitude sweep -> transduction fit -> report, per pulse count.
 
     Per-point seeds derive from (base seed, n_pi, grid index) so PDD and
-    CP runs of the same n_pi share identical ensembles.
+    CP runs of the same n_pi share identical ensembles.  `trace_points`
+    is the echo-window sampling passed to every `blochsim.evolve`.
     """
     from dataclasses import replace
 
@@ -172,8 +187,10 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
             ens = replace(ens_base, seed=seed)
             wave = build_synchronized(seq, float(amp), n=1, phase=0.0,
                                       reset_mode=reset_mode)
-            ref = blochsim.evolve(sys, seq, None, ens, mode, cal)
-            tr = blochsim.evolve(sys, seq, wave, ens, mode, cal)
+            ref = blochsim.evolve(sys, seq, None, ens, mode, cal,
+                                  trace_points=trace_points)
+            tr = blochsim.evolve(sys, seq, wave, ens, mode, cal,
+                                 trace_points=trace_points)
             args.append(np.angle(
                 blochsim.echo_observable(tr, ref)))
         phases_deg = np.degrees(np.unwrap(np.asarray(args)))

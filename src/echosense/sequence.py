@@ -58,7 +58,9 @@ class PulseSequence:
 
     echo_time is in protocol time (relative to the first pulse center);
     the echo sits tau after the last pi pulse.  origin is the absolute
-    time of protocol zero.
+    time of protocol zero; pi_centers are the refocusing-pulse centers in
+    protocol time, strictly increasing.  Both are derived once here (the
+    sequence is frozen).
     """
 
     pulses: tuple[Pulse, ...]
@@ -67,6 +69,7 @@ class PulseSequence:
     kind: SequenceKind = SequenceKind.CUSTOM
     origin: float = field(init=False)
     total_time: float = field(init=False)
+    pi_centers: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.pulses) < 2:
@@ -80,18 +83,14 @@ class PulseSequence:
         origin = self.pulses[0].center
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "total_time", origin + self.echo_time)
-        last = self.pulses[-1].center - origin
-        if self.echo_time <= last:
+        object.__setattr__(self, "pi_centers",
+                           tuple(p.center - origin for p in self.pulses[1:]))
+        if self.echo_time <= self.pi_centers[-1]:
             raise ConfigError("echo must come after the last pulse")
 
     @property
     def n_pi(self) -> int:
         return len(self.pulses) - 1
-
-    @property
-    def pi_centers(self) -> tuple[float, ...]:
-        """Centers of the refocusing pulses, protocol time."""
-        return tuple(p.center - self.origin for p in self.pulses[1:])
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,6 @@ def build_pdd(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence
     if n_pi < 1:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
     _check_timings(tau, t_pi2, t_pi, tau)
-    if n_pi > 1 and tau - t_pi <= 0:
-        raise ConfigError("pi pulses overlap: tau too short")
     origin = t_pi2 / 2
     pulses = [Pulse(0.0, t_pi2, PI / 2)]
     pulses += [Pulse(origin + k * tau - t_pi / 2, t_pi, PI)

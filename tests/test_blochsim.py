@@ -1,6 +1,7 @@
 """Bloch ensemble simulator against the closed-form phase module."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ def _rotate(mx, my, mz, angle, axis_phase):
             mz * c + cz * s)
 
 
+def _unit_integral(wave, a, b):
+    """Integral of `wave` over [a, b] at unit amplitude."""
+    return replace(wave, amplitude=1.0).integral(a, b)
+
+
 def _ideal_loop(seq, wave, geff, det, fac, w, times):
     """Reference ideal-pulse trace: real-component rotations and one
     complex exponential per trace sample (works on any time grid)."""
@@ -88,13 +94,13 @@ def _ideal_loop(seq, wave, geff, det, fac, w, times):
     for k, p in enumerate(seq.pulses):
         c = p.center - seq.origin
         if k > 0:
-            alpha = det * (c - t_prev) + geff * fac * amp * wave.unit_integral(
-                t_prev, c)
+            alpha = det * (c - t_prev) + geff * fac * amp * _unit_integral(
+                wave, t_prev, c)
             m = m * np.exp(1j * alpha)
         mx, my, mz = _rotate(m.real, m.imag, mz, p.nominal_angle, p.axis_phase)
         m = mx + 1j * my
         t_prev = c
-    rf_tail = geff * fac * amp * wave.unit_integral(t_prev, seq.echo_time)
+    rf_tail = geff * fac * amp * _unit_integral(wave, t_prev, seq.echo_time)
     out = np.empty(len(times), dtype=complex)
     for j, t in enumerate(times):
         mj = m * np.exp(1j * (det * (t - t_prev) + rf_tail))

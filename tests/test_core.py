@@ -5,9 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from echosense import (CONSTANTS, HBAR, MU_B, CoilCalibration, ConfigError,
-                       SampleSpec, SpinSystem, gyromagnetic_ratio,
-                       volts_to_field)
+from echosense import (HBAR, MU_B, CoilCalibration, ConfigError, SampleSpec,
+                       SpinSystem, gyromagnetic_ratio, volts_to_field)
 
 
 class TestGyromagneticRatio:
@@ -32,13 +31,6 @@ class TestGyromagneticRatio:
         assert gyromagnetic_ratio(g) > 0
         assert gyromagnetic_ratio(2 * g) == pytest.approx(
             2 * gyromagnetic_ratio(g), rel=1e-12)
-
-
-class TestConstants:
-    def test_bundle_matches_module_level(self):
-        assert CONSTANTS.mu_b == MU_B
-        assert CONSTANTS.hbar == HBAR
-        assert CONSTANTS.mu0_over_4pi == 1e-7
 
 
 class TestSpinSystem:

@@ -10,7 +10,7 @@ import pytest
 
 from echosense import ConfigError, blochsim, build_synchronized
 from echosense import harness
-from echosense.cli import main
+from echosense.cli import _apply_overrides, main
 
 FAST_RAW = {
     "spin_system": {"g": 2.0, "t_m_us": 100.0,
@@ -174,6 +174,23 @@ class TestSweeps:
         assert [r.phase_unwrapped for r in serial.echo_results] == \
                [r.phase_unwrapped for r in parallel.echo_results]
 
+    def test_sensitivity_uses_configured_trace_points(self, fast_cfg,
+                                                      monkeypatch):
+        seen = []
+        evolve = blochsim.evolve
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("trace_points"))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(blochsim, "evolve", spy)
+        cfg = replace(fast_cfg, dd={
+            "protocols": ["cp"], "n_pi_list": [1], "tau_us_list": [1.2],
+            "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}})
+        assert cfg.trace_points() == 21
+        harness.run_sensitivity(cfg)
+        assert seen and set(seen) == {21}
+
 
 class TestEmission:
     def test_write_csv_round_trip(self, tmp_path):
@@ -252,6 +269,29 @@ class TestCli:
                    "--set", "spin_system.t_m_us=1e-4",
                    "-o", str(tmp_path / "out")])
         assert rc == 3
+
+    BAD_VALUES = {
+        "negative-seed": ["seed=-1"],
+        "negative-ensemble-seed": ["ensemble.seed=-2"],
+        "non-numeric-g": ["spin_system.g=x"],
+        "zero-averages": ["noise.sigma=0.1", "noise.n_averages=0"],
+        "negative-sigma": ["noise.sigma=-5"],
+        "one-trace-point": ["simulation.trace_points=1"],
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_VALUES))
+    def test_bad_value_exit_2(self, tmp_path, case, capsys):
+        sets = [a for kv in self.BAD_VALUES[case] for a in ("--set", kv)]
+        rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path), *sets,
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(BAD_VALUES))
+    def test_validate_rejects_bad_value(self, tmp_path, case):
+        raw = _apply_overrides(json.loads(json.dumps(FAST_RAW)),
+                               self.BAD_VALUES[case])
+        assert main(["validate", self._cfg_file(tmp_path, raw)]) == 2
 
     def test_sensitivity_command(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_RAW))

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from echosense import (ConfigError, ResetMode, RFWaveform, build_hahn,
                        build_cp, build_pdd, build_split_interval,
-                       build_synchronized, synchronized_frequency, zero_field)
+                       build_synchronized, pulse_gated, synchronized_frequency,
+                       zero_field)
+
+from rf_oracle import build_synchronized_count, integral_loop
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -103,19 +106,93 @@ class TestIntegral:
         assert w.integral(0.0, tau) == pytest.approx(2 * a * tau / math.pi,
                                                      rel=1e-12)
 
-    def test_unit_integral_scales_out_amplitude(self):
+    def test_integrals_scale_with_amplitude(self):
         w = RFWaveform(1.8e-3, 1e6, 0.5, ((0.0, 2e-6),))
-        assert w.unit_integral(0.0, 1.5e-6) == pytest.approx(
-            w.integral(0.0, 1.5e-6) / 1.8e-3, rel=1e-12)
-
-    def test_unit_integral_defined_at_zero_amplitude(self):
-        w = RFWaveform(0.0, 1e6, 0.0, ((0.0, 1e-6),))
-        assert w.unit_integral(0.0, 0.5e-6) != 0.0
+        unit = RFWaveform(1.0, 1e6, 0.5, ((0.0, 2e-6),))
+        edges = (0.0, 0.4e-6, 1.5e-6)
+        assert w.integrals(edges) == pytest.approx(
+            [1.8e-3 * v for v in unit.integrals(edges)], rel=1e-12)
 
     def test_inverted_bounds_rejected(self):
         w = RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1e-6),))
         with pytest.raises(ConfigError):
             w.integral(1e-6, 0.0)
+
+
+def _walk_waves():
+    """Waves of every shape the library builds, with their span end."""
+    hahn = build_hahn(1.2e-6, T_PI2, T_PI)
+    cp3 = build_cp(3, 1.3e-6, T_PI2, T_PI)
+    pdd4 = build_pdd(4, 0.9e-6, T_PI2, T_PI)
+    reset = ResetMode.PER_WINDOW_RESET
+    return {
+        "continuous": build_synchronized(hahn, 1.1e-3, 1, 0.4),
+        "continuous-cp3": build_synchronized(cp3, 0.7e-3, 3, 1.2),
+        "reset-cp3": build_synchronized(cp3, 0.7e-3, 1, 0.3, reset),
+        "reset-pdd4": build_synchronized(pdd4, 1.4e-3, 2, 2.5, reset),
+        "split": build_split_interval(1.2e-6, 1e-3, 0.2, 1.3),
+        "split-second": build_split_interval(1.2e-6, 1e-3, 0.2, 1.3,
+                                             enable_first=False),
+        "gated": pulse_gated(build_synchronized(cp3, 0.7e-3, 1, 0.3, reset),
+                             cp3),
+        "gaps": RFWaveform(0.9e-3, 0.8e6, 0.6,
+                           ((0.2e-6, 0.9e-6), (1.1e-6, 1.9e-6),
+                            (1.9e-6, 2.4e-6)), reset),
+        "no-windows": zero_field(),
+    }
+
+
+class TestIntegralsWalk:
+    """`integrals` against the per-interval loop over every window."""
+
+    @staticmethod
+    def check(wave, edges):
+        want = [integral_loop(wave, a, b) for a, b in zip(edges, edges[1:])]
+        assert wave.integrals(edges) == want  # exact, not approx
+        for (a, b), v in zip(zip(edges, edges[1:]), want):
+            assert wave.integral(a, b) == v
+
+    @pytest.mark.parametrize("name", list(_walk_waves()))
+    def test_filter_edges(self, name):
+        wave = _walk_waves()[name]
+        for seq in (build_hahn(1.2e-6, T_PI2, T_PI),
+                    build_cp(3, 1.3e-6, T_PI2, T_PI),
+                    build_pdd(4, 0.9e-6, T_PI2, T_PI)):
+            self.check(wave, (0.0, *seq.pi_centers, seq.echo_time))
+
+    @pytest.mark.parametrize("name", list(_walk_waves()))
+    def test_random_edges_cut_through_windows(self, name):
+        wave = _walk_waves()[name]
+        end = max(wave.end(), 1e-6)
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 7, 25):
+            edges = tuple(np.sort(rng.uniform(-0.3 * end, 1.3 * end, n)))
+            self.check(wave, tuple(float(e) for e in edges))
+
+    @pytest.mark.parametrize("name", list(_walk_waves()))
+    def test_edges_outside_and_on_window_bounds(self, name):
+        wave = _walk_waves()[name]
+        end = max(wave.end(), 1e-6)
+        bounds = sorted({x for win in wave.windows for x in win})
+        self.check(wave, (-2 * end, -end, 0.0))          # wholly before
+        self.check(wave, (2 * end, 3 * end, 4 * end))    # wholly after
+        self.check(wave, (-end, *bounds, 2 * end))       # on every bound
+        self.check(wave, (0.0, 0.0, 0.5 * end, 0.5 * end, end))  # a == b
+
+    def test_equal_bounds_give_zero(self):
+        wave = _walk_waves()["reset-cp3"]
+        assert wave.integrals((1e-6, 1e-6)) == [0.0]
+        assert wave.integral(1e-6, 1e-6) == 0.0
+
+    def test_fewer_than_two_edges_give_nothing(self):
+        assert _walk_waves()["continuous"].integrals((1e-6,)) == []
+
+    def test_decreasing_edges_rejected(self):
+        wave = _walk_waves()["gaps"]
+        with pytest.raises(ConfigError):
+            wave.integrals((0.0, 2e-6, 1e-6))
+        with pytest.raises(ConfigError):
+            wave.integrals((1e-6, 0.0))
 
 
 class TestValidation:
@@ -260,6 +337,25 @@ class TestBuildSynchronized:
                                ResetMode.PER_WINDOW_RESET)
         flips = [round((p - 0.0) / math.pi) for p in w.window_phases]
         assert flips == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("build", [build_pdd, build_cp])
+    @pytest.mark.parametrize("n_pi", range(1, 9))
+    def test_reset_matches_counting_builder(self, build, n_pi):
+        for tau, n, phase in ((1.2e-6, 1, 0.0), (0.7e-6, 3, 2.1),
+                              (1.7e-6, 2, -0.4)):
+            seq = build(n_pi, tau, T_PI2, T_PI)
+            got = build_synchronized(seq, 0.8e-3, n, phase,
+                                     ResetMode.PER_WINDOW_RESET)
+            want = build_synchronized_count(seq, 0.8e-3, n, phase)
+            assert got == want
+            assert got.windows == want.windows
+            assert got.window_phases == want.window_phases
+
+    def test_reset_hahn_matches_counting_builder(self):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        assert build_synchronized(seq, 1e-3, 1, 0.5,
+                                  ResetMode.PER_WINDOW_RESET) == \
+            build_synchronized_count(seq, 1e-3, 1, 0.5)
 
     def test_pdd_reset_equals_continuous_for_n1(self):
         # phase-flipped restarts re-assemble the continuous sinusoid on

@@ -46,6 +46,50 @@ class TestFitTransduction:
                                residual_threshold=math.inf)
         assert fit.method is FitMethod.LINEAR_REGRESSION
 
+    def test_forced_linear_with_default_threshold(self):
+        # the residual of this saturating curve is far above the default
+        # threshold, which only AUTO consults
+        b = np.linspace(0, 1e-3, 21)
+        phi = 80.0 * np.sin(b / 1e-3 * math.pi / 2)
+        fit = fit_transduction(list(zip(b, phi)),
+                               method=FitMethod.LINEAR_REGRESSION)
+        assert fit.method is FitMethod.LINEAR_REGRESSION
+        assert fit.residual_rms > 2.0
+        assert fit.slope == pytest.approx(np.polyfit(b, phi, 1)[0],
+                                          rel=1e-12)
+
+    def test_forced_max_derivative_on_linear_data(self):
+        fit = fit_transduction(linear_points(1.527e7),
+                               method=FitMethod.MAX_DERIVATIVE)
+        assert fit.method is FitMethod.MAX_DERIVATIVE
+        assert fit.slope == pytest.approx(1.527e7, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["random", "noisy", "linear"])
+    def test_closed_form_line_matches_polyfit(self, kind):
+        rng = np.random.default_rng(3)
+        for trial in range(50):
+            n = int(rng.integers(3, 42))
+            b = np.sort(rng.uniform(0, 2e-3, n))
+            if np.any(np.diff(b) <= 0):
+                continue
+            slope0 = float(rng.uniform(-1, 1)) * 10 ** rng.uniform(3, 8)
+            if kind == "random":
+                phi = rng.uniform(-40, 40, n)  # jumps stay under 90 deg
+            elif kind == "noisy":
+                phi = slope0 * b + rng.normal(0, 0.5, n) + 3.0
+            else:
+                phi = slope0 * b - 7.5
+            # AUTO may fall back to max-derivative on random data
+            fit = fit_transduction(list(zip(b, phi)),
+                                   method=FitMethod.LINEAR_REGRESSION)
+            slope, intercept = np.polyfit(b, phi, 1)
+            # relative to the slope scale of the data, so that a near-zero
+            # fitted slope of random data is not judged by its own size
+            scale = max(abs(slope), np.ptp(phi) / np.ptp(b))
+            assert abs(fit.slope - slope) <= 1e-12 * scale
+            assert abs(fit.intercept - intercept) <= 1e-12 * max(
+                abs(intercept), scale * b[-1])
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):
             fit_transduction([(0.0, 0.0), (1e-4, 1.0)])
