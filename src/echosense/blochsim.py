@@ -82,6 +82,12 @@ class EnsembleConfig:
         return det, fac, w
 
 
+def point_seed(base: int, *idx: int) -> int:
+    """Ensemble seed of one grid point, derived from a base seed and the
+    point's indices; every sweep seeds its points through this."""
+    return int(np.random.SeedSequence((base, *idx)).generate_state(1)[0])
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     """Ensemble transverse magnetization sampled around the echo."""
@@ -338,6 +344,16 @@ def echo_observable(trace: SimulationTrace,
             raise NumericalError("zero-RF reference echo vanished")
         z = z / zr
     return z
+
+
+def echo_point(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
+               ens: EnsembleConfig, mode: PulseMode, cal: CoilCalibration,
+               trace_points: int) -> complex:
+    """One sweep point: the echo observable of `wave` divided by the zero-RF
+    reference, both evolved with the same ensemble and trace grid."""
+    ref = evolve(sys, seq, None, ens, mode, cal, trace_points=trace_points)
+    tr = evolve(sys, seq, wave, ens, mode, cal, trace_points=trace_points)
+    return echo_observable(tr, ref)
 
 
 def trace_to_csv(trace: SimulationTrace, path) -> None:

@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
 from . import harness
 from .core import ConfigError, NumericalError
-
-SWEEPS = {
-    "sweep-amplitude": harness.run_sweep_amplitude,
-    "sweep-phase": harness.run_sweep_phase,
-    "symmetry": harness.run_symmetry,
-    "split-interval": harness.run_split_interval,
-    "dd-sweep": harness.run_dd_sweep,
-}
 
 
 def _apply_overrides(raw: dict, overrides) -> dict:
@@ -69,15 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--plot", action="store_true",
                         help="also write SVG plots")
 
-    for name in SWEEPS:
+    for name in harness.EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         add_common(sp)
         if name == "sweep-amplitude":
             sp.add_argument("--dump-trace", action="store_true",
                             help="dump the first grid point's time trace")
-
-    sp = sub.add_parser("sensitivity", help="DD sensitivity pipeline")
-    add_common(sp)
 
     sp = sub.add_parser("reproduce", help="regenerate a figure bundle")
     sp.add_argument("figure", choices=harness.FIGURES)
@@ -88,40 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="validate a config file")
     sp.add_argument("config")
     return p
-
-
-def _emit(name, cfg, result, outroot, plot):
-    outdir = harness.run_directory(name, cfg, outroot)
-    written = []
-
-    def emit_rows(stem, rows):
-        path = outdir / f"{stem}.csv"
-        harness.write_csv(path, rows)
-        written.append(path)
-
-    if name == "split-interval":
-        emit_rows("split", harness.split_rows(result))
-    elif name in ("symmetry", "dd-sweep"):
-        rows = []
-        for res in result:
-            rows.extend(harness.sweep_rows(res))
-        emit_rows(name.replace("-", "_"), rows)
-    elif name == "sensitivity":
-        rows = harness.reports_to_rows(result)
-        for r in rows:
-            r["config_hash"] = cfg.hash
-            r["seed"] = cfg.seed
-        emit_rows("sensitivity", rows)
-    else:
-        emit_rows(name.replace("-", "_"), harness.sweep_rows(result))
-
-    if plot:
-        from .svgplot import plot_csv
-
-        for pth in list(written):
-            plot_csv(pth, pth.with_suffix(".svg"))
-            written.append(pth.with_suffix(".svg"))
-    return written
 
 
 def main(argv=None) -> int:
@@ -139,24 +95,23 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _load(args)
-        if args.command == "sensitivity":
-            result = harness.run_sensitivity(cfg, args.workers)
-        else:
-            result = SWEEPS[args.command](cfg, args.workers)
-        written = _emit(args.command, cfg, result, args.output_root, args.plot)
+        result = harness.EXPERIMENTS[args.command](cfg, args.workers)
+        stem = ("split" if args.command == "split-interval"
+                else args.command.replace("-", "_"))
+        written = harness.emit(
+            harness.run_directory(args.command, cfg, args.output_root),
+            {stem: harness.experiment_rows(cfg, result)}, args.plot)
 
         if getattr(args, "dump_trace", False):
             from . import blochsim
             from .rf import build_synchronized
 
             seq = cfg.build_sequence()
-            import math as _m
-
             amp = harness._grid(cfg.rf["amplitude_sweep_mt"],
                                 harness.MT)[0]
             wave = build_synchronized(
                 seq, float(amp), int(cfg.rf.get("n", 1)),
-                _m.radians(float(cfg.rf.get("phase_deg", 0.0))),
+                math.radians(float(cfg.rf.get("phase_deg", 0.0))),
                 cfg.reset_mode())
             # the ensemble and trace grid of grid point 0, as in the sweep
             ens = replace(cfg.ensemble, seed=cfg.point_seed(0))

@@ -8,7 +8,7 @@ at the CLI / config boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 #: Bohr magneton [J/T] (CODATA 2018)
 MU_B = 9.2740100783e-24
@@ -52,9 +52,12 @@ class SpinSystem:
     stretch_beta: float = 1.0
     inhomogeneous_sigma: float = 0.0
     label: str = ""
+    #: g * mu_B / hbar, fixed at construction
+    gamma: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        gyromagnetic_ratio(self.g)  # validates g > 0
+        # validates g > 0
+        object.__setattr__(self, "gamma", gyromagnetic_ratio(self.g))
         if not self.t_m > 0:
             raise ConfigError(f"t_m must be positive, got {self.t_m}")
         if not 1.0 <= self.stretch_beta <= 3.0:
@@ -62,10 +65,6 @@ class SpinSystem:
                 f"stretch_beta must be in [1, 3], got {self.stretch_beta}")
         if self.inhomogeneous_sigma < 0:
             raise ConfigError("inhomogeneous_sigma must be >= 0")
-
-    @property
-    def gamma(self) -> float:
-        return gyromagnetic_ratio(self.g)
 
 
 @dataclass(frozen=True)

@@ -43,21 +43,29 @@ def from_complex(z: complex, n_averages: int = 1,
     return EchoResult(abs(z), wrap_phase(phase), phase, snr, n_averages)
 
 
-def add_measurement_noise(clean: complex, sigma: float, n_averages: int,
-                          seed: int = 0) -> EchoResult:
-    """Corrupt a clean echo with averaged Gaussian quadrature noise.
+def noisy_echo(clean: complex, sigma: float, n_averages: int,
+               seed: int = 0) -> tuple[complex, float]:
+    """(noisy echo, snr) of a clean echo under averaged Gaussian quadrature
+    noise.
 
-    Each quadrature gets independent noise of std sigma/sqrt(n_averages);
-    snr = |clean| * sqrt(n_averages) / sigma.
+    Each quadrature gets independent noise of std sigma/sqrt(n_averages)
+    drawn from default_rng(seed); snr = |clean| * sqrt(n_averages) / sigma.
+    sigma = 0 returns the clean echo with infinite snr.
     """
     if sigma < 0:
         raise ConfigError("sigma must be >= 0")
     if n_averages < 1:
         raise ConfigError("n_averages must be >= 1")
     if sigma == 0:
-        return from_complex(clean, n_averages)
+        return clean, math.inf
     rng = np.random.default_rng(seed)
     s = sigma / math.sqrt(n_averages)
     noisy = clean + complex(*(s * rng.standard_normal(2)))
-    snr = abs(clean) * math.sqrt(n_averages) / sigma
+    return noisy, abs(clean) * math.sqrt(n_averages) / sigma
+
+
+def add_measurement_noise(clean: complex, sigma: float, n_averages: int,
+                          seed: int = 0) -> EchoResult:
+    """EchoResult of a clean echo corrupted as in `noisy_echo`."""
+    noisy, snr = noisy_echo(clean, sigma, n_averages, seed)
     return from_complex(noisy, n_averages, snr)

@@ -2,9 +2,11 @@
 
 Configs are JSON with bench units (mT, MHz, ns, degrees) converted to SI
 here, at the boundary.  Every run is reproducible from (config, seed):
-per-point ensemble seeds derive from (master seed, grid index), results
-are gathered in grid order, and the canonical config hash is stamped
-into every CSV row and into the run directory name.
+per-point ensemble seeds derive from (ensemble seed, sweep tag, grid
+index), the ensemble seed defaulting to the top-level seed, results are
+gathered in grid order, and the canonical config hash is stamped into
+every CSV row and into the run directory name.  Every experiment runs
+its points through one sweep and writes its CSVs through one emitter.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 from . import blochsim
 from .analytic import accumulate_phase
 from .core import CoilCalibration, ConfigError, SampleSpec, SpinSystem
-from .echo import EchoResult, wrap_phase
+from .echo import EchoResult, noisy_echo, wrap_phase
 from .rf import ResetMode, build_split_interval, build_synchronized
-from .sensitivity import dd_sensitivity_sweep, reports_to_rows
+from .sensitivity import (SensitivityReport, build_report, fit_transduction,
+                          reports_to_rows)
 from .sequence import (SequenceKind, build_cp, build_hahn, build_pdd,
                        filter_function)
 
@@ -101,7 +104,7 @@ class ExperimentConfig:
         return int(self.simulation.get("trace_points", 61))
 
     def point_seed(self, *idx) -> int:
-        return int(np.random.SeedSequence((self.seed, *idx)).generate_state(1)[0])
+        return blochsim.point_seed(self.ensemble.seed, *idx)
 
 
 def load_config(source) -> ExperimentConfig:
@@ -188,41 +191,27 @@ class SweepResult:
             raise ConfigError("SweepResult lists must have equal lengths")
 
 
-def _simulate_point(args):
-    """One grid point: (signal, reference) echo observables.  Module-level
-    so a process pool can dispatch it."""
-    sys_, seq, wave, ens, mode, cal, trace_points = args
-    ref = blochsim.evolve(sys_, seq, None, ens, mode, cal,
-                          trace_points=trace_points)
-    tr = blochsim.evolve(sys_, seq, wave, ens, mode, cal,
-                         trace_points=trace_points)
-    return blochsim.echo_observable(tr, ref)
-
-
-def _map(fn, items, workers: int = 1):
+def _map(fn, tasks, workers: int = 1) -> list:
+    """fn(*task) for every task, in order; over a process pool when
+    workers > 1."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+            return list(ex.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
 
 
 def _results_from_observables(cfg: ExperimentConfig, zs, seed_tag: int = 7919):
-    """EchoResults with grid-level phase unwrapping and optional noise."""
+    """EchoResults with `noisy_echo` noise and grid-level phase unwrapping."""
     sigma = float(cfg.noise.get("sigma", 0.0))
     n_avg = int(cfg.noise.get("n_averages", 1))
-    zs = list(zs)
-    if sigma > 0:
-        rngs = [np.random.default_rng(cfg.point_seed(seed_tag, i))
-                for i in range(len(zs))]
-        s = sigma / math.sqrt(n_avg)
-        zs = [z + complex(*(s * r.standard_normal(2))) for z, r in zip(zs, rngs)]
+    # noise-free sweeps skip the per-point seed derivation
+    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(seed_tag, i))
+              for i, z in enumerate(zs)] if sigma > 0
+             else [(z, math.inf) for z in zs])
+    zs = [z for z, _ in noisy]
     unwrapped = np.degrees(np.unwrap(np.angle(np.asarray(zs))))
-    out = []
-    for z, ph in zip(zs, unwrapped):
-        snr = abs(z) * math.sqrt(n_avg) / sigma if sigma > 0 else math.inf
-        out.append(EchoResult(abs(z), wrap_phase(float(ph)), float(ph),
-                              snr, n_avg))
-    return out
+    return [EchoResult(abs(z), wrap_phase(float(ph)), float(ph), snr, n_avg)
+            for (z, snr), ph in zip(noisy, unwrapped)]
 
 
 def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
@@ -235,7 +224,7 @@ def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
         ens = replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
         tasks.append((cfg.spin_system, seq, wave, ens, mode, cfg.calibration,
                       trace_points))
-    zs = _map(_simulate_point, tasks, workers)
+    zs = _map(blochsim.echo_point, tasks, workers)
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
@@ -344,29 +333,31 @@ def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
     return out
 
 
-def run_sensitivity(cfg: ExperimentConfig, workers: int = 1):
-    """Full DD sensitivity pipeline; one report per (protocol, n_pi, tau)."""
-    dd = cfg.dd
-    protocols = [SequenceKind(p) for p in dd.get("protocols", ["pdd", "cp"])]
-    n_pi_list = [int(n) for n in dd.get("n_pi_list", [1, 2, 3, 4, 5])]
-    taus = [float(t) * US for t in dd.get("tau_us_list", [1.7])]
-    amps = _grid(dd.get("amplitude_sweep_mt",
-                        {"start": 0, "stop": 0.5, "points": 41}), MT)
-    sq = cfg.sequence
+def run_sensitivity(cfg: ExperimentConfig,
+                    workers: int = 1) -> list[SensitivityReport]:
+    """The dd-sweep, then a transduction fit and a sensitivity report per
+    (protocol, n_pi, tau) sweep."""
+    resolution = float(cfg.measurement.get("phase_resolution_deg", 1.0))
+    t_meas = float(cfg.measurement.get("t_meas_s", 0.375))
     reports = []
-    for protocol in protocols:
-        for tau in taus:
-            reports.extend(dd_sensitivity_sweep(
-                protocol, n_pi_list, tau, cfg.spin_system, cfg.calibration,
-                cfg.sample, amps, cfg.ensemble,
-                float(sq.get("t_pi2_ns", 80)) * NS,
-                float(sq.get("t_pi_ns", 160)) * NS,
-                phase_resolution=float(
-                    cfg.measurement.get("phase_resolution_deg", 1.0)),
-                t_meas=float(cfg.measurement.get("t_meas_s", 0.375)),
-                reset_mode=ResetMode(dd.get("reset_mode", "per-window-reset")),
-                mode=cfg.pulse_mode(), trace_points=cfg.trace_points()))
+    for res in run_dd_sweep(cfg, workers):
+        md = res.metadata
+        fit = fit_transduction(zip(res.axis_values, (
+            er.phase_unwrapped for er in res.echo_results)))
+        reports.append(build_report(fit, resolution, t_meas, cfg.sample,
+                                    md["protocol"], md["n_pi"], md["tau_s"]))
     return reports
+
+
+#: CLI subcommand -> experiment runner(cfg, workers)
+EXPERIMENTS = {
+    "sweep-amplitude": run_sweep_amplitude,
+    "sweep-phase": run_sweep_phase,
+    "symmetry": run_symmetry,
+    "split-interval": run_split_interval,
+    "dd-sweep": run_dd_sweep,
+    "sensitivity": run_sensitivity,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +411,36 @@ def split_rows(res: SweepResult) -> list[dict]:
     return rows
 
 
+def experiment_rows(cfg: ExperimentConfig, result) -> list[dict]:
+    """CSV rows of any experiment's result: a sweep, a list of sweeps, or a
+    list of sensitivity reports (stamped with the config hash and seed)."""
+    if isinstance(result, SweepResult):
+        if "variants" in result.metadata:
+            return split_rows(result)
+        return sweep_rows(result)
+    if result and isinstance(result[0], SensitivityReport):
+        return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
+                for row in reports_to_rows(result)]
+    return [row for res in result for row in experiment_rows(cfg, res)]
+
+
+def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:
+    """Write each {stem: rows} table to outdir/<stem>.csv, plus an SVG of
+    each when `plot`; return the written paths, CSVs first."""
+    written = []
+    for stem, rows in tables.items():
+        path = outdir / f"{stem}.csv"
+        write_csv(path, rows)
+        written.append(path)
+    if plot:
+        from .svgplot import plot_csv
+
+        for path in list(written):
+            plot_csv(path, path.with_suffix(".svg"))
+            written.append(path.with_suffix(".svg"))
+    return written
+
+
 def output_root(override=None) -> Path:
     if override:
         return Path(override)
@@ -451,58 +472,31 @@ def reproduce(figure: str, outroot=None, workers: int = 1,
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
     cfg = bundled_config(figure)
-    outdir = run_directory(figure, cfg, outroot)
-    written = []
 
-    def emit(name, rows):
-        p = outdir / f"{figure}_{name}.csv"
-        write_csv(p, rows)
-        written.append(p)
+    def rows(experiment):
+        return experiment_rows(cfg, EXPERIMENTS[experiment](cfg, workers))
 
     if figure == "fig2":
-        emit("amplitude", sweep_rows(run_sweep_amplitude(cfg, workers)))
-        emit("phase", sweep_rows(run_sweep_phase(cfg, workers)))
+        tables = {"amplitude": rows("sweep-amplitude"),
+                  "phase": rows("sweep-phase")}
     elif figure == "fig3":
-        sym = run_symmetry(cfg, workers)
-        amp_rows, ph_rows, sim_rows = [], [], []
-        for res in sym:
-            rows = sweep_rows(res)
-            for r in rows:
-                amp_rows.append({k: r[k] for k in
-                                 ("index", "phi_rf_deg", "amplitude_norm",
-                                  "n", "config_hash", "seed")})
-                ph_rows.append({k: r[k] for k in
-                                ("index", "phi_rf_deg", "phase_wrapped_deg",
-                                 "phase_unwrapped_deg", "n", "config_hash",
-                                 "seed")})
-                sim_rows.append({k: r[k] for k in
-                                 ("index", "phi_rf_deg", "analytic_phase_rad",
-                                  "analytic_phase_deg", "n", "config_hash",
-                                  "seed")})
-        emit("amplitude", amp_rows)
-        emit("phase", ph_rows)
-        emit("simulation", sim_rows)
-        emit("split", split_rows(run_split_interval(cfg, workers)))
+        sym = rows("symmetry")
+
+        def project(*cols):
+            keys = ("index", "phi_rf_deg", *cols, "n", "config_hash", "seed")
+            return [{k: r[k] for k in keys} for r in sym]
+
+        tables = {
+            "amplitude": project("amplitude_norm"),
+            "phase": project("phase_wrapped_deg", "phase_unwrapped_deg"),
+            "simulation": project("analytic_phase_rad", "analytic_phase_deg"),
+            "split": rows("split-interval")}
     elif figure == "fig4":
-        results = run_dd_sweep(cfg, workers)
-        for protocol in ("pdd", "cp"):
-            rows = []
-            for res in results:
-                if res.metadata["protocol"] == protocol:
-                    rows.extend(sweep_rows(res))
-            if rows:
-                emit(protocol, rows)
-    elif figure == "fig5":
-        rows = reports_to_rows(run_sensitivity(cfg, workers))
-        for r in rows:
-            r["config_hash"] = cfg.hash
-            r["seed"] = cfg.seed
-        emit("sensitivity", rows)
-
-    if plot:
-        from .svgplot import plot_csv
-
-        for p in list(written):
-            plot_csv(p, p.with_suffix(".svg"))
-            written.append(p.with_suffix(".svg"))
-    return written
+        dd = rows("dd-sweep")
+        by_protocol = {p: [r for r in dd if r["protocol"] == p]
+                       for p in ("pdd", "cp")}
+        tables = {p: r for p, r in by_protocol.items() if r}
+    else:
+        tables = {"sensitivity": rows("sensitivity")}
+    return emit(run_directory(figure, cfg, outroot),
+                {f"{figure}_{stem}": r for stem, r in tables.items()}, plot)

@@ -161,12 +161,11 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
 
     Per-point seeds derive from (base seed, n_pi, grid index) so PDD and
     CP runs of the same n_pi share identical ensembles.  `trace_points`
-    is the echo-window sampling passed to every `blochsim.evolve`.
+    is the echo-window sampling of every point.
     """
     from dataclasses import replace
 
     from . import blochsim
-    from .echo import from_complex
 
     if mode is None:
         mode = blochsim.PulseMode.IDEAL
@@ -180,22 +179,16 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     reports = []
     for n_pi in n_pi_list:
         seq = build[protocol](n_pi, tau, t_pi2, t_pi)
-        args = []
+        zs = []
         for idx, amp in enumerate(amplitudes):
-            seed = int(np.random.SeedSequence(
-                (ens_base.seed, int(n_pi), idx)).generate_state(1)[0])
-            ens = replace(ens_base, seed=seed)
+            ens = replace(ens_base, seed=blochsim.point_seed(
+                ens_base.seed, int(n_pi), idx))
             wave = build_synchronized(seq, float(amp), n=1, phase=0.0,
                                       reset_mode=reset_mode)
-            ref = blochsim.evolve(sys, seq, None, ens, mode, cal,
-                                  trace_points=trace_points)
-            tr = blochsim.evolve(sys, seq, wave, ens, mode, cal,
-                                 trace_points=trace_points)
-            args.append(np.angle(
-                blochsim.echo_observable(tr, ref)))
-        phases_deg = np.degrees(np.unwrap(np.asarray(args)))
-        points = list(zip(amplitudes, phases_deg))
-        fit = fit_transduction(points)
+            zs.append(blochsim.echo_point(sys, seq, wave, ens, mode, cal,
+                                          trace_points))
+        phases_deg = np.degrees(np.unwrap(np.angle(zs)))
+        fit = fit_transduction(zip(amplitudes, phases_deg))
         reports.append(build_report(fit, phase_resolution, t_meas, sample,
                                     protocol.value, int(n_pi), tau))
     return reports

@@ -10,7 +10,8 @@ from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        PulseMode, ResetMode, SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
                        echo_observable, evolve, filter_function, zero_field)
-from echosense.blochsim import _evolve_ideal, _rk4, _trace_window
+from echosense.blochsim import (_evolve_ideal, _rk4, _trace_window,
+                                echo_point)
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -280,6 +281,22 @@ class TestTraceValidation:
         echo_observable(tr)  # two points is the minimum
         with pytest.raises(Exception):
             evolve(SYS, seq, None, DELTA, trace_points=1)
+
+
+class TestEchoPoint:
+    def test_is_signal_over_reference(self):
+        seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
+        wave = build_synchronized(seq, 0.2e-3, 1, 0.0,
+                                  ResetMode.PER_WINDOW_RESET)
+        ens = EnsembleConfig(n_packets=40, detuning_sigma=1e5,
+                             rf_amplitude_spread=0.2, seed=3)
+        cal = CoilCalibration(coupling_eta=6.682e-3)
+        ref = evolve(SYS, seq, None, ens, PulseMode.IDEAL, cal,
+                     trace_points=21)
+        tr = evolve(SYS, seq, wave, ens, PulseMode.IDEAL, cal,
+                    trace_points=21)
+        assert echo_point(SYS, seq, wave, ens, PulseMode.IDEAL, cal,
+                          21) == echo_observable(tr, ref)
 
 
 class TestEnsembleConfig:

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from echosense import core
 from echosense import (HBAR, MU_B, CoilCalibration, ConfigError, SampleSpec,
                        SpinSystem, gyromagnetic_ratio, volts_to_field)
 
@@ -37,6 +38,15 @@ class TestSpinSystem:
     def test_gamma_property(self):
         sys_ = SpinSystem(g=2.0)
         assert sys_.gamma == gyromagnetic_ratio(2.0)
+
+    def test_gamma_fixed_at_construction(self, monkeypatch):
+        sys_ = SpinSystem(g=2.0)
+
+        def forbidden(g):
+            raise AssertionError("gamma recomputed after construction")
+
+        monkeypatch.setattr(core, "gyromagnetic_ratio", forbidden)
+        assert sys_.gamma == 2.0 * MU_B / HBAR
 
     def test_defaults_valid(self):
         sys_ = SpinSystem()

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echosense import ConfigError, blochsim, build_synchronized
+from echosense import (ConfigError, ResetMode, SequenceKind,
+                       add_measurement_noise, blochsim, build_synchronized,
+                       dd_sensitivity_sweep)
 from echosense import harness
 from echosense.cli import _apply_overrides, main
 
@@ -168,6 +170,26 @@ class TestSweeps:
         assert all(np.isfinite(r.snr) and r.n_averages == 4
                    for r in res.echo_results)
 
+    def test_noise_snr_matches_add_measurement_noise(self):
+        raw = json.loads(json.dumps(FAST_RAW))
+        raw["noise"] = {"sigma": 0.05, "n_averages": 4}
+        cfg = harness.load_config(raw)
+        res = harness.run_sweep_amplitude(cfg)
+        seq = cfg.build_sequence()
+
+        def evolve(wave, ens):
+            return blochsim.evolve(cfg.spin_system, seq, wave, ens,
+                                   cfg.pulse_mode(), cfg.calibration,
+                                   trace_points=cfg.trace_points())
+
+        for i, (amp, er) in enumerate(zip(res.axis_values,
+                                          res.echo_results)):
+            ens = replace(cfg.ensemble, seed=cfg.point_seed(i))
+            wave = build_synchronized(seq, amp, 1, 0.0)
+            clean = blochsim.echo_observable(evolve(wave, ens),
+                                             evolve(None, ens))
+            assert er.snr == add_measurement_noise(clean, 0.05, 4).snr
+
     def test_workers_match_serial(self, fast_cfg):
         serial = harness.run_sweep_amplitude(fast_cfg, workers=1)
         parallel = harness.run_sweep_amplitude(fast_cfg, workers=2)
@@ -190,6 +212,65 @@ class TestSweeps:
         assert cfg.trace_points() == 21
         harness.run_sensitivity(cfg)
         assert seen and set(seen) == {21}
+
+
+class TestSensitivityPipeline:
+    DD = {"protocols": ["pdd", "cp"], "n_pi_list": [1, 2],
+          "tau_us_list": [1.2],
+          "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 5}}
+
+    def cfg(self, **top):
+        return harness.load_config({**FAST_RAW, "dd": self.DD, **top})
+
+    def test_equals_dd_sensitivity_sweep(self):
+        cfg = self.cfg()
+        amps = harness._grid(self.DD["amplitude_sweep_mt"], harness.MT)
+        want = [report
+                for protocol in (SequenceKind.PDD, SequenceKind.CP)
+                for report in dd_sensitivity_sweep(
+                    protocol, [1, 2], float(1.2) * harness.US,
+                    cfg.spin_system, cfg.calibration, cfg.sample, amps,
+                    cfg.ensemble, 80 * harness.NS, 160 * harness.NS,
+                    reset_mode=ResetMode.PER_WINDOW_RESET,
+                    trace_points=cfg.trace_points())]
+        assert harness.run_sensitivity(cfg) == want
+
+    def test_workers_reach_the_pool(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = self.cfg()
+        assert harness.run_sensitivity(cfg, workers=2) == \
+            harness.run_sensitivity(cfg)
+        assert pools and set(pools) == {2}
+
+    def test_ensemble_seed_seeds_every_sweep(self):
+        a = self.cfg(seed=99, ensemble={**FAST_RAW["ensemble"], "seed": 5})
+        b = self.cfg(seed=5)
+
+        def phases(cfg):
+            return [[er.phase_unwrapped for er in res.echo_results]
+                    for res in harness.run_dd_sweep(cfg)]
+
+        def slopes(cfg):
+            return [r.fit.slope for r in harness.run_sensitivity(cfg)]
+
+        assert phases(a) == phases(b)
+        assert slopes(a) == slopes(b)
+        assert phases(self.cfg(seed=99)) != phases(b)
 
 
 class TestEmission:
@@ -305,6 +386,12 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         rows = list(csv.DictReader(open(out[0])))
         assert rows[0]["protocol"] == "cp"
+
+    def test_sensitivity_with_bundled_default(self, tmp_path, capsys):
+        assert main(["sensitivity", "-o", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        rows = list(csv.DictReader(open(out[0])))
+        assert len(rows) == 10  # PDD and CP, n_pi 1..5
 
     def test_dump_trace_is_grid_point_zero(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_RAW))
