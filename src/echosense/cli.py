@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -107,17 +106,13 @@ def main(argv=None) -> int:
             from .rf import build_synchronized
 
             seq = cfg.build_sequence()
-            amp = harness._grid(cfg.rf["amplitude_sweep_mt"],
-                                harness.MT)[0]
-            wave = build_synchronized(
-                seq, float(amp), int(cfg.rf.get("n", 1)),
-                math.radians(float(cfg.rf.get("phase_deg", 0.0))),
-                cfg.reset_mode())
+            wave = build_synchronized(seq, cfg.amplitude_grid[0], cfg.rf_n,
+                                      cfg.rf_phase, cfg.reset_mode)
             # the ensemble and trace grid of grid point 0, as in the sweep
             ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
             tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
-                                 cfg.pulse_mode(), cfg.calibration,
-                                 trace_points=cfg.trace_points())
+                                 cfg.pulse_mode, cfg.calibration,
+                                 trace_points=cfg.trace_points)
             path = written[0].parent / "trace.csv"
             blochsim.trace_to_csv(tr, path)
             written.append(path)

@@ -1,11 +1,13 @@
 """Config-driven experiment catalog and result emission.
 
-Configs are JSON with bench units (mT, MHz, ns, degrees) converted to SI
-here, at the boundary.  Every run is reproducible from (config, seed):
-per-point ensemble seeds derive from (ensemble seed, sweep tag, grid
-index), the ensemble seed defaulting to the top-level seed, results are
-gathered in grid order, and the canonical config hash is stamped into
-every CSV row and into the run directory name.  Every experiment runs
+Configs are JSON with bench units (mT, MHz, ns, degrees).  `load_config`
+is the only code that knows that format: it parses every section once
+against `SCHEMA`, which holds each key's default and check, and converts
+to SI.  Every run is reproducible from (config, seed): per-point
+ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
+ensemble seed defaulting to the top-level seed, results are gathered in
+grid order, and the canonical config hash is stamped into every CSV row
+and into the run directory name.  Every experiment runs
 its points through one sweep and writes its CSVs through one emitter.
 """
 
@@ -18,6 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +39,10 @@ OUTPUT_ROOT_ENV = "ECHOSENSE_OUTPUT_ROOT"
 
 NS = 1e-9
 US = 1e-6
-MS = 1e-3
 MT = 1e-3
 MHZ_TO_RAD = 2 * math.pi * 1e6
+#: a key with no default, which every config must give
+REQUIRED = object()
 
 
 def config_hash(raw: dict) -> str:
@@ -46,32 +50,146 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _grid(spec, scale: float = 1.0) -> np.ndarray:
-    """Sweep spec {start, stop, points} or explicit list -> array (scaled)."""
-    if isinstance(spec, dict):
-        try:
-            return np.linspace(float(spec["start"]) * scale,
-                               float(spec["stop"]) * scale,
-                               int(spec["points"]))
-        except KeyError as e:
-            raise ConfigError(f"sweep spec missing key {e}") from e
-    if isinstance(spec, (list, tuple)):
-        return np.asarray([float(x) * scale for x in spec])
-    raise ConfigError(f"bad sweep spec {spec!r}")
+def _bad(where: str, what: str, v) -> ConfigError:
+    return ConfigError(f"{where} must be {what}, got {v!r}")
+
+
+def _num(v, where: str, bound: str = "") -> float:
+    """A finite JSON number for which `bound` ("", ">= 0" or "> 0") holds."""
+    if (type(v) not in (int, float) or not math.isfinite(v)
+            or (bound == ">= 0" and v < 0) or (bound == "> 0" and v <= 0)):
+        raise _bad(where, f"a finite number {bound}".rstrip(), v)
+    return float(v)
+
+
+def _count(v, where: str, low: int = 0) -> int:
+    if type(v) is not int or v < low:
+        raise _bad(where, f"an integer >= {low}", v)
+    return v
+
+
+def _text(v, where: str) -> str:
+    if not isinstance(v, str):
+        raise _bad(where, "a string", v)
+    return v
+
+
+def _choice(v, where: str, members):
+    for m in members:
+        if v == m.value:
+            return m
+    raise _bad(where, f"one of {[m.value for m in members]}", v)
+
+
+def _list(v, where: str, parse, *args) -> tuple:
+    """A non-empty JSON list, each item parsed as parse(item, where, *args)."""
+    if not isinstance(v, list) or not v:
+        raise _bad(where, "a non-empty list", v)
+    return tuple(parse(x, f"{where}[{i}]", *args) for i, x in enumerate(v))
+
+
+def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
+          bound: str = "") -> tuple[float, ...]:
+    """Sweep spec {start, stop, points} or explicit list -> scaled values."""
+    if isinstance(spec, list):
+        return tuple(x * scale for x in _list(spec, where, _num, bound))
+    sp = _section(spec, where, {"start": (REQUIRED, _num, bound),
+                                "stop": (REQUIRED, _num, bound),
+                                "points": (REQUIRED, _count, 1)})
+    return tuple(np.linspace(sp["start"] * scale, sp["stop"] * scale,
+                             sp["points"]).tolist())
+
+
+def _section(sec, where: str, schema: dict) -> dict:
+    """The JSON object `sec` parsed key by key: {key: parse(value, where,
+    *args)} for each key: (default, parse, *args) of `schema`; an
+    optional key (default None) that is absent or null stays None."""
+    if not isinstance(sec, dict):
+        raise _bad(where or "config", "a JSON object", sec)
+    unknown = sorted(set(sec) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: "
+                          f"{', '.join(map(repr, unknown))}")
+    out = {}
+    for key, (default, parse, *args) in schema.items():
+        at = f"{where}.{key}" if where else key
+        v = sec.get(key, default)
+        if v is REQUIRED:
+            raise ConfigError(f"{at} is required")
+        out[key] = (None if v is None and default is None
+                    else parse(v, at, *args))
+    return out
+
+
+_DD_KINDS = (SequenceKind.PDD, SequenceKind.CP)
+#: every key a config may hold, by section ("" is the top level), as
+#: (default in bench units, parser, *parser args); a default of None
+#: marks an optional key whose absence `load_config` resolves.  Sweep
+#: grids come out of their parser in SI units.
+SCHEMA = {
+    "": {"seed": (0, _count), "label": ("", _text)},
+    "spin_system": {"g": (2.0, _num), "t_m_us": (10.0, _num),
+                    "stretch_beta": (1.0, _num), "label": ("", _text),
+                    "inhomogeneous_sigma_mhz": (0.0, _num)},
+    "sample": dict.fromkeys(("spin_density_per_cm3", "active_spin_count",
+                             "sensing_volume_mm3"), (None, _num)),
+    "calibration": {"field_per_volt_mt": (0.72, _num),
+                    "max_voltage_v": (2.5, _num),
+                    "coupling_eta": (1.0, _num)},
+    "ensemble": {"n_packets": (200, _count, 1),
+                 "detuning_sigma_mhz": (0.0, _num),
+                 "rf_amplitude_spread": (0.0, _num), "seed": (None, _count)},
+    "sequence": {"kind": ("hahn", _choice, (SequenceKind.HAHN, *_DD_KINDS)),
+                 "tau_ns": (REQUIRED, _num), "t_pi2_ns": (80, _num),
+                 "t_pi_ns": (160, _num), "n_pi": (1, _count, 1)},
+    "rf": {"n": (1, _count, 1), "phase_deg": (0.0, _num),
+           "amplitude_mt": (1.8, _num, ">= 0"),
+           "reset_mode": ("continuous", _choice, ResetMode),
+           "n_list": ([1, 2, 3, 4], _list, _count, 1),
+           "amplitude_sweep_mt": (None, _grid, MT, ">= 0"),
+           "phase_sweep_deg": (None, _grid)},
+    "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_KINDS),
+           "n_pi_list": ([1, 2, 3, 4, 5], _list, _count),
+           "tau_us_list": (None, _list, _num),
+           "amplitude_sweep_mt": (None, _grid, MT, ">= 0"),
+           "reset_mode": ("per-window-reset", _choice, ResetMode)},
+    "noise": {"sigma": (0.0, _num, ">= 0"), "n_averages": (1, _count, 1),
+              "t_relax_ms": (None, _num, "> 0")},
+    "measurement": {"phase_resolution_deg": (1.0, _num, "> 0"),
+                    "t_meas_s": (0.375, _num, "> 0")},
+    "simulation": {"pulse_mode": ("ideal", _choice, blochsim.PulseMode),
+                   "trace_points": (61, _count, 2)},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config, defaults filled in, in SI units (phase grids in
+    degrees); `sequence` and `measurement` are keyed in bench units."""
+
     spin_system: SpinSystem
     sample: SampleSpec
     calibration: CoilCalibration
-    sequence: dict
-    rf: dict
     ensemble: blochsim.EnsembleConfig
-    noise: dict
-    measurement: dict
-    dd: dict
-    simulation: dict
+    sequence: dict       # kind, tau_ns, t_pi2_ns, t_pi_ns, n_pi
+    measurement: dict    # phase_resolution_deg, t_meas_s
+    rf_n: int
+    rf_phase: float      # rad
+    rf_amplitude: float  # T
+    reset_mode: ResetMode
+    n_list: tuple[int, ...]
+    amplitude_grid: tuple[float, ...] | None  # T
+    phase_grid: tuple[float, ...] | None      # deg
+    split_grid: tuple[float, ...]             # deg
+    dd_protocols: tuple[SequenceKind, ...]
+    dd_n_pi: tuple[int, ...]
+    dd_taus: tuple[float, ...]                # s
+    dd_amplitudes: tuple[float, ...]          # T
+    dd_reset_mode: ResetMode
+    noise_sigma: float
+    n_averages: int
+    pulse_mode: blochsim.PulseMode
+    trace_points: int
     seed: int
     raw: dict
     hash: str = field(init=False)
@@ -81,99 +199,80 @@ class ExperimentConfig:
 
     def build_sequence(self, kind=None, n_pi=None, tau=None):
         sq = self.sequence
-        kind = SequenceKind(kind or sq.get("kind", "hahn"))
-        tau = tau if tau is not None else float(sq["tau_ns"]) * NS
-        t_pi2 = float(sq.get("t_pi2_ns", 80)) * NS
-        t_pi = float(sq.get("t_pi_ns", 160)) * NS
-        n_pi = n_pi if n_pi is not None else int(sq.get("n_pi", 1))
+        kind = kind or sq["kind"]
+        tau = tau if tau is not None else sq["tau_ns"] * NS
+        t_pi2, t_pi = sq["t_pi2_ns"] * NS, sq["t_pi_ns"] * NS
         if kind is SequenceKind.HAHN:
             return build_hahn(tau, t_pi2, t_pi)
-        if kind is SequenceKind.PDD:
-            return build_pdd(n_pi, tau, t_pi2, t_pi)
-        if kind is SequenceKind.CP:
-            return build_cp(n_pi, tau, t_pi2, t_pi)
-        raise ConfigError(f"cannot build sequence of kind {kind}")
-
-    def pulse_mode(self) -> blochsim.PulseMode:
-        return blochsim.PulseMode(self.simulation.get("pulse_mode", "ideal"))
-
-    def reset_mode(self) -> ResetMode:
-        return ResetMode(self.rf.get("reset_mode", "continuous"))
-
-    def trace_points(self) -> int:
-        return int(self.simulation.get("trace_points", 61))
+        build = build_pdd if kind is SequenceKind.PDD else build_cp
+        return build(n_pi if n_pi is not None else sq["n_pi"], tau, t_pi2, t_pi)
 
     def point_seed(self, *idx) -> int:
         return blochsim.point_seed(self.ensemble.seed, *idx)
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config dict or JSON file (fail-fast)."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(source)
-
+    """Parse and check a config dict or JSON file (fail-fast): a config
+    that loads fails later only on what one experiment alone needs (a
+    sweep grid, three points for a fit) or on numerical trouble."""
     try:
-        ss = raw.get("spin_system", {})
-        spin = SpinSystem(
-            g=float(ss.get("g", 2.0)),
-            t_m=float(ss.get("t_m_us", 10.0)) * US,
-            stretch_beta=float(ss.get("stretch_beta", 1.0)),
-            inhomogeneous_sigma=float(ss.get("inhomogeneous_sigma_mhz", 0.0))
-            * MHZ_TO_RAD,
-            label=ss.get("label", ""),
-        )
-        sm = raw.get("sample", {})
-        sample = SampleSpec(
-            spin_density=(float(sm["spin_density_per_cm3"]) * 1e6
-                          if "spin_density_per_cm3" in sm else None),
-            active_spin_count=(float(sm["active_spin_count"])
-                               if "active_spin_count" in sm else None),
-            sensing_volume=(float(sm["sensing_volume_mm3"]) * 1e-9
-                            if "sensing_volume_mm3" in sm else None),
-        )
-        cb = raw.get("calibration", {})
-        cal = CoilCalibration(
-            field_per_volt=float(cb.get("field_per_volt_mt", 0.72)) * MT,
-            max_voltage=float(cb.get("max_voltage_v", 2.5)),
-            coupling_eta=float(cb.get("coupling_eta", 1.0)),
-        )
-        en = raw.get("ensemble", {})
-        seed = int(raw.get("seed", 0))
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        ens = blochsim.EnsembleConfig(
-            n_packets=int(en.get("n_packets", 200)),
-            detuning_sigma=float(en.get("detuning_sigma_mhz", 0.0)) * MHZ_TO_RAD,
-            rf_amplitude_spread=float(en.get("rf_amplitude_spread", 0.0)),
-            seed=int(en.get("seed", seed)),
-        )
+        if isinstance(source, (str, Path)):
+            with open(source) as fh:
+                source = json.load(fh)
+        top = _section(source, "", {**SCHEMA[""], **{
+            name: ({}, _section, SCHEMA[name]) for name in SCHEMA if name}})
+        ss, sm, cb, en, sq, rf, dd = (top[name] for name in (
+            "spin_system", "sample", "calibration", "ensemble", "sequence",
+            "rf", "dd"))
+        rho, volume = sm["spin_density_per_cm3"], sm["sensing_volume_mm3"]
+        dd_taus = dd["tau_us_list"] or (sq["tau_ns"] * NS / US,)
         cfg = ExperimentConfig(
-            spin_system=spin, sample=sample, calibration=cal,
-            sequence=dict(raw.get("sequence", {})),
-            rf=dict(raw.get("rf", {})),
-            ensemble=ens,
-            noise=dict(raw.get("noise", {})),
-            measurement=dict(raw.get("measurement", {})),
-            dd=dict(raw.get("dd", {})),
-            simulation=dict(raw.get("simulation", {})),
-            seed=seed, raw=raw,
-        )
-        cfg.build_sequence()           # sequence spec must validate up front
-        cfg.pulse_mode()
-        cfg.reset_mode()
-        if float(cfg.noise.get("sigma", 0.0)) < 0:
-            raise ConfigError("noise.sigma must be >= 0")
-        if int(cfg.noise.get("n_averages", 1)) < 1:
-            raise ConfigError("noise.n_averages must be >= 1")
-        if cfg.trace_points() < 2:
-            raise ConfigError("simulation.trace_points must be >= 2")
+            spin_system=SpinSystem(
+                g=ss["g"], t_m=ss["t_m_us"] * US,
+                stretch_beta=ss["stretch_beta"],
+                inhomogeneous_sigma=ss["inhomogeneous_sigma_mhz"] * MHZ_TO_RAD,
+                label=ss["label"]),
+            sample=SampleSpec(
+                spin_density=None if rho is None else rho * 1e6,
+                active_spin_count=sm["active_spin_count"],
+                sensing_volume=None if volume is None else volume * 1e-9),
+            calibration=CoilCalibration(
+                field_per_volt=cb["field_per_volt_mt"] * MT,
+                max_voltage=cb["max_voltage_v"],
+                coupling_eta=cb["coupling_eta"]),
+            ensemble=blochsim.EnsembleConfig(
+                n_packets=en["n_packets"],
+                detuning_sigma=en["detuning_sigma_mhz"] * MHZ_TO_RAD,
+                rf_amplitude_spread=en["rf_amplitude_spread"],
+                seed=top["seed"] if en["seed"] is None else en["seed"]),
+            sequence=sq, measurement=top["measurement"],
+            rf_n=rf["n"], rf_phase=math.radians(rf["phase_deg"]),
+            rf_amplitude=rf["amplitude_mt"] * MT,
+            reset_mode=rf["reset_mode"], n_list=rf["n_list"],
+            amplitude_grid=rf["amplitude_sweep_mt"],
+            phase_grid=rf["phase_sweep_deg"],
+            split_grid=rf["phase_sweep_deg"] or _grid(
+                {"start": 0, "stop": 360, "points": 37}),
+            dd_protocols=dd["protocols"], dd_n_pi=dd["n_pi_list"],
+            dd_taus=tuple(t * US for t in dd_taus),
+            dd_amplitudes=(dd["amplitude_sweep_mt"] or rf["amplitude_sweep_mt"]
+                           or _grid({"start": 0, "stop": 0.5, "points": 41},
+                                    scale=MT)),
+            dd_reset_mode=dd["reset_mode"],
+            noise_sigma=top["noise"]["sigma"],
+            n_averages=top["noise"]["n_averages"],
+            pulse_mode=top["simulation"]["pulse_mode"],
+            trace_points=top["simulation"]["trace_points"],
+            seed=top["seed"], raw=dict(source))
+        # every sequence a run can build must build; the timing checks do
+        # not depend on n_pi, so the smallest n_pi stands for every sweep
+        cfg.build_sequence()
+        for kind, tau in product(cfg.dd_protocols, cfg.dd_taus):
+            cfg.build_sequence(kind, min(cfg.dd_n_pi), tau)
         return cfg
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (OSError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"invalid config: {e}") from e
 
 
@@ -200,12 +299,12 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _results_from_observables(cfg: ExperimentConfig, zs, seed_tag: int = 7919):
-    """EchoResults with `noisy_echo` noise and grid-level phase unwrapping."""
-    sigma = float(cfg.noise.get("sigma", 0.0))
-    n_avg = int(cfg.noise.get("n_averages", 1))
+def _results_from_observables(cfg: ExperimentConfig, zs, noise_tag=()):
+    """EchoResults with `noisy_echo` noise and grid-level phase unwrapping;
+    point i's noise is seeded from (7919, *noise_tag, i)."""
+    sigma, n_avg = cfg.noise_sigma, cfg.n_averages
     # noise-free sweeps skip the per-point seed derivation
-    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(seed_tag, i))
+    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
               for i, z in enumerate(zs)] if sigma > 0
              else [(z, math.inf) for z in zs])
     zs = [z for z, _ in noisy]
@@ -215,66 +314,62 @@ def _results_from_observables(cfg: ExperimentConfig, zs, seed_tag: int = 7919):
 
 
 def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
-           metadata, workers: int = 1, seed_offset=()) -> SweepResult:
-    mode = cfg.pulse_mode()
-    trace_points = cfg.trace_points()
+           metadata, workers: int = 1, seed_offset=(),
+           noise_tag=()) -> SweepResult:
+    """Simulate one grid.  Point i's ensemble is seeded from
+    (*seed_offset, i) and its noise from (*seed_offset, *noise_tag, i):
+    every sweep of a run has its own noise tag, so none share noise."""
     filt = filter_function(seq)
     tasks = []
     for i, wave in enumerate(waves):
         ens = replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
-        tasks.append((cfg.spin_system, seq, wave, ens, mode, cfg.calibration,
-                      trace_points))
+        tasks.append((cfg.spin_system, seq, wave, ens, cfg.pulse_mode,
+                      cfg.calibration, cfg.trace_points))
     zs = _map(blochsim.echo_point, tasks, workers)
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
     return SweepResult(axis_name, list(axis_values),
-                       _results_from_observables(cfg, zs), analytic, md)
+                       _results_from_observables(
+                           cfg, zs, (*seed_offset, *noise_tag)),
+                       analytic, md)
 
 
 def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Echo amplitude/phase vs RF field amplitude at fixed RF phase."""
-    if "amplitude_sweep_mt" not in cfg.rf:
+    if cfg.amplitude_grid is None:
         raise ConfigError("rf.amplitude_sweep_mt required for sweep-amplitude")
-    amps = _grid(cfg.rf["amplitude_sweep_mt"], MT)
     seq = cfg.build_sequence()
-    n = int(cfg.rf.get("n", 1))
-    phase = math.radians(float(cfg.rf.get("phase_deg", 0.0)))
-    waves = [build_synchronized(seq, float(a), n, phase, cfg.reset_mode())
-             for a in amps]
-    return _sweep(cfg, seq, waves, "b1_t", list(amps),
+    waves = [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
+                                cfg.reset_mode) for a in cfg.amplitude_grid]
+    return _sweep(cfg, seq, waves, "b1_t", cfg.amplitude_grid,
                   {"experiment": "sweep-amplitude"}, workers)
 
 
 def run_sweep_phase(cfg: ExperimentConfig, workers: int = 1,
                     n: int | None = None) -> SweepResult:
     """Echo amplitude/phase vs RF phase offset at fixed amplitude."""
-    if "phase_sweep_deg" not in cfg.rf:
+    if cfg.phase_grid is None:
         raise ConfigError("rf.phase_sweep_deg required for sweep-phase")
-    phis = _grid(cfg.rf["phase_sweep_deg"])
-    amp = float(cfg.rf.get("amplitude_mt", 1.8)) * MT
     seq = cfg.build_sequence()
-    n = n if n is not None else int(cfg.rf.get("n", 1))
-    waves = [build_synchronized(seq, amp, n, math.radians(float(p)),
-                                cfg.reset_mode()) for p in phis]
-    return _sweep(cfg, seq, waves, "phi_rf_deg", list(phis),
+    n = n if n is not None else cfg.rf_n
+    waves = [build_synchronized(seq, cfg.rf_amplitude, n, math.radians(p),
+                                cfg.reset_mode) for p in cfg.phase_grid]
+    return _sweep(cfg, seq, waves, "phi_rf_deg", cfg.phase_grid,
                   {"experiment": "sweep-phase", "n": n}, workers,
                   seed_offset=(n,))
 
 
 def run_symmetry(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
     """Phase sweeps for a grid of harmonic indices n (odd vs even symmetry)."""
-    n_list = [int(x) for x in cfg.rf.get("n_list", [1, 2, 3, 4])]
-    return [run_sweep_phase(cfg, workers, n=n) for n in n_list]
+    return [run_sweep_phase(cfg, workers, n=n) for n in cfg.n_list]
 
 
 def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Half-period gating on the first/second/both tau intervals of a Hahn
     sequence, swept over the gated lobe's phase."""
-    phis = _grid(cfg.rf.get("phase_sweep_deg",
-                            {"start": 0, "stop": 360, "points": 37}))
-    amp = float(cfg.rf.get("amplitude_mt", 1.8)) * MT
-    seq = cfg.build_sequence(kind="hahn")
+    phis, amp = cfg.split_grid, cfg.rf_amplitude
+    seq = cfg.build_sequence(kind=SequenceKind.HAHN)
     tau = seq.tau
 
     def gated(phi0, first, second, phase_second=0.0):
@@ -293,7 +388,7 @@ def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     results = {}
     variant_ids = {"first": 1, "second": 2, "both": 3, "full": 4}
     for name, waves in variants.items():
-        results[name] = _sweep(cfg, seq, waves, "phi_rf_deg", list(phis),
+        results[name] = _sweep(cfg, seq, waves, "phi_rf_deg", phis,
                                {"experiment": "split-interval",
                                 "variant": name}, workers,
                                seed_offset=(variant_ids[name],))
@@ -306,30 +401,20 @@ def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 
 def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
-    """Amplitude sweep per (protocol, n_pi, tau) with refocusing-locked RF."""
-    dd = cfg.dd
-    protocols = [SequenceKind(p) for p in dd.get("protocols", ["pdd", "cp"])]
-    n_pi_list = [int(n) for n in dd.get("n_pi_list", [1, 2, 3, 4, 5])]
-    taus = [float(t) * US for t in dd.get("tau_us_list",
-                                          [float(cfg.sequence.get("tau_ns", 1700))
-                                           * NS / US])]
-    amps = _grid(dd.get("amplitude_sweep_mt",
-                        cfg.rf.get("amplitude_sweep_mt",
-                                   {"start": 0, "stop": 0.5, "points": 41})), MT)
-    reset = ResetMode(dd.get("reset_mode", "per-window-reset"))
+    """Amplitude sweep per (protocol, n_pi, tau) with refocusing-locked RF;
+    the PDD and CP sweeps of one n_pi share their ensembles."""
     out = []
-    for protocol in protocols:
-        for tau in taus:
-            for n_pi in n_pi_list:
-                seq = cfg.build_sequence(kind=protocol.value, n_pi=n_pi, tau=tau)
-                waves = [build_synchronized(seq, float(a), 1, 0.0, reset)
-                         for a in amps]
-                res = _sweep(cfg, seq, waves, "b1_t", list(amps),
-                             {"experiment": "dd-sweep",
-                              "protocol": protocol.value,
-                              "n_pi": n_pi, "tau_s": tau},
-                             workers, seed_offset=(n_pi,))
-                out.append(res)
+    for p, protocol in enumerate(cfg.dd_protocols):
+        for t, tau in enumerate(cfg.dd_taus):
+            for n_pi in cfg.dd_n_pi:
+                seq = cfg.build_sequence(protocol, n_pi, tau)
+                waves = [build_synchronized(seq, a, 1, 0.0, cfg.dd_reset_mode)
+                         for a in cfg.dd_amplitudes]
+                out.append(_sweep(
+                    cfg, seq, waves, "b1_t", cfg.dd_amplitudes,
+                    {"experiment": "dd-sweep", "protocol": protocol.value,
+                     "n_pi": n_pi, "tau_s": tau},
+                    workers, seed_offset=(n_pi,), noise_tag=(p, t)))
     return out
 
 
@@ -337,8 +422,8 @@ def run_sensitivity(cfg: ExperimentConfig,
                     workers: int = 1) -> list[SensitivityReport]:
     """The dd-sweep, then a transduction fit and a sensitivity report per
     (protocol, n_pi, tau) sweep."""
-    resolution = float(cfg.measurement.get("phase_resolution_deg", 1.0))
-    t_meas = float(cfg.measurement.get("t_meas_s", 0.375))
+    resolution = cfg.measurement["phase_resolution_deg"]
+    t_meas = cfg.measurement["t_meas_s"]
     reports = []
     for res in run_dd_sweep(cfg, workers):
         md = res.metadata

@@ -95,7 +95,7 @@ class TestGrid:
         assert np.allclose(g, [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_explicit_list_scaled(self):
-        g = harness._grid([1, 2], 1e-3)
+        g = harness._grid([1, 2], scale=1e-3)
         assert np.allclose(g, [1e-3, 2e-3])
 
     def test_missing_key_rejected(self):
@@ -179,8 +179,8 @@ class TestSweeps:
 
         def evolve(wave, ens):
             return blochsim.evolve(cfg.spin_system, seq, wave, ens,
-                                   cfg.pulse_mode(), cfg.calibration,
-                                   trace_points=cfg.trace_points())
+                                   cfg.pulse_mode, cfg.calibration,
+                                   trace_points=cfg.trace_points)
 
         for i, (amp, er) in enumerate(zip(res.axis_values,
                                           res.echo_results)):
@@ -189,6 +189,24 @@ class TestSweeps:
             clean = blochsim.echo_observable(evolve(wave, ens),
                                              evolve(None, ens))
             assert er.snr == add_measurement_noise(clean, 0.05, 4).snr
+
+    def test_noise_differs_between_sweeps(self):
+        raw = json.loads(json.dumps(harness.bundled_config("fig4").raw))
+        raw["dd"]["n_pi_list"] = [1, 2]
+
+        def echoes(sigma):
+            raw["noise"]["sigma"] = sigma
+            return [np.array([er.amplitude * np.exp(1j * np.radians(
+                er.phase_unwrapped)) for er in res.echo_results])
+                for res in harness.run_dd_sweep(harness.load_config(raw))]
+
+        noise = [noisy - clean
+                 for noisy, clean in zip(echoes(0.05), echoes(0.0))]
+        assert len(noise) == 4  # PDD and CP, n_pi 1 and 2
+        assert all(np.abs(d).max() > 1e-3 for d in noise)
+        for i, a in enumerate(noise):
+            for b in noise[i + 1:]:
+                assert not np.allclose(a, b, atol=1e-6)
 
     def test_workers_match_serial(self, fast_cfg):
         serial = harness.run_sweep_amplitude(fast_cfg, workers=1)
@@ -206,10 +224,10 @@ class TestSweeps:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(blochsim, "evolve", spy)
-        cfg = replace(fast_cfg, dd={
+        cfg = harness.load_config({**FAST_RAW, "dd": {
             "protocols": ["cp"], "n_pi_list": [1], "tau_us_list": [1.2],
-            "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}})
-        assert cfg.trace_points() == 21
+            "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}}})
+        assert cfg.trace_points == 21
         harness.run_sensitivity(cfg)
         assert seen and set(seen) == {21}
 
@@ -224,7 +242,7 @@ class TestSensitivityPipeline:
 
     def test_equals_dd_sensitivity_sweep(self):
         cfg = self.cfg()
-        amps = harness._grid(self.DD["amplitude_sweep_mt"], harness.MT)
+        amps = harness._grid(self.DD["amplitude_sweep_mt"], scale=harness.MT)
         want = [report
                 for protocol in (SequenceKind.PDD, SequenceKind.CP)
                 for report in dd_sensitivity_sweep(
@@ -232,7 +250,7 @@ class TestSensitivityPipeline:
                     cfg.spin_system, cfg.calibration, cfg.sample, amps,
                     cfg.ensemble, 80 * harness.NS, 160 * harness.NS,
                     reset_mode=ResetMode.PER_WINDOW_RESET,
-                    trace_points=cfg.trace_points())]
+                    trace_points=cfg.trace_points)]
         assert harness.run_sensitivity(cfg) == want
 
     def test_workers_reach_the_pool(self, monkeypatch):
@@ -408,7 +426,7 @@ class TestCli:
         wave = build_synchronized(seq, 0.1e-3, 1, 0.0)
         ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
         tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
-                             cfg.pulse_mode(), cfg.calibration,
+                             cfg.pulse_mode, cfg.calibration,
                              trace_points=21)
         assert [float(r["time_s"]) for r in rows] == tr.times.tolist()
         assert [float(r["mx"]) for r in rows] == tr.ensemble_mxy.real.tolist()
