@@ -19,6 +19,17 @@ Two pulse models:
 * FinitePulse -- fixed-step RK4 through the real timeline, with the RF
   gated off while the microwave drive is on.
 
+A sweep runs through `echo_points`, which returns each point's echo
+divided by its zero-RF reference.  With ideal pulses it batches the
+sweep: the points go through in blocks, each point's ensemble is drawn
+once and shared by signal and reference, which are stacked in one
+(2, points, packets) state, and each pulse acts once per block.  The
+readout builds no trace: the trapezoid mean over the uniform window is
+the closed-form geometric sum of each packet's per-sample factor.  A
+block holds at most `_BLOCK_PACKET_POINTS` packet-points, because its
+working arrays set the sweep's peak memory.  `evolve` keeps the full
+trace for dumps and tests; finite pulses run it twice per point.
+
 Echo phases are reported in the readout frame that keeps the first free
 interval at positive sign (receiver phase follows the refocusing
 parity), matching the filter-function convention.
@@ -39,6 +50,13 @@ from .sequence import PulseSequence
 #: free-evolution RK4 step also satisfies step <= _ANGLE_CAP / max|Omega|
 _ANGLE_CAP = 0.05
 _MAX_STEPS_PER_SEGMENT = 20_000_000
+#: packet-points (points x packets) that `echo_points` evolves together.
+#: Its working arrays scale with the block: fig2's 73-point, 300-packet
+#: phase sweep peaks at 0.41 MB (tracemalloc) with this bound, 0.85 MB
+#: at twice it and 4.6 MB as one block, against 0.48 MB point by point,
+#: while larger blocks run no faster (fig2-fig5 experiments in-process:
+#: 351 ms at this bound, 360 ms at twice it, 355 ms as whole sweeps).
+_BLOCK_PACKET_POINTS = 2048
 
 
 class PulseMode(str, Enum):
@@ -64,8 +82,9 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_packets < 1:
             raise ConfigError("n_packets must be >= 1")
-        if self.detuning_sigma < 0 or self.rf_amplitude_spread < 0:
-            raise ConfigError("distribution widths must be >= 0")
+        if not (0 <= self.detuning_sigma < math.inf
+                and 0 <= self.rf_amplitude_spread < math.inf):
+            raise ConfigError("distribution widths must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -160,42 +179,51 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
     return SimulationTrace(times, mxy, win)
 
 
+def _unit_integrals(seq: PulseSequence, waves) -> np.ndarray:
+    """(len(waves), K) integral of each wave at unit amplitude over each of
+    the K free intervals between 0, the pi-pulse centers and the echo
+    time, from one walk over its RF windows; a zero-amplitude wave
+    contributes nothing, so its integrals are never evaluated."""
+    edges = (0.0, *seq.pi_centers, seq.echo_time)
+    return np.array([[v / wave.amplitude for v in wave.integrals(edges)]
+                     if wave.amplitude != 0.0 else [0.0] * (len(edges) - 1)
+                     for wave in waves])
+
+
+def _readout_state(seq: PulseSequence, det, grf, unit, t0: float):
+    """m = Mx + iMy at time t0 after the last pulse, of packets of
+    detuning `det` whose RF phase over free interval k is
+    grf * unit[..., k] (grf = geff*fac*A sets the state's shape, unit is
+    `_unit_integrals`)."""
+    m = np.zeros(grf.shape, dtype=complex)
+    mz = np.ones(grf.shape)
+    edges = (0.0, *seq.pi_centers)
+    first, *pis = seq.pulses
+    m, mz = _pulse(m, mz, first.nominal_angle, first.axis_phase)
+    for k, p in enumerate(pis):
+        m *= np.exp(1j * (det * (edges[k + 1] - edges[k])
+                          + grf * unit[..., k, None]))
+        m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
+    # Readout: detuning keeps evolving across the acquisition window, but
+    # the RF phase is referred to the echo time (acquisition happens with
+    # the signal field's job done; the filter domain ends at the echo).
+    m *= np.exp(1j * (det * (t0 - edges[-1]) + grf * unit[..., -1, None]))
+    return m
+
+
 def _evolve_ideal(seq: PulseSequence, wave: RFWaveform, geff: float,
                   det, fac, w, times) -> np.ndarray:
     """Ensemble trace on `times`, which must be uniformly spaced (evolve
     builds them with linspace)."""
-    m = np.zeros(len(det), dtype=complex)
-    mz = np.ones(len(det))
-    # Per-packet RF phase of each free interval, from one walk over the
-    # RF windows (geff*fac*A times the unit-amplitude integral I/A); a
-    # zero-amplitude wave contributes nothing, so its integrals are never
-    # evaluated.
-    edges = (0.0, *seq.pi_centers, seq.echo_time)
-    amp = wave.amplitude
-    if amp != 0.0:
-        grf = geff * fac * amp
-        rf = [grf * (v / amp) for v in wave.integrals(edges)]
-    else:
-        rf = [0.0] * (len(edges) - 1)
-
-    first, *pis = seq.pulses
-    m, mz = _pulse(m, mz, first.nominal_angle, first.axis_phase)
-    for k, p in enumerate(pis):
-        m = m * np.exp(1j * (det * (edges[k + 1] - edges[k]) + rf[k]))
-        m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
-    t_prev = edges[-2]
-
-    # Readout: detuning keeps evolving across the acquisition window, but
-    # the RF phase is referred to the echo time (acquisition happens with
-    # the signal field's job done; the filter domain ends at the echo).
+    m = _readout_state(seq, det, geff * fac * wave.amplitude,
+                       _unit_integrals(seq, [wave])[0], times[0])
     # On the uniform grid, sample j of packet k is its first sample times
     # q_k**j with q_k = exp(i*det_k*dt).  The rows q**j are filled by
     # doubling: each pass extends the filled rows by multiplying them with
     # q**n, which is cheaper in numpy than a complex cumprod.
     n_t = len(times)
-    alpha = det * (times[0] - t_prev) + rf[-1]
     z = np.empty((n_t, len(det)), dtype=complex)
-    z[0] = w * m * np.exp(1j * alpha)
+    z[0] = w * m
     if n_t > 1:
         qn = np.exp(1j * det * ((times[-1] - times[0]) / (n_t - 1)))
         n = 1
@@ -346,14 +374,72 @@ def echo_observable(trace: SimulationTrace,
     return z
 
 
-def echo_point(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
-               ens: EnsembleConfig, mode: PulseMode, cal: CoilCalibration,
-               trace_points: int) -> complex:
-    """One sweep point: the echo observable of `wave` divided by the zero-RF
-    reference, both evolved with the same ensemble and trace grid."""
-    ref = evolve(sys, seq, None, ens, mode, cal, trace_points=trace_points)
-    tr = evolve(sys, seq, wave, ens, mode, cal, trace_points=trace_points)
-    return echo_observable(tr, ref)
+def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
+                mode: PulseMode, cal: CoilCalibration | None,
+                trace_points: int) -> list[complex]:
+    """The points of one sweep: for each (wave, ensemble) pair, the echo
+    observable of `wave` divided by the zero-RF reference, both evolved
+    with that point's ensemble and the same trace grid.
+
+    Ideal pulses run the points in blocks of at most
+    `_BLOCK_PACKET_POINTS` packet-points, drawing each point's ensemble
+    once; finite pulses run `evolve` twice per point.  The ensembles of
+    one sweep share a packet count.
+    """
+    if trace_points < 2:
+        raise ConfigError("echo window must contain at least two samples")
+    if mode is not PulseMode.IDEAL:
+        return [echo_observable(
+                    evolve(sys, seq, wave, ens, mode, cal,
+                           trace_points=trace_points),
+                    evolve(sys, seq, None, ens, mode, cal,
+                           trace_points=trace_points))
+                for wave, ens in zip(waves, ensembles)]
+    win = _trace_window(seq, None)
+    geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)
+    # the readout's trapezoid mean, times the T2 envelope: a reference
+    # that the envelope underflows to zero must still be caught below
+    scale = _envelope(sys, seq.echo_time) / (trace_points - 1)
+    out = []
+    i = 0
+    while i < len(waves):
+        n = max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets)
+        z = _ideal_block(seq, waves[i:i + n], ensembles[i:i + n], geff,
+                         win, trace_points) * scale
+        if np.any(z[0] == 0):
+            raise NumericalError("zero-RF reference echo vanished")
+        out += (z[1] / z[0]).tolist()
+        i += n
+    return out
+
+
+def _ideal_block(seq: PulseSequence, waves, ensembles, geff: float,
+                 win: tuple[float, float], n_t: int) -> np.ndarray:
+    """(2, n) window sums of the n points' reference (row 0) and signal
+    (row 1) traces on n_t uniform samples of `win`, before the envelope
+    and the 1/(n_t - 1) of the trapezoid mean."""
+    draws = [ens.draw() for ens in ensembles]
+    det, fac, w = (np.stack(x) for x in zip(*draws))  # each (n, P)
+    # reference and signal share the ensemble and differ only in the RF
+    # coupling, zero for the reference: one stacked (2, n, P) state
+    grf = np.zeros((2, *det.shape))
+    grf[1] = geff * fac * np.array([[wave.amplitude] for wave in waves])
+    m = _readout_state(seq, det, grf, _unit_integrals(seq, waves), win[0])
+    # On the uniform grid sample j of a packet is its first sample times
+    # q**j, q = exp(i*theta) with theta = det * (sample spacing), so the
+    # trapezoid sum over the n_t samples is that first sample times
+    # sum_j q**j - (1 + q**(n_t - 1))/2, where the geometric sum is
+    # expm1(i*n_t*theta)/expm1(i*theta), or n_t at q = 1.
+    theta = det * ((win[1] - win[0]) / (n_t - 1))
+    d = np.expm1(1j * theta)
+    g = np.full(d.shape, float(n_t), dtype=complex)
+    np.divide(np.expm1(1j * (n_t * theta)), d, out=g, where=d != 0)
+    g -= 0.5 * (1.0 + np.exp(1j * ((n_t - 1) * theta)))
+    g *= w
+    m *= g
+    z = m.sum(axis=-1)
+    # odd refocusing count: the receiver phase follows the parity (w is real)
+    return np.conj(z) if seq.n_pi % 2 == 1 else z
 
 
 def trace_to_csv(trace: SimulationTrace, path) -> None:

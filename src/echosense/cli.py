@@ -26,17 +26,20 @@ def _apply_overrides(raw: dict, overrides) -> dict:
         except json.JSONDecodeError:
             pass  # keep as string
         node = raw
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        *sections, leaf = key.split(".")
+        for p in sections:
+            if isinstance(node, dict):
+                node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set {key} runs through {node!r}, "
+                              "which is not a section")
+        node[leaf] = value
     return raw
 
 
 def _load(args) -> harness.ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        raw = harness.read_json(args.config)
     else:
         raw = dict(harness.bundled_config("default").raw)
     raw = _apply_overrides(raw, args.set)

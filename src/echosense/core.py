@@ -29,11 +29,14 @@ class NumericalError(RuntimeError):
 def gyromagnetic_ratio(g: float) -> float:
     """Electron gyromagnetic ratio g*mu_B/hbar in rad s^-1 T^-1.
 
-    Raises ConfigError for non-positive g.
+    Raises ConfigError for non-positive g and for a g so large that the
+    ratio overflows.
     """
-    if not g > 0:
-        raise ConfigError(f"g-factor must be positive, got {g}")
-    return g * MU_B / HBAR
+    gamma = g * MU_B / HBAR
+    if not (g > 0 and math.isfinite(gamma)):
+        raise ConfigError(f"g-factor must be positive with a finite "
+                          f"gyromagnetic ratio, got {g}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ class SpinSystem:
         if not 1.0 <= self.stretch_beta <= 3.0:
             raise ConfigError(
                 f"stretch_beta must be in [1, 3], got {self.stretch_beta}")
-        if self.inhomogeneous_sigma < 0:
-            raise ConfigError("inhomogeneous_sigma must be >= 0")
+        if not 0 <= self.inhomogeneous_sigma < math.inf:
+            raise ConfigError("inhomogeneous_sigma must be finite and >= 0, "
+                              f"got {self.inhomogeneous_sigma}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,9 @@ class SampleSpec:
                     f"vs active_spin_count = {n:.3e}")
         for name, x in (("spin_density", rho), ("active_spin_count", n),
                         ("sensing_volume", v)):
-            if not x > 0:
-                raise ConfigError(f"{name} must be positive, got {x}")
+            if not 0 < x < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {x}")
         object.__setattr__(self, "spin_density", rho)
         object.__setattr__(self, "active_spin_count", n)
         object.__setattr__(self, "sensing_volume", v)

@@ -211,14 +211,23 @@ class ExperimentConfig:
         return blochsim.point_seed(self.ensemble.seed, *idx)
 
 
+def read_json(path):
+    """The JSON document in the file `path`; a file that cannot be read or
+    parsed is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse and check a config dict or JSON file (fail-fast): a config
     that loads fails later only on what one experiment alone needs (a
     sweep grid, three points for a fit) or on numerical trouble."""
     try:
         if isinstance(source, (str, Path)):
-            with open(source) as fh:
-                source = json.load(fh)
+            source = read_json(source)
         top = _section(source, "", {**SCHEMA[""], **{
             name: ({}, _section, SCHEMA[name]) for name in SCHEMA if name}})
         ss, sm, cb, en, sq, rf, dd = (top[name] for name in (
@@ -272,7 +281,7 @@ def load_config(source) -> ExperimentConfig:
         return cfg
     except ConfigError:
         raise
-    except (OSError, TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"invalid config: {e}") from e
 
 
@@ -320,12 +329,16 @@ def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
     (*seed_offset, i) and its noise from (*seed_offset, *noise_tag, i):
     every sweep of a run has its own noise tag, so none share noise."""
     filt = filter_function(seq)
-    tasks = []
-    for i, wave in enumerate(waves):
-        ens = replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
-        tasks.append((cfg.spin_system, seq, wave, ens, cfg.pulse_mode,
-                      cfg.calibration, cfg.trace_points))
-    zs = _map(blochsim.echo_point, tasks, workers)
+    ensembles = [replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
+                 for i in range(len(waves))]
+    # one echo_points call per contiguous slice, one slice per worker
+    k = max(1, min(workers, len(waves)))
+    cuts = [len(waves) * j // k for j in range(k + 1)]
+    tasks = [(cfg.spin_system, seq, waves[a:b], ensembles[a:b],
+              cfg.pulse_mode, cfg.calibration, cfg.trace_points)
+             for a, b in zip(cuts, cuts[1:])]
+    zs = [z for part in _map(blochsim.echo_points, tasks, workers)
+          for z in part]
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}

@@ -179,14 +179,14 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     reports = []
     for n_pi in n_pi_list:
         seq = build[protocol](n_pi, tau, t_pi2, t_pi)
-        zs = []
-        for idx, amp in enumerate(amplitudes):
-            ens = replace(ens_base, seed=blochsim.point_seed(
-                ens_base.seed, int(n_pi), idx))
-            wave = build_synchronized(seq, float(amp), n=1, phase=0.0,
-                                      reset_mode=reset_mode)
-            zs.append(blochsim.echo_point(sys, seq, wave, ens, mode, cal,
-                                          trace_points))
+        waves = [build_synchronized(seq, float(amp), n=1, phase=0.0,
+                                    reset_mode=reset_mode)
+                 for amp in amplitudes]
+        ensembles = [replace(ens_base, seed=blochsim.point_seed(
+                         ens_base.seed, int(n_pi), idx))
+                     for idx in range(len(amplitudes))]
+        zs = blochsim.echo_points(sys, seq, waves, ensembles, mode, cal,
+                                  trace_points)
         phases_deg = np.degrees(np.unwrap(np.angle(zs)))
         fit = fit_transduction(zip(amplitudes, phases_deg))
         reports.append(build_report(fit, phase_resolution, t_meas, sample,

@@ -10,8 +10,8 @@ from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        PulseMode, ResetMode, SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
                        echo_observable, evolve, filter_function, zero_field)
-from echosense.blochsim import (_evolve_ideal, _rk4, _trace_window,
-                                echo_point)
+from echosense.blochsim import (_BLOCK_PACKET_POINTS, _evolve_ideal, _rk4,
+                                _trace_window, echo_points, point_seed)
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -20,9 +20,13 @@ CAL = CoilCalibration(coupling_eta=1.0)
 DELTA = EnsembleConfig(n_packets=1)  # single packet, zero detuning
 
 
-def simulated_phase(seq, wave, ens, mode=PulseMode.IDEAL, sys=SYS, cal=CAL):
-    ref = evolve(sys, seq, None, ens, mode, cal)
-    tr = evolve(sys, seq, wave, ens, mode, cal)
+def simulated_phase(seq, wave, ens, mode=PulseMode.IDEAL, sys=SYS, cal=CAL,
+                    trace_points=61):
+    """Echo of one point: signal and zero-RF reference traces evolved
+    separately, each reduced with the trapezoid of `echo_observable`;
+    also the reference that `echo_points` is checked against."""
+    ref = evolve(sys, seq, None, ens, mode, cal, trace_points=trace_points)
+    tr = evolve(sys, seq, wave, ens, mode, cal, trace_points=trace_points)
     return echo_observable(tr, ref)
 
 
@@ -283,20 +287,93 @@ class TestTraceValidation:
             evolve(SYS, seq, None, DELTA, trace_points=1)
 
 
-class TestEchoPoint:
+class TestEchoPoints:
+    """The batched sweep primitive against the per-point reference."""
+
+    CAL = CoilCalibration(coupling_eta=6.682e-3)
+
+    @staticmethod
+    def sweep(seq, base, amps):
+        waves = [build_synchronized(seq, b1, 1, 0.35,
+                                    ResetMode.PER_WINDOW_RESET)
+                 for b1 in amps]
+        ensembles = [replace(base, seed=point_seed(base.seed, i))
+                     for i in range(len(amps))]
+        return waves, ensembles
+
+    @pytest.mark.parametrize("seq", [
+        build_hahn(1.2e-6, T_PI2, T_PI),
+        build_pdd(2, 1.2e-6, T_PI2, T_PI),
+        build_pdd(3, 1.2e-6, T_PI2, T_PI),
+        build_cp(4, 1.7e-6, T_PI2, T_PI),
+        build_cp(5, 1.7e-6, T_PI2, T_PI),
+    ], ids=["hahn", "pdd2", "pdd3", "cp4", "cp5"])
+    @pytest.mark.parametrize("base", [
+        EnsembleConfig(n_packets=1),
+        EnsembleConfig(n_packets=1, detuning_sigma=2e6,
+                       rf_amplitude_spread=0.2, seed=4),
+        EnsembleConfig(n_packets=300),
+        EnsembleConfig(n_packets=300, detuning_sigma=2e6,
+                       rf_amplitude_spread=0.2, seed=8),
+    ], ids=["p1-delta", "p1-spread", "p300-delta", "p300-spread"])
+    @pytest.mark.parametrize("trace_points", [2, 61])
+    def test_matches_two_evolve_point(self, seq, base, trace_points):
+        # zero and non-zero amplitude in one sweep; the delta ensembles
+        # have zero detuning, the q = 1 limit of the closed-form readout
+        waves, ensembles = self.sweep(seq, base, [0.0, 0.1e-3, 0.3e-3])
+        got = echo_points(SYS, seq, waves, ensembles, PulseMode.IDEAL,
+                          self.CAL, trace_points)
+        want = [simulated_phase(seq, wave, ens, cal=self.CAL,
+                                trace_points=trace_points)
+                for wave, ens in zip(waves, ensembles)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_is_signal_over_reference(self):
         seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
         wave = build_synchronized(seq, 0.2e-3, 1, 0.0,
                                   ResetMode.PER_WINDOW_RESET)
         ens = EnsembleConfig(n_packets=40, detuning_sigma=1e5,
                              rf_amplitude_spread=0.2, seed=3)
-        cal = CoilCalibration(coupling_eta=6.682e-3)
-        ref = evolve(SYS, seq, None, ens, PulseMode.IDEAL, cal,
+        ref = evolve(SYS, seq, None, ens, PulseMode.IDEAL, self.CAL,
                      trace_points=21)
-        tr = evolve(SYS, seq, wave, ens, PulseMode.IDEAL, cal,
+        tr = evolve(SYS, seq, wave, ens, PulseMode.IDEAL, self.CAL,
                     trace_points=21)
-        assert echo_point(SYS, seq, wave, ens, PulseMode.IDEAL, cal,
-                          21) == echo_observable(tr, ref)
+        [z] = echo_points(SYS, seq, [wave], [ens], PulseMode.IDEAL, self.CAL,
+                          21)
+        assert z == pytest.approx(echo_observable(tr, ref), rel=0, abs=1e-12)
+
+    def test_sweep_straddling_blocks(self):
+        seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
+        base = EnsembleConfig(n_packets=300, detuning_sigma=1e6,
+                              rf_amplitude_spread=0.2, seed=3)
+        amps = np.linspace(0.0, 0.5e-3, 10)
+        assert len(amps) * base.n_packets > _BLOCK_PACKET_POINTS
+        waves, ensembles = self.sweep(seq, base, amps)
+        got = echo_points(SYS, seq, waves, ensembles, PulseMode.IDEAL,
+                          self.CAL, 61)
+        want = [simulated_phase(seq, wave, ens, cal=self.CAL)
+                for wave, ens in zip(waves, ensembles)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # each point is independent of the block it shares
+        assert echo_points(SYS, seq, waves[5:], ensembles[5:],
+                           PulseMode.IDEAL, self.CAL, 61) == got[5:]
+
+    def test_finite_is_the_two_evolve_point(self):
+        seq = build_hahn(1.2e-6, 40e-9, 80e-9)
+        base = EnsembleConfig(n_packets=3, detuning_sigma=1e6, seed=2)
+        waves, ensembles = self.sweep(seq, base, [0.0, 0.2e-3])
+        got = echo_points(SYS, seq, waves, ensembles, PulseMode.FINITE,
+                          self.CAL, 5)
+        assert got == [simulated_phase(seq, wave, ens, PulseMode.FINITE,
+                                       cal=self.CAL, trace_points=5)
+                       for wave, ens in zip(waves, ensembles)]
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_one_trace_point_rejected(self, mode):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        waves, ensembles = self.sweep(seq, DELTA, [0.1e-3])
+        with pytest.raises(ConfigError, match="two samples"):
+            echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 1)
 
 
 class TestEnsembleConfig:

@@ -31,7 +31,7 @@ def _put(raw: dict, path: tuple, value) -> dict:
 
 
 #: one bad value each, set on fig4; every one would fail a run, most of
-#: them only after simulation had started
+#: them only after simulation had started, or write non-finite results
 BAD_CONFIGS = {
     "n_pi-zero": (("dd", "n_pi_list"), [0]),
     "unknown-top-level-key": (("colour",), "blue"),
@@ -44,6 +44,10 @@ BAD_CONFIGS = {
     "negative-dd-tau": (("dd", "tau_us_list"), [-1]),
     "zero-harmonic": (("rf", "n"), 0),
     "negative-measurement-time": (("measurement", "t_meas_s"), -1),
+    # finite in bench units, infinite in SI
+    "density-overflows-in-si": (("sample", "spin_density_per_cm3"), 1e303),
+    "g-overflows-in-si": (("spin_system", "g"), 1e308),
+    "detuning-overflows-in-si": (("ensemble", "detuning_sigma_mhz"), 1e305),
 }
 
 

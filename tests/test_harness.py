@@ -176,18 +176,13 @@ class TestSweeps:
         cfg = harness.load_config(raw)
         res = harness.run_sweep_amplitude(cfg)
         seq = cfg.build_sequence()
-
-        def evolve(wave, ens):
-            return blochsim.evolve(cfg.spin_system, seq, wave, ens,
-                                   cfg.pulse_mode, cfg.calibration,
-                                   trace_points=cfg.trace_points)
-
         for i, (amp, er) in enumerate(zip(res.axis_values,
                                           res.echo_results)):
             ens = replace(cfg.ensemble, seed=cfg.point_seed(i))
             wave = build_synchronized(seq, amp, 1, 0.0)
-            clean = blochsim.echo_observable(evolve(wave, ens),
-                                             evolve(None, ens))
+            [clean] = blochsim.echo_points(
+                cfg.spin_system, seq, [wave], [ens], cfg.pulse_mode,
+                cfg.calibration, cfg.trace_points)
             assert er.snr == add_measurement_noise(clean, 0.05, 4).snr
 
     def test_noise_differs_between_sweeps(self):
@@ -214,16 +209,37 @@ class TestSweeps:
         assert [r.phase_unwrapped for r in serial.echo_results] == \
                [r.phase_unwrapped for r in parallel.echo_results]
 
+    def test_one_draw_and_no_trace_per_point(self, fast_cfg, monkeypatch):
+        calls = {"draw": 0, "evolve": 0}
+        draw, evolve = blochsim.EnsembleConfig.draw, blochsim.evolve
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        serial = harness.run_sweep_amplitude(fast_cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(blochsim.EnsembleConfig, "draw", counting("draw", draw))
+            mp.setattr(blochsim, "evolve", counting("evolve", evolve))
+            counted = harness.run_sweep_amplitude(fast_cfg)
+        assert len(fast_cfg.amplitude_grid) == 5
+        assert calls == {"draw": 5, "evolve": 0}
+        parallel = harness.run_sweep_amplitude(fast_cfg, workers=2)
+        assert counted.echo_results == serial.echo_results
+        assert parallel.echo_results == serial.echo_results
+
     def test_sensitivity_uses_configured_trace_points(self, fast_cfg,
                                                       monkeypatch):
         seen = []
-        evolve = blochsim.evolve
+        echo_points = blochsim.echo_points
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("trace_points"))
-            return evolve(*args, **kwargs)
+        def spy(*args):
+            seen.append(args[-1])  # trace_points
+            return echo_points(*args)
 
-        monkeypatch.setattr(blochsim, "evolve", spy)
+        monkeypatch.setattr(blochsim, "echo_points", spy)
         cfg = harness.load_config({**FAST_RAW, "dd": {
             "protocols": ["cp"], "n_pi_list": [1], "tau_us_list": [1.2],
             "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}}})
@@ -378,10 +394,23 @@ class TestCli:
         "one-trace-point": ["simulation.trace_points=1"],
     }
 
-    @pytest.mark.parametrize("case", list(BAD_VALUES))
+    #: inputs that fail before there is a config to check, as (config
+    #: file text, or None for no file, and --set values)
+    BAD_INPUTS = {
+        "malformed-json": ("{not json", []),
+        "missing-file": (None, []),
+        "set-through-a-scalar": (json.dumps(FAST_RAW), ["seed.x=1"]),
+    }
+
+    @pytest.mark.parametrize("case", [*BAD_VALUES, *BAD_INPUTS])
     def test_bad_value_exit_2(self, tmp_path, case, capsys):
-        sets = [a for kv in self.BAD_VALUES[case] for a in ("--set", kv)]
-        rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path), *sets,
+        text, values = self.BAD_INPUTS.get(
+            case, (json.dumps(FAST_RAW), self.BAD_VALUES.get(case)))
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        sets = [a for kv in values for a in ("--set", kv)]
+        rc = main(["sweep-amplitude", "-c", str(path), *sets,
                    "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
