@@ -6,6 +6,12 @@ evaluates each sinusoidal piece in closed form, all intervals in one walk
 over the RF windows (`RFWaveform.integrals`), so its cost is linear in
 the pulse and window counts; an adaptive-quadrature twin of the same
 integral serves as the independent oracle in tests.
+
+The walk is memoised in `rf` per waveform shape and edge set, at unit
+amplitude, in a bounded LRU cache (`rf._CACHE_SIZE` entries), so a sweep
+over field amplitudes walks each shape once.  Each interval's integral
+is still the amplitude times the same unit sum, so every phase is the
+float the unmemoised walk gave.
 """
 
 from __future__ import annotations

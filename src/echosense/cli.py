@@ -46,6 +46,18 @@ def _load(args) -> harness.ExperimentConfig:
     return harness.load_config(raw)
 
 
+def _workers(text: str) -> int:
+    """--workers value: an integer >= 1 (argparse exits 2 otherwise)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0  # reported below, like any other value < 1
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="echosense",
@@ -60,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output-root",
                         help=f"output root (default $"
                              f"{harness.OUTPUT_ROOT_ENV} or ./runs)")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_workers, default=1,
+                        help="worker processes (>= 1)")
         sp.add_argument("--plot", action="store_true",
                         help="also write SVG plots")
 
@@ -74,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="regenerate a figure bundle")
     sp.add_argument("figure", choices=harness.FIGURES)
     sp.add_argument("-o", "--output-root")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_workers, default=1,
+                    help="worker processes (>= 1)")
     sp.add_argument("--plot", action="store_true")
 
     sp = sub.add_parser("validate", help="validate a config file")

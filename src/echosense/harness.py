@@ -300,8 +300,9 @@ class SweepResult:
 
 
 def _map(fn, tasks, workers: int = 1) -> list:
-    """fn(*task) for every task, in order; over a process pool when
-    workers > 1."""
+    """fn(*task) for every task, in order; over a process pool of at most
+    one process per task when workers > 1."""
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, *zip(*tasks)))

@@ -10,6 +10,19 @@ Two synchronization modes:
 * PerWindowReset -- the phase restarts at each window start, optionally
   with a per-window phase offset.  This is how an AWG re-arms the RF at
   each refocusing interval of a DD sequence.
+
+A waveform's geometry does not depend on its amplitude, and sweeps and
+design scans build the same shape at every amplitude of a grid.  So three
+pure functions of the geometry are memoised, each in a private LRU cache
+of `_CACHE_SIZE` entries: the reset windows and phases of
+`build_synchronized`, the window check and float conversion of
+`RFWaveform`, and the `integrals` walk at unit amplitude.  This is exact:
+the walk always summed each interval at unit amplitude and scaled it by
+the amplitude once, so `amplitude * unit_total` is the same float.  A
+cache stores no exceptions, so an invalid input raises on every call;
+amplitude, frequency and phase are checked on every construction.  Keys
+compare by value: 1 and 1.0, or 0.0 and -0.0, share an entry, and every
+integral is the same for either.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +39,8 @@ from .core import ConfigError
 from .sequence import PulseSequence
 
 TWO_PI = 2 * math.pi
+#: entries of each geometry cache; one entry holds one waveform shape
+_CACHE_SIZE = 256
 
 
 class ResetMode(str, Enum):
@@ -59,24 +75,23 @@ class RFWaveform:
     window_phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be >= 0")
-        if not self.frequency > 0:
-            raise ConfigError("frequency must be positive")
-        wins = tuple([(float(a), float(b)) for a, b in self.windows])
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ConfigError(
+                f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ConfigError(
+                f"frequency must be finite and positive, got {self.frequency}")
+        if not math.isfinite(self.phase):
+            raise ConfigError(f"phase must be finite, got {self.phase}")
+        try:
+            wins, ph = _checked_windows(self.windows, self.window_phases)
+        except TypeError:  # lists are not hashable: check them as tuples
+            wins, ph = _checked_windows(
+                tuple(map(tuple, self.windows)),
+                None if self.window_phases is None
+                else tuple(self.window_phases))
         object.__setattr__(self, "windows", wins)
-        prev_end = -math.inf
-        for a, b in wins:
-            if b <= a:
-                raise ConfigError(f"empty or inverted window [{a}, {b})")
-            if a < prev_end:
-                raise ConfigError("windows must be disjoint and ordered")
-            prev_end = b
-        if self.window_phases is not None:
-            ph = tuple([float(p) for p in self.window_phases])
-            if len(ph) != len(wins):
-                raise ConfigError("window_phases length must match windows")
-            object.__setattr__(self, "window_phases", ph)
+        object.__setattr__(self, "window_phases", ph)
 
     def _phase_of(self, k: int) -> float:
         return self.window_phases[k] if self.window_phases is not None else self.phase
@@ -102,38 +117,14 @@ class RFWaveform:
         overlaps, so the cost is linear in len(edges) + len(windows).
         Each interval sums its window pieces (antiderivative of sin) in
         window order, exactly as a separate integral(a, b) call would.
+        The walk runs at unit amplitude and is memoised per shape and
+        edges; each result is the amplitude times its unit integral.
         """
-        edges = tuple(edges)
-        wins = self.windows
-        n_win = len(wins)
-        phases = self.window_phases or (self.phase,) * n_win
-        reset = self.reset_mode is not ResetMode.CONTINUOUS
-        w = TWO_PI * self.frequency
         amp = self.amplitude
-        cos = math.cos
-        out = []
-        j = 0  # first window that may still overlap the current interval
-        for a, b in zip(edges, edges[1:]):
-            if b < a:
-                raise ConfigError("integration bounds must satisfy a <= b")
-            while j < n_win and wins[j][1] <= a:
-                j += 1
-            total = 0.0
-            for k in range(j, n_win):
-                wa, wb = wins[k]
-                if wa >= b:
-                    break
-                # max(a, wa) and min(b, wb) without the builtin calls,
-                # which cost more than the arithmetic in this loop
-                lo = wa if wa > a else a
-                hi = wb if wb < b else b
-                if hi <= lo:
-                    continue
-                t0 = wa if reset else 0.0
-                ph = phases[k]
-                total += (cos(w * (lo - t0) + ph) - cos(w * (hi - t0) + ph)) / w
-            out.append(amp * total)
-        return out
+        return [amp * v for v in _unit_walk(
+            self.frequency, self.windows,
+            self.window_phases or (self.phase,) * len(self.windows),
+            self.reset_mode, tuple(edges))]
 
     def integral(self, a: float, b: float) -> float:
         """Closed-form integral of the field over [a, b]."""
@@ -156,6 +147,85 @@ class RFWaveform:
 
     def end(self) -> float:
         return self.windows[-1][1] if self.windows else 0.0
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _checked_windows(windows, window_phases):
+    """Windows and window phases as floats, checked finite, non-empty,
+    ordered and disjoint (phases: finite, one per window)."""
+    wins = tuple([(float(a), float(b)) for a, b in windows])
+    prev_end = -math.inf
+    for a, b in wins:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"window edges must be finite, got [{a}, {b})")
+        if b <= a:
+            raise ConfigError(f"empty or inverted window [{a}, {b})")
+        if a < prev_end:
+            raise ConfigError("windows must be disjoint and ordered")
+        prev_end = b
+    if window_phases is None:
+        return wins, None
+    ph = tuple([float(p) for p in window_phases])
+    if len(ph) != len(wins):
+        raise ConfigError("window_phases length must match windows")
+    if not all(map(math.isfinite, ph)):
+        raise ConfigError(f"window phases must be finite, got {ph}")
+    return wins, ph
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _unit_walk(frequency, wins, phases, reset_mode, edges):
+    """`RFWaveform.integrals` of the unit-amplitude field with these
+    windows and per-window phases."""
+    n_win = len(wins)
+    reset = reset_mode is not ResetMode.CONTINUOUS
+    w = TWO_PI * frequency
+    cos = math.cos
+    out = []
+    j = 0  # first window that may still overlap the current interval
+    for a, b in zip(edges, edges[1:]):
+        if not a <= b:  # NaN too
+            raise ConfigError(
+                f"integration bounds must satisfy a <= b, got [{a}, {b}]")
+        while j < n_win and wins[j][1] <= a:
+            j += 1
+        total = 0.0
+        for k in range(j, n_win):
+            wa, wb = wins[k]
+            if wa >= b:
+                break
+            # max(a, wa) and min(b, wb) without the builtin calls,
+            # which cost more than the arithmetic in this loop
+            lo = wa if wa > a else a
+            hi = wb if wb < b else b
+            if hi <= lo:
+                continue
+            t0 = wa if reset else 0.0
+            ph = phases[k]
+            total += (cos(w * (lo - t0) + ph) - cos(w * (hi - t0) + ph)) / w
+        out.append(total)
+    return tuple(out)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reset_windows(tau, echo_time, centers, phase):
+    """Tau-length windows tiling [0, echo_time] and their phases, advanced
+    by pi for every pi center at or before each window start (`centers`
+    strictly increasing, as `PulseSequence.pi_centers` are)."""
+    if not math.isfinite(phase):
+        raise ConfigError(f"phase must be finite, got {phase}")
+    n_windows = int(round(echo_time / tau))
+    n_centers = len(centers)
+    eps = 1e-15 * echo_time
+    windows, phases = [], []
+    flips = 0  # pi centers at or before the current window start
+    for k in range(n_windows):
+        a = k * tau
+        while flips < n_centers and centers[flips] <= a + eps:
+            flips += 1
+        windows.append((a, (k + 1) * tau))
+        phases.append(phase + flips * math.pi)
+    return tuple(windows), tuple(phases)
 
 
 def zero_field(frequency: float = 1.0) -> RFWaveform:
@@ -248,18 +318,7 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     if reset_mode is ResetMode.CONTINUOUS:
         return RFWaveform(amplitude, nu, phase, ((0.0, seq.echo_time),),
                           ResetMode.CONTINUOUS)
-    tau = seq.tau
-    n_windows = int(round(seq.echo_time / tau))
-    centers = seq.pi_centers  # strictly increasing
-    n_centers = len(centers)
-    eps = 1e-15 * seq.echo_time
-    windows, phases = [], []
-    flips = 0  # pi centers at or before the current window start
-    for k in range(n_windows):
-        a = k * tau
-        while flips < n_centers and centers[flips] <= a + eps:
-            flips += 1
-        windows.append((a, (k + 1) * tau))
-        phases.append(phase + flips * math.pi)
-    return RFWaveform(amplitude, nu, phase, tuple(windows),
-                      ResetMode.PER_WINDOW_RESET, tuple(phases))
+    windows, phases = _reset_windows(seq.tau, seq.echo_time, seq.pi_centers,
+                                     phase)
+    return RFWaveform(amplitude, nu, phase, windows,
+                      ResetMode.PER_WINDOW_RESET, phases)

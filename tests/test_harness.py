@@ -35,6 +35,28 @@ FAST_RAW = {
 }
 
 
+def _serial_pools(monkeypatch) -> list:
+    """Replace the process pool with an in-process fake; the returned list
+    collects the max_workers of every pool opened."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 @pytest.fixture
 def fast_cfg():
     return harness.load_config(FAST_RAW)
@@ -270,26 +292,21 @@ class TestSensitivityPipeline:
         assert harness.run_sensitivity(cfg) == want
 
     def test_workers_reach_the_pool(self, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        pools = _serial_pools(monkeypatch)
         cfg = self.cfg()
         assert harness.run_sensitivity(cfg, workers=2) == \
             harness.run_sensitivity(cfg)
         assert pools and set(pools) == {2}
+
+    def test_pool_has_at_most_one_process_per_slice(self, monkeypatch):
+        pools = _serial_pools(monkeypatch)
+        cfg = self.cfg()
+        assert harness.run_sensitivity(cfg, workers=64) == \
+            harness.run_sensitivity(cfg)
+        assert pools and set(pools) == {5}  # five amplitudes per sweep
+        pools.clear()
+        assert harness._map(abs, [(-3,)], workers=4) == [3]
+        assert pools == []  # one task runs in this process
 
     def test_ensemble_seed_seeds_every_sweep(self):
         a = self.cfg(seed=99, ensemble={**FAST_RAW["ensemble"], "seed": 5})
@@ -369,6 +386,17 @@ class TestCli:
         assert out and out[0].endswith("sweep_amplitude.csv")
         rows = list(csv.DictReader(open(out[0])))
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    @pytest.mark.parametrize("command", ["sweep-amplitude", "reproduce"])
+    def test_workers_below_one_exit_2(self, tmp_path, command, workers):
+        target = (["fig2"] if command == "reproduce"
+                  else ["-c", self._cfg_file(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "-o", str(tmp_path / "out"),
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_set_override(self, tmp_path, capsys):
         rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),

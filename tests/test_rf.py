@@ -11,6 +11,7 @@ from echosense import (ConfigError, ResetMode, RFWaveform, build_hahn,
                        build_cp, build_pdd, build_split_interval,
                        build_synchronized, pulse_gated, synchronized_frequency,
                        zero_field)
+from echosense import rf
 
 from rf_oracle import build_synchronized_count, integral_loop
 
@@ -216,6 +217,43 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1e-6),), window_phases=(0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalars_rejected(self, bad):
+        win = ((0.0, 1e-6),)
+        for args in ((bad, 1e6, 0.0, win), (1e-3, bad, 0.0, win),
+                     (1e-3, 1e6, bad, win)):
+            with pytest.raises(ConfigError):
+                RFWaveform(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_windows_rejected(self, bad):
+        for win in (((bad, 1.0),), ((0.0, bad),), ((0.0, 1.0), (2.0, bad))):
+            with pytest.raises(ConfigError):
+                RFWaveform(1e-3, 1e6, 0.0, win)
+        with pytest.raises(ConfigError):
+            RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1.0), (1.0, 2.0)),
+                       ResetMode.PER_WINDOW_RESET, (0.0, bad))
+
+    def test_non_finite_synchronized_inputs_rejected(self):
+        seq = build_pdd(3, 1e-6, T_PI2, T_PI)
+        for mode in ResetMode:
+            with pytest.raises(ConfigError):
+                build_synchronized(seq, math.nan, 1, 0.0, mode)
+            with pytest.raises(ConfigError):
+                build_synchronized(seq, 1e-3, 1, math.nan, mode)
+
+    def test_nan_edges_rejected(self):
+        w = RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1e-6),))
+        for edges in ((math.nan, 1e-6), (0.0, math.nan), (0.0, math.nan, 1.0)):
+            with pytest.raises(ConfigError):
+                w.integrals(edges)
+
+    def test_list_windows_accepted_as_tuples(self):
+        w = RFWaveform(1e-3, 1e6, 0.0, [[0, 1e-6], [2e-6, 3e-6]],
+                       ResetMode.PER_WINDOW_RESET, [0.5, 1])
+        assert w.windows == ((0.0, 1e-6), (2e-6, 3e-6))
+        assert w.window_phases == (0.5, 1.0)
+
     def test_zero_field(self):
         w = zero_field()
         assert w.amplitude == 0.0
@@ -366,3 +404,96 @@ class TestBuildSynchronized:
         t = np.linspace(0, seq.echo_time, 200, endpoint=False)
         # atol at the rounding floor of amplitude * sin(k*pi) flips
         assert np.allclose(wr.sample(t), wc.sample(t), atol=1e-13 * wr.amplitude)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _random_designs(seed: int, n: int):
+    """(seq, reset_mode, harmonic, phase) of n random Hahn/PDD/CP designs,
+    N 1-8."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        kind = int(rng.integers(3))
+        n_pi = int(rng.integers(1, 9))
+        tau = float(rng.uniform(0.9e-6, 1.7e-6))
+        seq = (build_hahn(tau, T_PI2, T_PI) if kind == 0
+               else (build_pdd, build_cp)[kind - 1](n_pi, tau, T_PI2, T_PI))
+        mode = list(ResetMode)[int(rng.integers(2))]
+        phase = (0.0, -0.0, float(rng.uniform(-math.pi, math.pi)))[
+            int(rng.integers(3))]
+        yield seq, mode, int(rng.integers(1, 4)), phase
+
+
+class TestGeometryCaches:
+    """The memoised shape paths against the uncached oracles, bit for bit,
+    whether each shape's entries are warm or were evicted."""
+
+    AMPS = (0.0, 0.13e-3, 0.5e-3, 1.7e-3)
+
+    @staticmethod
+    def check(seq, mode, n, phase, amp):
+        wave = build_synchronized(seq, amp, n, phase, mode)
+        if mode is ResetMode.PER_WINDOW_RESET:
+            want = build_synchronized_count(seq, amp, n, phase)
+            assert wave == want
+            assert _bits(x for win in wave.windows for x in win) == \
+                _bits(x for win in want.windows for x in win)
+            assert _bits(wave.window_phases) == _bits(want.window_phases)
+        else:
+            assert wave.windows == ((0.0, seq.echo_time),)
+        edges = (0.0, *seq.pi_centers, seq.echo_time)
+        assert _bits(wave.integrals(edges)) == _bits(
+            integral_loop(wave, a, b) for a, b in zip(edges, edges[1:]))
+
+    def test_amplitude_loop_inner_warm(self):
+        for seq, mode, n, phase in _random_designs(5, 300):
+            for amp in self.AMPS:
+                # same windows, other phases and harmonics
+                self.check(seq, mode, n, phase, amp)
+                self.check(seq, mode, n, phase + 1.0, amp)
+                self.check(seq, mode, n + 1, phase, amp)
+
+    def test_amplitude_loop_outer_cold(self):
+        designs = list(_random_designs(6, 2 * rf._CACHE_SIZE))
+        for amp in self.AMPS:  # every shape is evicted before it recurs
+            for design in designs:
+                self.check(*design, amp)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_phase_shares_an_entry(self, first):
+        seqs = [build_hahn(1.1e-6, T_PI2, T_PI),
+                build_pdd(3, 1.3e-6, T_PI2, T_PI),
+                build_cp(4, 0.95e-6, T_PI2, T_PI)]
+        for clear in (rf._reset_windows, rf._checked_windows,
+                      rf._unit_walk):
+            clear.cache_clear()
+        for phase in (first, -first):
+            for seq in seqs:
+                for mode in ResetMode:
+                    self.check(seq, mode, 1, phase, 0.7e-3)
+
+    @pytest.mark.parametrize("first", [int, float])
+    def test_integer_edges_share_an_entry(self, first):
+        rf._unit_walk.cache_clear()
+        wave = RFWaveform(0.8, 0.3, 0.4, ((0, 2), (3, 5), (5, 7)),
+                          ResetMode.PER_WINDOW_RESET, (0.1, 1.3, -0.2))
+        edges = (-1, 0, 1, 3, 4, 5, 9)
+        for kind in (first, float if first is int else int):
+            got = wave.integrals(tuple(map(kind, edges)))
+            assert _bits(got) == _bits(integral_loop(wave, kind(a), kind(b))
+                                       for a, b in zip(edges, edges[1:]))
+
+    def test_invalid_inputs_raise_on_every_call(self):
+        wave = RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1e-6),))
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                RFWaveform(1e-3, 1e6, 0.0, ((1e-6, 0.5e-6),))
+            with pytest.raises(ConfigError):
+                wave.integrals((0.0, 2e-6, 1e-6))
+
+    def test_every_cache_is_bounded(self):
+        caches = [f for f in vars(rf).values() if hasattr(f, "cache_info")]
+        assert len(caches) == 3
+        assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
