@@ -7,11 +7,13 @@ over the RF windows (`RFWaveform.integrals`), so its cost is linear in
 the pulse and window counts; an adaptive-quadrature twin of the same
 integral serves as the independent oracle in tests.
 
-The walk is memoised in `rf` per waveform shape and edge set, at unit
-amplitude, in a bounded LRU cache (`rf._CACHE_SIZE` entries), so a sweep
-over field amplitudes walks each shape once.  Each interval's integral
-is still the amplitude times the same unit sum, so every phase is the
-float the unmemoised walk gave.
+The walk is memoised in `rf` at unit amplitude, keyed on the waveform's
+checked shape record and the filter's edges, in a bounded LRU cache
+(`rf._CACHE_SIZE` entries), so a sweep over field amplitudes walks each
+shape once.  `accumulate_phase` reads that unit walk and forms each
+interval's phase in one pass as sign * gamma_eff * (amplitude * unit
+integral): the products `integrals` and the signed sum always formed, in
+the same order, so every phase is the float the unmemoised walk gave.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CoilCalibration, ConfigError, SpinSystem
-from .rf import RFWaveform
+from .rf import RFWaveform, _unit_walk
 from .sequence import FilterFunction
 
 #: slack for windows touching the filter-domain edge (pure rounding)
@@ -51,10 +53,11 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
     """Closed-form signed phase accumulated over the whole sequence."""
     _check_domain(filt, wave)
     gamma_eff = sys.gamma * cal.coupling_eta
+    amp = wave.amplitude
     # the sign starts at +1 and toggles at every breakpoint
     signed = (gamma_eff, -gamma_eff)
-    ints = wave.integrals((0.0, *filt.breakpoints, filt.domain_end))
-    per = tuple([signed[k % 2] * v for k, v in enumerate(ints)])
+    per = tuple([signed[k % 2] * (amp * u)
+                 for k, u in enumerate(_unit_walk(wave._shape, filt.edges))])
     return PhaseAccumulation(sum(per), per)
 
 

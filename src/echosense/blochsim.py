@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import CoilCalibration, ConfigError, NumericalError, SpinSystem
+from .core import (CoilCalibration, ConfigError, NumericalError, SpinSystem,
+                   _StrChoice)
 from .rf import RFWaveform, zero_field
 from .sequence import PulseSequence
 
@@ -59,7 +59,7 @@ _MAX_STEPS_PER_SEGMENT = 20_000_000
 _BLOCK_PACKET_POINTS = 2048
 
 
-class PulseMode(str, Enum):
+class PulseMode(_StrChoice):
     IDEAL = "ideal"
     FINITE = "finite"
 
@@ -160,6 +160,7 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
     `wave` is in protocol time (t=0 at the first pulse center); None means
     no RF.  `cal` supplies coupling_eta (default 1).
     """
+    mode = PulseMode(mode)
     if wave is None:
         wave = zero_field()
     eta = 1.0 if cal is None else cal.coupling_eta
@@ -170,10 +171,8 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
 
     if mode is PulseMode.IDEAL:
         mxy = _evolve_ideal(seq, wave, geff, det, fac, w, times)
-    elif mode is PulseMode.FINITE:
-        mxy = _evolve_finite(seq, wave, geff, det, fac, w, times)
     else:
-        raise ConfigError(f"unknown pulse mode {mode!r}")
+        mxy = _evolve_finite(seq, wave, geff, det, fac, w, times)
 
     mxy = mxy * _envelope(sys, seq.echo_time)
     return SimulationTrace(times, mxy, win)
@@ -388,6 +387,7 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     """
     if trace_points < 2:
         raise ConfigError("echo window must contain at least two samples")
+    mode = PulseMode(mode)
     if mode is not PulseMode.IDEAL:
         return [echo_observable(
                     evolve(sys, seq, wave, ens, mode, cal,

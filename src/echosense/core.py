@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 #: Bohr magneton [J/T] (CODATA 2018)
 MU_B = 9.2740100783e-24
@@ -24,6 +25,16 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """Numerical failure during simulation (NaN state, unstable step...)."""
+
+
+class _StrChoice(str, Enum):
+    """String-valued enum whose constructor coerces a member's value to
+    the member and raises ConfigError for any other value."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"unknown {cls.__name__} {value!r}, expected one "
+                          f"of {[m.value for m in cls]}")
 
 
 def gyromagnetic_ratio(g: float) -> float:

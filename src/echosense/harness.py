@@ -199,11 +199,13 @@ class ExperimentConfig:
 
     def build_sequence(self, kind=None, n_pi=None, tau=None):
         sq = self.sequence
-        kind = kind or sq["kind"]
+        kind = SequenceKind(kind or sq["kind"])
         tau = tau if tau is not None else sq["tau_ns"] * NS
         t_pi2, t_pi = sq["t_pi2_ns"] * NS, sq["t_pi_ns"] * NS
         if kind is SequenceKind.HAHN:
             return build_hahn(tau, t_pi2, t_pi)
+        if kind is SequenceKind.CUSTOM:
+            raise ConfigError("a custom sequence cannot be built from a config")
         build = build_pdd if kind is SequenceKind.PDD else build_cp
         return build(n_pi if n_pi is not None else sq["n_pi"], tau, t_pi2, t_pi)
 

@@ -12,17 +12,30 @@ Two synchronization modes:
   each refocusing interval of a DD sequence.
 
 A waveform's geometry does not depend on its amplitude, and sweeps and
-design scans build the same shape at every amplitude of a grid.  So three
-pure functions of the geometry are memoised, each in a private LRU cache
-of `_CACHE_SIZE` entries: the reset windows and phases of
-`build_synchronized`, the window check and float conversion of
-`RFWaveform`, and the `integrals` walk at unit amplitude.  This is exact:
-the walk always summed each interval at unit amplitude and scaled it by
-the amplitude once, so `amplitude * unit_total` is the same float.  A
-cache stores no exceptions, so an invalid input raises on every call;
-amplitude, frequency and phase are checked on every construction.  Keys
-compare by value: 1 and 1.0, or 0.0 and -0.0, share an entry, and every
-integral is the same for either.
+design scans build the same shape at every amplitude of a grid.  So each
+shape is checked and walked once, and every per-amplitude waveform is a
+scale of it.  Three private LRU caches of `_CACHE_SIZE` entries each
+hold the shapes:
+
+* `_checked_shape`, keyed on (frequency, phase, windows, window phases,
+  reset mode), returns the one checked shape record that every
+  `RFWaveform` of that shape holds: its windows and phases as checked
+  floats and its reset mode as a `ResetMode` member.
+* `_unit_walk`, keyed on (shape record, edges), is the `integrals` walk
+  at unit amplitude.  A record hashes by identity, so a lookup hashes
+  the edges but not the windows.
+* `_synchronized`, keyed on (tau, echo_time, pi_centers, n, phase, reset
+  mode), is the `build_synchronized` waveform at unit amplitude; each
+  call copies it with the caller's amplitude and phase.
+
+This is exact: the walk always summed each interval at unit amplitude
+and scaled it by the amplitude once, so `amplitude * unit_total` is the
+same float, and a copy holds the fields that a fresh construction would
+have checked and converted.  A cache stores no exceptions, so an invalid
+input raises on every call; the amplitude is checked on every call.
+Keys compare by value: 1 and 1.0, 0.0 and -0.0, or "continuous" and
+`ResetMode.CONTINUOUS` share an entry.  Every integral is the same for
+either, since an entry is built from the checked, coerced values.
 """
 
 from __future__ import annotations
@@ -30,12 +43,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, _StrChoice
 from .sequence import PulseSequence
 
 TWO_PI = 2 * math.pi
@@ -43,7 +55,7 @@ TWO_PI = 2 * math.pi
 _CACHE_SIZE = 256
 
 
-class ResetMode(str, Enum):
+class ResetMode(_StrChoice):
     CONTINUOUS = "continuous"
     PER_WINDOW_RESET = "per-window-reset"
 
@@ -75,23 +87,30 @@ class RFWaveform:
     window_phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ConfigError(
-                f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0.0 < self.frequency < math.inf:
-            raise ConfigError(
-                f"frequency must be finite and positive, got {self.frequency}")
-        if not math.isfinite(self.phase):
-            raise ConfigError(f"phase must be finite, got {self.phase}")
+        _check_amplitude(self.amplitude)
         try:
-            wins, ph = _checked_windows(self.windows, self.window_phases)
+            shape = _checked_shape(self.frequency, self.phase, self.windows,
+                                   self.window_phases, self.reset_mode)
         except TypeError:  # lists are not hashable: check them as tuples
-            wins, ph = _checked_windows(
-                tuple(map(tuple, self.windows)),
+            shape = _checked_shape(
+                self.frequency, self.phase, tuple(map(tuple, self.windows)),
                 None if self.window_phases is None
-                else tuple(self.window_phases))
-        object.__setattr__(self, "windows", wins)
-        object.__setattr__(self, "window_phases", ph)
+                else tuple(self.window_phases), self.reset_mode)
+        object.__setattr__(self, "windows", shape.windows)
+        object.__setattr__(self, "window_phases", shape.window_phases)
+        object.__setattr__(self, "reset_mode", shape.reset_mode)
+        object.__setattr__(self, "_shape", shape)
+
+    def _scaled(self, amplitude: float, phase: float) -> "RFWaveform":
+        """This waveform at another, already checked amplitude, sharing its
+        checked shape.  `phase` must compare equal to this waveform's; it
+        is stored as given, so a -0.0 stays -0.0."""
+        wave = object.__new__(RFWaveform)
+        fields = wave.__dict__
+        fields.update(self.__dict__)
+        fields["amplitude"] = amplitude
+        fields["phase"] = phase
+        return wave
 
     def _phase_of(self, k: int) -> float:
         return self.window_phases[k] if self.window_phases is not None else self.phase
@@ -121,10 +140,7 @@ class RFWaveform:
         edges; each result is the amplitude times its unit integral.
         """
         amp = self.amplitude
-        return [amp * v for v in _unit_walk(
-            self.frequency, self.windows,
-            self.window_phases or (self.phase,) * len(self.windows),
-            self.reset_mode, tuple(edges))]
+        return [amp * v for v in _unit_walk(self._shape, tuple(edges))]
 
     def integral(self, a: float, b: float) -> float:
         """Closed-form integral of the field over [a, b]."""
@@ -149,10 +165,43 @@ class RFWaveform:
         return self.windows[-1][1] if self.windows else 0.0
 
 
+def _check_amplitude(amplitude) -> None:
+    if not 0.0 <= amplitude < math.inf:
+        raise ConfigError(f"amplitude must be finite and >= 0, got {amplitude}")
+
+
+class _Shape:
+    """The checked shape of an `RFWaveform`: everything but its amplitude.
+
+    `phases` holds the phase of each window's sinusoid: the window phases,
+    or else the global phase for every window.  A record compares and
+    hashes by identity; `_checked_shape` hands out one per distinct key.
+    """
+
+    __slots__ = ("frequency", "windows", "window_phases", "phases",
+                 "reset_mode")
+
+    def __init__(self, frequency, windows, window_phases, phases, reset_mode):
+        self.frequency = frequency
+        self.windows = windows
+        self.window_phases = window_phases
+        self.phases = phases
+        self.reset_mode = reset_mode
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _checked_windows(windows, window_phases):
-    """Windows and window phases as floats, checked finite, non-empty,
-    ordered and disjoint (phases: finite, one per window)."""
+def _checked_shape(frequency, phase, windows, window_phases,
+                   reset_mode) -> _Shape:
+    """Frequency finite and positive, phase finite, reset mode a
+    `ResetMode` value, windows as floats checked finite, non-empty,
+    ordered and disjoint, and window phases as floats checked finite, one
+    per window."""
+    if not 0.0 < frequency < math.inf:
+        raise ConfigError(
+            f"frequency must be finite and positive, got {frequency}")
+    if not math.isfinite(phase):
+        raise ConfigError(f"phase must be finite, got {phase}")
+    reset_mode = ResetMode(reset_mode)
     wins = tuple([(float(a), float(b)) for a, b in windows])
     prev_end = -math.inf
     for a, b in wins:
@@ -164,22 +213,23 @@ def _checked_windows(windows, window_phases):
             raise ConfigError("windows must be disjoint and ordered")
         prev_end = b
     if window_phases is None:
-        return wins, None
+        return _Shape(frequency, wins, None, (phase,) * len(wins),
+                      reset_mode)
     ph = tuple([float(p) for p in window_phases])
     if len(ph) != len(wins):
         raise ConfigError("window_phases length must match windows")
     if not all(map(math.isfinite, ph)):
         raise ConfigError(f"window phases must be finite, got {ph}")
-    return wins, ph
+    return _Shape(frequency, wins, ph, ph, reset_mode)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _unit_walk(frequency, wins, phases, reset_mode, edges):
-    """`RFWaveform.integrals` of the unit-amplitude field with these
-    windows and per-window phases."""
+def _unit_walk(shape: _Shape, edges) -> tuple[float, ...]:
+    """`RFWaveform.integrals` of the unit-amplitude field of `shape`."""
+    wins, phases = shape.windows, shape.phases
     n_win = len(wins)
-    reset = reset_mode is not ResetMode.CONTINUOUS
-    w = TWO_PI * frequency
+    reset = shape.reset_mode is not ResetMode.CONTINUOUS
+    w = TWO_PI * shape.frequency
     cos = math.cos
     out = []
     j = 0  # first window that may still overlap the current interval
@@ -208,12 +258,16 @@ def _unit_walk(frequency, wins, phases, reset_mode, edges):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _reset_windows(tau, echo_time, centers, phase):
-    """Tau-length windows tiling [0, echo_time] and their phases, advanced
-    by pi for every pi center at or before each window start (`centers`
-    strictly increasing, as `PulseSequence.pi_centers` are)."""
-    if not math.isfinite(phase):
-        raise ConfigError(f"phase must be finite, got {phase}")
+def _synchronized(tau, echo_time, centers, n, phase,
+                  reset_mode) -> RFWaveform:
+    """`build_synchronized` at unit amplitude.  The reset windows tile
+    [0, echo_time] in tau-length steps, and each window's phase advances
+    by pi for every pi center at or before its start (`centers` strictly
+    increasing, as `PulseSequence.pi_centers` are)."""
+    nu = synchronized_frequency(tau, n)
+    if ResetMode(reset_mode) is ResetMode.CONTINUOUS:
+        return RFWaveform(1.0, nu, phase, ((0.0, echo_time),),
+                          ResetMode.CONTINUOUS)
     n_windows = int(round(echo_time / tau))
     n_centers = len(centers)
     eps = 1e-15 * echo_time
@@ -225,7 +279,8 @@ def _reset_windows(tau, echo_time, centers, phase):
             flips += 1
         windows.append((a, (k + 1) * tau))
         phases.append(phase + flips * math.pi)
-    return tuple(windows), tuple(phases)
+    return RFWaveform(1.0, nu, phase, tuple(windows),
+                      ResetMode.PER_WINDOW_RESET, tuple(phases))
 
 
 def zero_field(frequency: float = 1.0) -> RFWaveform:
@@ -314,11 +369,6 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     2*tau gaps of a CP train), which is what "synchronized with every
     spin refocusing" buys.
     """
-    nu = synchronized_frequency(seq.tau, n)
-    if reset_mode is ResetMode.CONTINUOUS:
-        return RFWaveform(amplitude, nu, phase, ((0.0, seq.echo_time),),
-                          ResetMode.CONTINUOUS)
-    windows, phases = _reset_windows(seq.tau, seq.echo_time, seq.pi_centers,
-                                     phase)
-    return RFWaveform(amplitude, nu, phase, windows,
-                      ResetMode.PER_WINDOW_RESET, phases)
+    _check_amplitude(amplitude)
+    return _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n, phase,
+                         reset_mode)._scaled(amplitude, phase)

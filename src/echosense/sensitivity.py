@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import (MU0_OVER_4PI, CoilCalibration, ConfigError, SampleSpec,
-                   SpinSystem)
+                   SpinSystem, _StrChoice)
 from .rf import ResetMode, build_synchronized
 from .sequence import SequenceKind, build_cp, build_pdd
 
@@ -23,7 +22,7 @@ from .sequence import SequenceKind, build_cp, build_pdd
 RESIDUAL_THRESHOLD_DEG = 2.0
 
 
-class FitMethod(str, Enum):
+class FitMethod(_StrChoice):
     LINEAR_REGRESSION = "linear-regression"
     MAX_DERIVATIVE = "max-derivative"
     AUTO = "auto"
@@ -64,6 +63,7 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     always used.  Input phases must already be unwrapped; a wrap flyback
     (a jump > 90 deg running against the overall trend) is rejected.
     """
+    method = FitMethod(method)
     pts = list(points)
     if len(pts) < 3:
         raise ConfigError("fit_transduction needs at least 3 points")
@@ -169,6 +169,7 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
 
     if mode is None:
         mode = blochsim.PulseMode.IDEAL
+    protocol = SequenceKind(protocol)
     build = {SequenceKind.PDD: build_pdd, SequenceKind.CP: build_cp}
     if protocol not in build:
         raise ConfigError(f"protocol must be PDD or CP, got {protocol}")

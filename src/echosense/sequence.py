@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, _StrChoice
 
 PI = math.pi
 
 
-class SequenceKind(str, Enum):
+class SequenceKind(_StrChoice):
     HAHN = "hahn"
     PDD = "pdd"
     CP = "cp"
@@ -98,10 +97,13 @@ class FilterFunction:
     """Piecewise-constant +-1 sign of phase accumulation vs protocol time.
 
     Starts at +1 and toggles at each pi-pulse center (breakpoint).
+    edges = (0.0, *breakpoints, domain_end) bound the constant-sign
+    intervals; they are derived once here (the filter is frozen).
     """
 
     breakpoints: tuple[float, ...]
     domain_end: float
+    edges: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         bps = self.breakpoints
@@ -109,6 +111,7 @@ class FilterFunction:
             raise ConfigError("breakpoints must be strictly increasing")
         if bps and (bps[0] <= 0 or bps[-1] >= self.domain_end):
             raise ConfigError("breakpoints must lie inside (0, domain_end)")
+        object.__setattr__(self, "edges", (0.0, *bps, self.domain_end))
 
     def sign(self, t):
         """Sign of the filter at time(s) t: (-1)**(#breakpoints < t)."""
@@ -119,7 +122,7 @@ class FilterFunction:
 
     def intervals(self) -> list[tuple[float, float, int]]:
         """Constant-sign intervals as (t0, t1, sign) covering [0, domain_end]."""
-        edges = (0.0, *self.breakpoints, self.domain_end)
+        edges = self.edges
         return [(a, b, 1 if k % 2 == 0 else -1)
                 for k, (a, b) in enumerate(zip(edges, edges[1:]))]
 

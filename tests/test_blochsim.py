@@ -30,6 +30,28 @@ def simulated_phase(seq, wave, ens, mode=PulseMode.IDEAL, sys=SYS, cal=CAL,
     return echo_observable(tr, ref)
 
 
+class TestPulseModeValues:
+    CAL = CoilCalibration(coupling_eta=6.682e-3)
+
+    def test_mode_value_equals_member(self):
+        seq = build_hahn(1.2e-6, 40e-9, 80e-9)
+        wave = build_synchronized(seq, 2e-4, 1, 0.3)
+        ens = EnsembleConfig(n_packets=3, detuning_sigma=1e6, seed=3)
+        for mode in PulseMode:
+            got = evolve(SYS, seq, wave, ens, mode.value, self.CAL, trace_points=5)
+            want = evolve(SYS, seq, wave, ens, mode, self.CAL, trace_points=5)
+            assert np.array_equal(got.ensemble_mxy, want.ensemble_mxy)
+            assert echo_points(SYS, seq, [wave], [ens], mode.value, self.CAL, 5) \
+                == echo_points(SYS, seq, [wave], [ens], mode, self.CAL, 5)
+
+    def test_unknown_mode_rejected(self):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        with pytest.raises(ConfigError):
+            evolve(SYS, seq, None, DELTA, "exact", CAL)
+        with pytest.raises(ConfigError):
+            echo_points(SYS, seq, [zero_field()], [DELTA], "exact", CAL, 5)
+
+
 class TestUnperturbedEcho:
     def test_no_rf_gives_zero_phase_unit_amplitude(self):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,17 @@ class TestLoadConfig:
         raw["sequence"]["tau_ns"] = 10  # shorter than the pi pulse
         with pytest.raises(ConfigError):
             harness.load_config(raw)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind)[:3])
+    def test_build_sequence_kind_value_equals_member(self, fast_cfg, kind):
+        got = fast_cfg.build_sequence(kind.value, 3, 1.5e-6)
+        assert got == fast_cfg.build_sequence(kind, 3, 1.5e-6)
+        assert got.kind is kind
+
+    @pytest.mark.parametrize("kind", ["custom", "bogus", SequenceKind.CUSTOM])
+    def test_build_sequence_unknown_kind_rejected(self, fast_cfg, kind):
+        with pytest.raises(ConfigError):
+            fast_cfg.build_sequence(kind, 3, 1.5e-6)
 
     def test_invalid_enum_fails_fast(self):
         raw = json.loads(json.dumps(FAST_RAW))
@@ -377,6 +392,19 @@ class TestCli:
         raw = json.loads(json.dumps(FAST_RAW))
         raw["sequence"]["tau_ns"] = 1
         assert main(["validate", self._cfg_file(tmp_path, raw)]) == 2
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        package = Path(harness.__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": str(package.parent)}
+        fig2 = package / "configs" / "fig2.json"
+        raw = json.loads(fig2.read_text())
+        raw["sequence"]["tau_ns"] = 1
+        for path, code in ((str(fig2), 0),
+                           (self._cfg_file(tmp_path, raw), 2)):
+            run = subprocess.run(
+                [sys.executable, "-m", "echosense", "validate", path],
+                env=env, capture_output=True, text=True)
+            assert run.returncode == code, run.stderr
 
     def test_sweep_amplitude_writes_csv(self, tmp_path, capsys):
         rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),

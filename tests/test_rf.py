@@ -1,15 +1,17 @@
 """Gated sinusoidal RF waveforms, synchronization, phase resets."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from hypothesis import given, settings, strategies as st
 
-from echosense import (ConfigError, ResetMode, RFWaveform, build_hahn,
-                       build_cp, build_pdd, build_split_interval,
-                       build_synchronized, pulse_gated, synchronized_frequency,
+from echosense import (CoilCalibration, ConfigError, ResetMode, RFWaveform,
+                       SpinSystem, accumulate_phase, build_hahn, build_cp,
+                       build_pdd, build_split_interval, build_synchronized,
+                       filter_function, pulse_gated, synchronized_frequency,
                        zero_field)
 from echosense import rf
 
@@ -466,8 +468,7 @@ class TestGeometryCaches:
         seqs = [build_hahn(1.1e-6, T_PI2, T_PI),
                 build_pdd(3, 1.3e-6, T_PI2, T_PI),
                 build_cp(4, 0.95e-6, T_PI2, T_PI)]
-        for clear in (rf._reset_windows, rf._checked_windows,
-                      rf._unit_walk):
+        for clear in (rf._synchronized, rf._checked_shape, rf._unit_walk):
             clear.cache_clear()
         for phase in (first, -first):
             for seq in seqs:
@@ -497,3 +498,78 @@ class TestGeometryCaches:
         caches = [f for f in vars(rf).values() if hasattr(f, "cache_info")]
         assert len(caches) == 3
         assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
+
+    @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    def test_one_design_checks_builds_and_walks_once(self, build, mode):
+        seq = (build(1.3e-6, T_PI2, T_PI) if build is build_hahn
+               else build(5, 1.3e-6, T_PI2, T_PI))
+        filt = filter_function(seq)
+        caches = (rf._checked_shape, rf._synchronized, rf._unit_walk)
+        for cache in caches:
+            cache.cache_clear()
+        for amp in np.linspace(0.0, 0.5e-3, 21):
+            wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
+            accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
+            wave.integrals(filt.edges)  # the same edge set: no new walk
+        assert [c.cache_info().misses for c in caches] == [1, 1, 1]
+        assert rf._synchronized.cache_info().hits == 20
+
+    def test_copies_share_the_shape_and_pickle(self):
+        seq = build_cp(3, 1.3e-6, T_PI2, T_PI)
+        a, b = (build_synchronized(seq, amp, 2, -0.0,
+                                   ResetMode.PER_WINDOW_RESET)
+                for amp in (0.2e-3, 0.4e-3))
+        assert a._shape is b._shape
+        assert (a.amplitude, b.amplitude) == (0.2e-3, 0.4e-3)
+        assert math.copysign(1.0, b.phase) == -1.0
+        c = pickle.loads(pickle.dumps(b))
+        assert c == b
+        edges = (0.0, *seq.pi_centers, seq.echo_time)
+        assert _bits(c.integrals(edges)) == _bits(b.integrals(edges))
+
+
+class TestResetModeValues:
+    """A reset mode given by its string value is the member: the stored
+    field, every cache entry and every integral are the member's, in
+    either call order."""
+
+    WINDOWS = ((0.0, 1e-6), (1e-6, 2e-6))
+    EDGES = (0.0, 1e-6, 2e-6)
+
+    def direct(self, mode):
+        wave = RFWaveform(1e-3, 2.5e5, 0.3, self.WINDOWS, mode)
+        return wave.reset_mode, _bits(wave.integrals(self.EDGES))
+
+    def synchronized(self, mode):
+        seq = build_pdd(3, 1.1e-6, T_PI2, T_PI)
+        wave = build_synchronized(seq, 1e-3, 1, 0.3, mode)
+        return (wave.reset_mode, wave.windows, _bits(wave.window_phases or ()),
+                _bits(wave.integrals((0.0, *seq.pi_centers, seq.echo_time))))
+
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    @pytest.mark.parametrize("value_first", [True, False])
+    @pytest.mark.parametrize("make", ["direct", "synchronized"])
+    def test_value_and_member_agree_in_either_order(self, mode, value_first,
+                                                    make):
+        for cache in (rf._checked_shape, rf._synchronized, rf._unit_walk):
+            cache.cache_clear()
+        order = (mode.value, mode) if value_first else (mode, mode.value)
+        got = [getattr(self, make)(m) for m in order]
+        assert got[0] == got[1]
+        assert got[0][0] is mode
+        for cache in (rf._checked_shape, rf._synchronized, rf._unit_walk):
+            cache.cache_clear()
+        assert getattr(self, make)(mode) == got[0]  # a cold member call
+
+    def test_continuous_and_reset_differ(self):
+        # the values above are not vacuous: the modes integrate differently
+        assert self.direct("continuous") != self.direct("per-window-reset")
+
+    def test_unknown_value_rejected(self):
+        seq = build_hahn(1.1e-6, T_PI2, T_PI)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                RFWaveform(1e-3, 2.5e5, 0.3, self.WINDOWS, "bogus")
+            with pytest.raises(ConfigError):
+                build_synchronized(seq, 1e-3, 1, 0.0, "bogus")

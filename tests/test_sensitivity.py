@@ -29,6 +29,14 @@ class TestFitTransduction:
         assert fit.method is FitMethod.LINEAR_REGRESSION
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
 
+    def test_method_value_equals_member(self):
+        pts = linear_points(1.527e7, noise=np.linspace(0, 3.0, 11) ** 2)
+        for method in FitMethod:
+            assert fit_transduction(pts, method.value) == \
+                fit_transduction(pts, method)
+        with pytest.raises(ConfigError):
+            fit_transduction(pts, "least-squares")
+
     def test_auto_switches_to_max_derivative_when_nonlinear(self):
         # saturating curve: linear fit residual blows past the threshold
         b = np.linspace(0, 1e-3, 21)
@@ -181,6 +189,14 @@ class TestDdSensitivitySweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
             self.run(SequenceKind.HAHN, [1])
+        for name in ("hahn", "bogus"):
+            with pytest.raises(ConfigError):
+                self.run(name, [1])
+
+    def test_protocol_value_equals_member(self):
+        got, want = self.run("pdd", [2])[0], self.run(SequenceKind.PDD, [2])[0]
+        assert got == want
+        assert got.protocol == "pdd"
 
     def test_too_few_amplitudes_rejected(self):
         with pytest.raises(ConfigError):
