@@ -4,31 +4,36 @@ Each spin packet is a classical Bloch vector (exact for S=1/2 under this
 Hamiltonian) obeying dM/dt = Omega(t) x M with
 Omega = (Rabi_x, Rabi_y, detuning + gamma*eta*B_RF(t)).
 
-Two pulse models:
+Both pulse models share one state and one free evolution.  The state is
+one complex array m = Mx + iMy plus Mz, vectorised over packets.  Every
+free interval is a z-rotation, applied exactly as one phase factor
+exp(i*(detuning*dt + gamma*eta*f*integral of B)), with the RF integrals
+of all free intervals taken in one walk over the RF windows
+(`RFWaveform.integrals`).  The two models differ in where the free
+intervals lie and in how a pulse acts:
 
-* IdealPulse -- pulses are instantaneous rotations at the pulse centers;
-  free evolution advances each packet's transverse phase with the exact
-  closed-form RF integrals of every free interval, taken in one walk over
-  the RF windows (`RFWaveform.integrals`), so the ensemble phase matches
-  the analytic module to rounding.  The path is vectorised over packets:
-  the state is one complex array m = Mx + iMy plus Mz, each pulse and
-  each free interval is a few whole-array operations, and the readout
-  over the uniform trace grid is a geometric recurrence in the per-sample
-  detuning factor, so Python-level work grows with the pulse count and
-  not with the number of trace samples.
-* FinitePulse -- fixed-step RK4 through the real timeline, with the RF
-  gated off while the microwave drive is on.
+* IdealPulse -- pulses are instantaneous rotations at the pulse centers,
+  and the free intervals tile the protocol between them, so the ensemble
+  phase matches the analytic module to rounding.
+* FinitePulse -- each pulse is a fixed-step RK4 of the constant
+  Omega = (Rabi*cos(phase), Rabi*sin(phase), detuning) across its drive,
+  with the RF gated off; the free intervals run between pulse edges.
+
+After the last pulse the readout over the uniform trace grid is a
+geometric recurrence in the per-sample detuning factor, so Python-level
+work grows with the pulse count and not with the number of trace
+samples.
 
 A sweep runs through `echo_points`, which returns each point's echo
-divided by its zero-RF reference.  With ideal pulses it batches the
-sweep: the points go through in blocks, each point's ensemble is drawn
-once and shared by signal and reference, which are stacked in one
-(2, points, packets) state, and each pulse acts once per block.  The
-readout builds no trace: the trapezoid mean over the uniform window is
-the closed-form geometric sum of each packet's per-sample factor.  A
-block holds at most `_BLOCK_PACKET_POINTS` packet-points, because its
-working arrays set the sweep's peak memory.  `evolve` keeps the full
-trace for dumps and tests; finite pulses run it twice per point.
+divided by its zero-RF reference.  It batches the sweep: the points go
+through in blocks, each point's ensemble is drawn once and shared by
+signal and reference, which are stacked in one (2, points, packets)
+state, and each pulse acts once per block.  The readout builds no trace:
+the trapezoid mean over the uniform window is the closed-form geometric
+sum of each packet's per-sample factor.  An ideal block holds at most
+`_BLOCK_PACKET_POINTS` packet-points, because its working arrays set the
+sweep's peak memory; a finite block holds one point, whose detunings
+set its RK4 step.  `evolve` keeps the full trace for dumps and tests.
 
 Echo phases are reported in the readout frame that keeps the first free
 interval at positive sign (receiver phase follows the refocusing
@@ -47,9 +52,9 @@ from .core import (CoilCalibration, ConfigError, NumericalError, SpinSystem,
 from .rf import RFWaveform, zero_field
 from .sequence import PulseSequence
 
-#: free-evolution RK4 step also satisfies step <= _ANGLE_CAP / max|Omega|
+#: a finite pulse's RK4 step turns no packet by more than this angle (rad)
 _ANGLE_CAP = 0.05
-_MAX_STEPS_PER_SEGMENT = 20_000_000
+_MAX_STEPS_PER_PULSE = 20_000_000
 #: packet-points (points x packets) that `echo_points` evolves together.
 #: Its working arrays scale with the block: fig2's 73-point, 300-packet
 #: phase sweep peaks at 0.41 MB (tracemalloc) with this bound, 0.85 MB
@@ -169,53 +174,98 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
     times = np.linspace(win[0], win[1], trace_points)
     det, fac, w = ens.draw()
 
-    if mode is PulseMode.IDEAL:
-        mxy = _evolve_ideal(seq, wave, geff, det, fac, w, times)
-    else:
-        mxy = _evolve_finite(seq, wave, geff, det, fac, w, times)
-
-    mxy = mxy * _envelope(sys, seq.echo_time)
+    mxy = (_evolve_trace(seq, mode, wave, geff, det, fac, w, times)
+           * _envelope(sys, seq.echo_time))
     return SimulationTrace(times, mxy, win)
 
 
-def _unit_integrals(seq: PulseSequence, waves) -> np.ndarray:
-    """(len(waves), K) integral of each wave at unit amplitude over each of
-    the K free intervals between 0, the pi-pulse centers and the echo
-    time, from one walk over its RF windows; a zero-amplitude wave
-    contributes nothing, so its integrals are never evaluated."""
-    edges = (0.0, *seq.pi_centers, seq.echo_time)
-    return np.array([[v / wave.amplitude for v in wave.integrals(edges)]
-                     if wave.amplitude != 0.0 else [0.0] * (len(edges) - 1)
-                     for wave in waves])
+def _free_edges(seq: PulseSequence, mode: PulseMode):
+    """(edges, stride): free interval k, after pulse k, is
+    [edges[stride*k], edges[stride*k + 1]] in protocol time, and the last
+    one ends at the echo time.  Ideal pulses act at their centers, so the
+    intervals tile [0, echo_time] (stride 1); finite pulses hold the state
+    for their drive, with the RF gated off, so the intervals run from the
+    end of one pulse to the start of the next (stride 2)."""
+    if mode is PulseMode.IDEAL:
+        return (0.0, *seq.pi_centers, seq.echo_time), 1
+    spans = [t - seq.origin for p in seq.pulses for t in (p.start, p.end)]
+    return (*spans[1:], seq.echo_time), 2
 
 
-def _readout_state(seq: PulseSequence, det, grf, unit, t0: float):
+def _drive(m: np.ndarray, mz: np.ndarray, det, k: int, p):
+    """Fixed-step RK4 of dM/dt = Omega x M across finite pulse `p` (the
+    k-th of its sequence) with the constant Omega = (rabi*cos(phase),
+    rabi*sin(phase), det), on m = Mx + iMy and Mz:
+    dm/dt = i*det*m - i*rabi*u*mz and dMz/dt = rabi*Im(conj(u)*m) with
+    u = exp(i*phase).  The step is at most 1/50 of the pulse and turns
+    no packet by more than `_ANGLE_CAP`; it follows the largest |det| of
+    the packets evolved, so one point's packets are stepped together."""
+    rabi = p.nominal_angle / p.duration
+    dmax = float(np.max(np.abs(det)))
+    steps = p.duration * (abs(rabi) + dmax) / _ANGLE_CAP
+    if not steps <= _MAX_STEPS_PER_PULSE:
+        raise ConfigError(
+            f"finite pulse {k} ({p.duration:.3e} s) needs {steps:.3g} RK4 "
+            f"steps at max |detuning| {dmax:.3e} rad/s, over the limit of "
+            f"{_MAX_STEPS_PER_PULSE}; narrow the detuning distribution")
+    n = max(50, math.ceil(steps))
+    h = p.duration / n
+    u = complex(math.cos(p.axis_phase), math.sin(p.axis_phase))
+    a, b, c = 1j * det, -1j * rabi * u, rabi * u.conjugate()
+
+    def f(m, mz):
+        return a * m + b * mz, (c * m).imag
+
+    for _ in range(n):
+        k1m, k1z = f(m, mz)
+        k2m, k2z = f(m + (h / 2) * k1m, mz + (h / 2) * k1z)
+        k3m, k3z = f(m + (h / 2) * k2m, mz + (h / 2) * k2z)
+        k4m, k4z = f(m + h * k3m, mz + h * k3z)
+        m = m + (h / 6) * (k1m + 2 * k2m + 2 * k3m + k4m)
+        mz = mz + (h / 6) * (k1z + 2 * k2z + 2 * k3z + k4z)
+    return m, mz
+
+
+def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
+                   t0: float):
     """m = Mx + iMy at time t0 after the last pulse, of packets of
-    detuning `det` whose RF phase over free interval k is
-    grf * unit[..., k] (grf = geff*fac*A sets the state's shape, unit is
-    `_unit_integrals`)."""
+    detuning `det` whose RF phase over each free interval is grf times
+    the integral of their unit-amplitude wave over it.  grf = geff*fac*A
+    sets the state's shape; its second-last axis runs over `waves`."""
+    edges, stride = _free_edges(seq, mode)
+    free = list(zip(edges[:-1:stride], edges[1::stride]))
+    # each wave's integrals over the free intervals from one walk over its
+    # RF windows; a zero-amplitude wave contributes nothing, so its
+    # integrals are never evaluated
+    unit = np.array([[v / wave.amplitude
+                      for v in wave.integrals(edges)[::stride]]
+                     if wave.amplitude != 0.0 else [0.0] * len(free)
+                     for wave in waves])
     m = np.zeros(grf.shape, dtype=complex)
     mz = np.ones(grf.shape)
-    edges = (0.0, *seq.pi_centers)
-    first, *pis = seq.pulses
-    m, mz = _pulse(m, mz, first.nominal_angle, first.axis_phase)
-    for k, p in enumerate(pis):
-        m *= np.exp(1j * (det * (edges[k + 1] - edges[k])
-                          + grf * unit[..., k, None]))
-        m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
+    for k, p in enumerate(seq.pulses):
+        if k:
+            a, b = free[k - 1]
+            m *= np.exp(1j * (det * (b - a) + grf * unit[:, k - 1, None]))
+        if mode is PulseMode.IDEAL:
+            m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
+        else:
+            m, mz = _drive(m, mz, det, k, p)
     # Readout: detuning keeps evolving across the acquisition window, but
     # the RF phase is referred to the echo time (acquisition happens with
     # the signal field's job done; the filter domain ends at the echo).
-    m *= np.exp(1j * (det * (t0 - edges[-1]) + grf * unit[..., -1, None]))
+    m *= np.exp(1j * (det * (t0 - free[-1][0]) + grf * unit[:, -1, None]))
+    if not np.isfinite(m).all():
+        raise NumericalError("non-finite magnetization after the last pulse")
     return m
 
 
-def _evolve_ideal(seq: PulseSequence, wave: RFWaveform, geff: float,
-                  det, fac, w, times) -> np.ndarray:
+def _evolve_trace(seq: PulseSequence, mode: PulseMode, wave: RFWaveform,
+                  geff: float, det, fac, w, times) -> np.ndarray:
     """Ensemble trace on `times`, which must be uniformly spaced (evolve
     builds them with linspace)."""
-    m = _readout_state(seq, det, geff * fac * wave.amplitude,
-                       _unit_integrals(seq, [wave])[0], times[0])
+    m = _readout_state(seq, mode, det, geff * fac[None] * wave.amplitude,
+                       [wave], times[0])[0]
     # On the uniform grid, sample j of packet k is its first sample times
     # q_k**j with q_k = exp(i*det_k*dt).  The rows q**j are filled by
     # doubling: each pass extends the filled rows by multiplying them with
@@ -234,128 +284,6 @@ def _evolve_ideal(seq: PulseSequence, wave: RFWaveform, geff: float,
     out = z.sum(axis=1)
     # odd refocusing count: the receiver phase follows the parity (w is real)
     return np.conj(out) if seq.n_pi % 2 == 1 else out
-
-
-def _segments(seq: PulseSequence, t_end: float):
-    """(t0, t1, pulse-or-None) covering [-t_pi2/2, t_end] in protocol time."""
-    segs = []
-    t = seq.pulses[0].start - seq.origin
-    for p in seq.pulses:
-        a = p.start - seq.origin
-        b = p.end - seq.origin
-        if a > t:
-            segs.append((t, a, None))
-        segs.append((a, b, p))
-        t = b
-    if t_end > t:
-        segs.append((t, t_end, None))
-    return segs
-
-
-def _rk4(state: np.ndarray, t0: float, t1: float, h_max: float, omega_fn):
-    """Fixed-step RK4 for dM/dt = Omega(t) x M, vectorized over packets."""
-    span = t1 - t0
-    if span <= 0:
-        return state
-    n = max(1, math.ceil(span / h_max))
-    if n > _MAX_STEPS_PER_SEGMENT:
-        raise ConfigError(
-            f"step criterion requires {n} steps for one segment; "
-            "reduce field amplitude or loosen the trace window")
-    h = span / n
-
-    def deriv(t, M):
-        om = omega_fn(t)
-        return np.cross(om, M)
-
-    for i in range(n):
-        t = t0 + i * h
-        k1 = deriv(t, state)
-        k2 = deriv(t + h / 2, state + (h / 2) * k1)
-        k3 = deriv(t + h / 2, state + (h / 2) * k2)
-        k4 = deriv(t + h, state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return state
-
-
-def _evolve_finite(seq: PulseSequence, wave: RFWaveform, geff: float,
-                   det, fac, w, times) -> np.ndarray:
-    n = len(det)
-    state = np.zeros((n, 3))
-    state[:, 2] = 1.0
-    gfac = geff * fac
-    omega_free_max = float(np.max(np.abs(det)) + np.max(gfac) * wave.amplitude)
-    h_free = min(1.0 / (200.0 * wave.frequency),
-                 _ANGLE_CAP / omega_free_max if omega_free_max > 0 else np.inf)
-
-    om_free = np.zeros((n, 3))
-    om_pulse = np.zeros((n, 3))
-    two_pi_nu = 2 * math.pi * wave.frequency
-    amp = wave.amplitude
-
-    def run_free(st, a, b):
-        # The gated/reset waveform is only piecewise smooth: it can jump at
-        # window edges.  Split the integration there and evaluate each piece
-        # with its own sinusoid so RK4 never samples across a discontinuity
-        # (stepping over a jump degrades the integrator to first order).
-        edges = sorted({c for wa, wb in wave.windows
-                        for c in (wa, wb) if a < c < b})
-        cuts = [a] + edges + [b]
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            k = next((i for i, (wa, wb) in enumerate(wave.windows)
-                      if wa <= mid < wb), None)
-            if k is None or amp == 0.0:
-                om_free[:, 2] = det
-                st = _rk4(st, lo, hi, h_free, lambda t: om_free)
-            else:
-                _, _, t0, ph = wave.piece(k)
-
-                def omega(t, t0=t0, ph=ph):
-                    b_rf = amp * math.sin(two_pi_nu * (t - t0) + ph)
-                    om_free[:, 2] = det + gfac * b_rf
-                    return om_free
-
-                st = _rk4(st, lo, hi, h_free, omega)
-        return st
-
-    checkpoints = iter(times)
-    next_t = next(checkpoints)
-    out = []
-
-    for a, b, p in _segments(seq, times[-1]):
-        if p is not None:
-            rabi = p.nominal_angle / p.duration
-            om_pulse[:, 0] = rabi * math.cos(p.axis_phase)
-            om_pulse[:, 1] = rabi * math.sin(p.axis_phase)
-            om_pulse[:, 2] = det  # RF gated off while the drive is on
-            h = min(p.duration / 50,
-                    _ANGLE_CAP / (rabi + float(np.max(np.abs(det))) + 1e-300))
-            state = _rk4(state, a, b, h, lambda t: om_pulse)
-        else:
-            t = a
-            while next_t is not None and next_t <= b + 1e-18:
-                state = run_free(state, t, next_t)
-                mj = state[:, 0] + 1j * state[:, 1]
-                # refer the RF phase of this sample to the echo time
-                # (acquisition-window RF deficit, same convention as ideal)
-                resid = gfac * wave.integral(min(next_t, seq.echo_time),
-                                             seq.echo_time)
-                mj = mj * np.exp(1j * resid)
-                if seq.n_pi % 2 == 1:
-                    mj = np.conj(mj)
-                out.append(np.sum(w * mj))
-                t = next_t
-                next_t = next(checkpoints, None)
-            state = run_free(state, t, b)
-        if np.any(~np.isfinite(state)):
-            bad = int(np.argwhere(~np.isfinite(state))[0][0])
-            raise NumericalError(f"non-finite state in packet {bad} "
-                                 f"during segment [{a:.3e}, {b:.3e}] s")
-
-    if len(out) != len(times):
-        raise NumericalError("trace sampling missed checkpoints")
-    return np.asarray(out)
 
 
 def echo_observable(trace: SimulationTrace,
@@ -380,21 +308,14 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     observable of `wave` divided by the zero-RF reference, both evolved
     with that point's ensemble and the same trace grid.
 
-    Ideal pulses run the points in blocks of at most
-    `_BLOCK_PACKET_POINTS` packet-points, drawing each point's ensemble
-    once; finite pulses run `evolve` twice per point.  The ensembles of
-    one sweep share a packet count.
+    The points run in blocks, each point's ensemble drawn once.  An ideal
+    block holds at most `_BLOCK_PACKET_POINTS` packet-points; a finite
+    block holds one point, because the RK4 step follows the point's own
+    detunings.  The ensembles of one sweep share a packet count.
     """
     if trace_points < 2:
         raise ConfigError("echo window must contain at least two samples")
     mode = PulseMode(mode)
-    if mode is not PulseMode.IDEAL:
-        return [echo_observable(
-                    evolve(sys, seq, wave, ens, mode, cal,
-                           trace_points=trace_points),
-                    evolve(sys, seq, None, ens, mode, cal,
-                           trace_points=trace_points))
-                for wave, ens in zip(waves, ensembles)]
     win = _trace_window(seq, None)
     geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)
     # the readout's trapezoid mean, times the T2 envelope: a reference
@@ -403,9 +324,10 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     out = []
     i = 0
     while i < len(waves):
-        n = max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets)
-        z = _ideal_block(seq, waves[i:i + n], ensembles[i:i + n], geff,
-                         win, trace_points) * scale
+        n = (1 if mode is PulseMode.FINITE
+             else max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets))
+        z = _block(seq, mode, waves[i:i + n], ensembles[i:i + n], geff,
+                   win, trace_points) * scale
         if np.any(z[0] == 0):
             raise NumericalError("zero-RF reference echo vanished")
         out += (z[1] / z[0]).tolist()
@@ -413,8 +335,8 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     return out
 
 
-def _ideal_block(seq: PulseSequence, waves, ensembles, geff: float,
-                 win: tuple[float, float], n_t: int) -> np.ndarray:
+def _block(seq: PulseSequence, mode: PulseMode, waves, ensembles,
+           geff: float, win: tuple[float, float], n_t: int) -> np.ndarray:
     """(2, n) window sums of the n points' reference (row 0) and signal
     (row 1) traces on n_t uniform samples of `win`, before the envelope
     and the 1/(n_t - 1) of the trapezoid mean."""
@@ -424,7 +346,7 @@ def _ideal_block(seq: PulseSequence, waves, ensembles, geff: float,
     # coupling, zero for the reference: one stacked (2, n, P) state
     grf = np.zeros((2, *det.shape))
     grf[1] = geff * fac * np.array([[wave.amplitude] for wave in waves])
-    m = _readout_state(seq, det, grf, _unit_integrals(seq, waves), win[0])
+    m = _readout_state(seq, mode, det, grf, waves, win[0])
     # On the uniform grid sample j of a packet is its first sample times
     # q**j, q = exp(i*theta) with theta = det * (sample spacing), so the
     # trapezoid sum over the n_t samples is that first sample times

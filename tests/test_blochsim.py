@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
-                       PulseMode, ResetMode, SpinSystem, accumulate_phase,
+                       NumericalError, PulseMode, ResetMode, RFWaveform,
+                       SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
                        echo_observable, evolve, filter_function, zero_field)
-from echosense.blochsim import (_BLOCK_PACKET_POINTS, _evolve_ideal, _rk4,
+from echosense.blochsim import (_BLOCK_PACKET_POINTS, _evolve_trace,
                                 _trace_window, echo_points, point_seed)
+
+from bloch_oracle import _rk4, finite_echo
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -164,7 +167,8 @@ class TestIdealAgainstLoop:
         a, b = _trace_window(seq, None)
         for n_t in (1, 2, 61):
             times = np.linspace(a, b, n_t)
-            got = _evolve_ideal(seq, wave, geff, det, fac, w, times)
+            got = _evolve_trace(seq, PulseMode.IDEAL, wave, geff, det, fac,
+                                w, times)
             want = _ideal_loop(seq, wave, geff, det, fac, w, times)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -228,13 +232,41 @@ class TestFinitePulse:
     def test_step_blowup_raises(self):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
         wave = build_synchronized(seq, 1.8e-3, 1, 0.0)
-        huge = EnsembleConfig(n_packets=1, detuning_sigma=0.0, seed=0)
-        sys_hot = SpinSystem(g=2.0, t_m=1e-4)
-        # absurd detuning makes the stability step criterion explode
+        # absurd detuning makes the pulse RK4 step criterion explode
         ens = EnsembleConfig(n_packets=1, detuning_sigma=1e15, seed=0)
-        with pytest.raises(ConfigError):
-            evolve(sys_hot, seq, wave, ens, PulseMode.FINITE, CAL)
-        del huge
+        blowup = r"finite pulse 0 .* max \|detuning\| 1\.\d+e\+14 rad/s"
+        with pytest.raises(ConfigError, match=blowup):
+            evolve(SYS, seq, wave, ens, PulseMode.FINITE, CAL)
+        with pytest.raises(ConfigError, match=blowup):
+            echo_points(SYS, seq, [wave], [ens], PulseMode.FINITE, CAL, 61)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_echo_raises(self):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        # the RF phase overflows to inf, so the signal state turns NaN
+        wave = build_synchronized(seq, 1e300, 1, 0.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            echo_points(SYS, seq, [wave], [DELTA], PulseMode.FINITE, CAL, 61)
+
+
+class TestRfAfterEcho:
+    """Trace samples after the echo carry the echo's RF phase, also when
+    the RF window reaches past the echo: the readout refers the RF phase
+    to the echo time in both pulse models."""
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_no_field_after_the_echo(self, mode):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        wave = RFWaveform(0.3e-3, 0.4e6, 0.2,
+                          ((0.0, 2 * seq.echo_time),), ResetMode.CONTINUOUS)
+        cal = CoilCalibration(coupling_eta=6.682e-3)
+        ref = evolve(SYS, seq, None, DELTA, mode, cal)
+        tr = evolve(SYS, seq, wave, DELTA, mode, cal)
+        mid = len(tr.times) // 2
+        assert tr.times[mid] == pytest.approx(seq.echo_time, rel=1e-12)
+        rf = np.angle(tr.ensemble_mxy / ref.ensemble_mxy)
+        assert abs(rf[mid]) > 0.05
+        np.testing.assert_allclose(rf[mid:], rf[mid], rtol=0, atol=1e-12)
 
 
 class TestIdealVsFinite:
@@ -309,8 +341,28 @@ class TestTraceValidation:
             evolve(SYS, seq, None, DELTA, trace_points=1)
 
 
+SEQS = pytest.mark.parametrize("seq", [
+    build_hahn(1.2e-6, T_PI2, T_PI),
+    build_pdd(2, 1.2e-6, T_PI2, T_PI),
+    build_pdd(3, 1.2e-6, T_PI2, T_PI),
+    build_cp(4, 1.7e-6, T_PI2, T_PI),
+    build_cp(5, 1.7e-6, T_PI2, T_PI),
+], ids=["hahn", "pdd2", "pdd3", "cp4", "cp5"])
+BASES = pytest.mark.parametrize("base", [
+    EnsembleConfig(n_packets=1),
+    EnsembleConfig(n_packets=1, detuning_sigma=2e6,
+                   rf_amplitude_spread=0.2, seed=4),
+    EnsembleConfig(n_packets=300),
+    EnsembleConfig(n_packets=300, detuning_sigma=2e6,
+                   rf_amplitude_spread=0.2, seed=8),
+], ids=["p1-delta", "p1-spread", "p300-delta", "p300-spread"])
+TRACE_POINTS = pytest.mark.parametrize("trace_points", [2, 61])
+
+
 class TestEchoPoints:
-    """The batched sweep primitive against the per-point reference."""
+    """The batched sweep primitive against the per-point reference, in
+    both pulse models; the finite legs are separate tests, so that the
+    ideal ones keep their ids."""
 
     CAL = CoilCalibration(coupling_eta=6.682e-3)
 
@@ -323,32 +375,28 @@ class TestEchoPoints:
                      for i in range(len(amps))]
         return waves, ensembles
 
-    @pytest.mark.parametrize("seq", [
-        build_hahn(1.2e-6, T_PI2, T_PI),
-        build_pdd(2, 1.2e-6, T_PI2, T_PI),
-        build_pdd(3, 1.2e-6, T_PI2, T_PI),
-        build_cp(4, 1.7e-6, T_PI2, T_PI),
-        build_cp(5, 1.7e-6, T_PI2, T_PI),
-    ], ids=["hahn", "pdd2", "pdd3", "cp4", "cp5"])
-    @pytest.mark.parametrize("base", [
-        EnsembleConfig(n_packets=1),
-        EnsembleConfig(n_packets=1, detuning_sigma=2e6,
-                       rf_amplitude_spread=0.2, seed=4),
-        EnsembleConfig(n_packets=300),
-        EnsembleConfig(n_packets=300, detuning_sigma=2e6,
-                       rf_amplitude_spread=0.2, seed=8),
-    ], ids=["p1-delta", "p1-spread", "p300-delta", "p300-spread"])
-    @pytest.mark.parametrize("trace_points", [2, 61])
-    def test_matches_two_evolve_point(self, seq, base, trace_points):
+    def check_two_evolve_point(self, mode, seq, base, trace_points):
         # zero and non-zero amplitude in one sweep; the delta ensembles
         # have zero detuning, the q = 1 limit of the closed-form readout
         waves, ensembles = self.sweep(seq, base, [0.0, 0.1e-3, 0.3e-3])
-        got = echo_points(SYS, seq, waves, ensembles, PulseMode.IDEAL,
-                          self.CAL, trace_points)
-        want = [simulated_phase(seq, wave, ens, cal=self.CAL,
+        got = echo_points(SYS, seq, waves, ensembles, mode, self.CAL,
+                          trace_points)
+        want = [simulated_phase(seq, wave, ens, mode, cal=self.CAL,
                                 trace_points=trace_points)
                 for wave, ens in zip(waves, ensembles)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @SEQS
+    @BASES
+    @TRACE_POINTS
+    def test_matches_two_evolve_point(self, seq, base, trace_points):
+        self.check_two_evolve_point(PulseMode.IDEAL, seq, base, trace_points)
+
+    @SEQS
+    @BASES
+    @TRACE_POINTS
+    def test_finite_matches_two_evolve_point(self, seq, base, trace_points):
+        self.check_two_evolve_point(PulseMode.FINITE, seq, base, trace_points)
 
     def test_is_signal_over_reference(self):
         seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
@@ -364,31 +412,26 @@ class TestEchoPoints:
                           21)
         assert z == pytest.approx(echo_observable(tr, ref), rel=0, abs=1e-12)
 
-    def test_sweep_straddling_blocks(self):
+    def check_straddling_blocks(self, mode):
         seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
         base = EnsembleConfig(n_packets=300, detuning_sigma=1e6,
                               rf_amplitude_spread=0.2, seed=3)
         amps = np.linspace(0.0, 0.5e-3, 10)
         assert len(amps) * base.n_packets > _BLOCK_PACKET_POINTS
         waves, ensembles = self.sweep(seq, base, amps)
-        got = echo_points(SYS, seq, waves, ensembles, PulseMode.IDEAL,
-                          self.CAL, 61)
-        want = [simulated_phase(seq, wave, ens, cal=self.CAL)
+        got = echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 61)
+        want = [simulated_phase(seq, wave, ens, mode, cal=self.CAL)
                 for wave, ens in zip(waves, ensembles)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # each point is independent of the block it shares
-        assert echo_points(SYS, seq, waves[5:], ensembles[5:],
-                           PulseMode.IDEAL, self.CAL, 61) == got[5:]
+        assert echo_points(SYS, seq, waves[5:], ensembles[5:], mode,
+                           self.CAL, 61) == got[5:]
 
-    def test_finite_is_the_two_evolve_point(self):
-        seq = build_hahn(1.2e-6, 40e-9, 80e-9)
-        base = EnsembleConfig(n_packets=3, detuning_sigma=1e6, seed=2)
-        waves, ensembles = self.sweep(seq, base, [0.0, 0.2e-3])
-        got = echo_points(SYS, seq, waves, ensembles, PulseMode.FINITE,
-                          self.CAL, 5)
-        assert got == [simulated_phase(seq, wave, ens, PulseMode.FINITE,
-                                       cal=self.CAL, trace_points=5)
-                       for wave, ens in zip(waves, ensembles)]
+    def test_sweep_straddling_blocks(self):
+        self.check_straddling_blocks(PulseMode.IDEAL)
+
+    def test_finite_sweep_straddling_blocks(self):
+        self.check_straddling_blocks(PulseMode.FINITE)
 
     @pytest.mark.parametrize("mode", list(PulseMode))
     def test_one_trace_point_rejected(self, mode):
@@ -396,6 +439,29 @@ class TestEchoPoints:
         waves, ensembles = self.sweep(seq, DELTA, [0.1e-3])
         with pytest.raises(ConfigError, match="two samples"):
             echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 1)
+
+
+class TestFiniteAgainstOracle:
+    """Finite `echo_points` (exact free evolution, RK4 across the drive)
+    against the Cartesian RK4 of the whole timeline in `bloch_oracle`."""
+
+    CAL = CoilCalibration(coupling_eta=6.682e-3)
+
+    @pytest.mark.parametrize("seq", [
+        build_hahn(1.2e-6, T_PI2, T_PI),
+        build_pdd(3, 1.2e-6, T_PI2, T_PI),
+        build_cp(3, 1.7e-6, T_PI2, T_PI),
+    ], ids=["hahn", "pdd3", "cp3"])
+    @pytest.mark.parametrize("b1", [0.1e-3, 1e-3])
+    def test_phase_matches_rk4(self, seq, b1):
+        ens = EnsembleConfig(n_packets=20, detuning_sigma=2e6,
+                             rf_amplitude_spread=0.2, seed=6)
+        wave = build_synchronized(seq, b1, 1, 0.35, ResetMode.PER_WINDOW_RESET)
+        [z] = echo_points(SYS, seq, [wave], [ens], PulseMode.FINITE,
+                          self.CAL, 61)
+        want = finite_echo(SYS, seq, wave, ens, self.CAL)
+        assert abs(np.angle(z / want)) <= 1e-6
+        assert abs(z) == pytest.approx(abs(want), abs=1e-6)
 
 
 class TestEnsembleConfig:

@@ -241,10 +241,13 @@ class TestSweeps:
                 assert not np.allclose(a, b, atol=1e-6)
 
     def test_workers_match_serial(self, fast_cfg):
-        serial = harness.run_sweep_amplitude(fast_cfg, workers=1)
-        parallel = harness.run_sweep_amplitude(fast_cfg, workers=2)
-        assert [r.phase_unwrapped for r in serial.echo_results] == \
-               [r.phase_unwrapped for r in parallel.echo_results]
+        raw = json.loads(json.dumps(FAST_RAW))
+        raw["simulation"]["pulse_mode"] = "finite"
+        for cfg in (fast_cfg, harness.load_config(raw)):
+            serial = harness.run_sweep_amplitude(cfg, workers=1)
+            parallel = harness.run_sweep_amplitude(cfg, workers=2)
+            assert [r.phase_unwrapped for r in serial.echo_results] == \
+                   [r.phase_unwrapped for r in parallel.echo_results]
 
     def test_one_draw_and_no_trace_per_point(self, fast_cfg, monkeypatch):
         calls = {"draw": 0, "evolve": 0}
