@@ -8,12 +8,14 @@ the pulse and window counts; an adaptive-quadrature twin of the same
 integral serves as the independent oracle in tests.
 
 The walk is memoised in `rf` at unit amplitude, keyed on the waveform's
-checked shape record and the filter's edges, in a bounded LRU cache
-(`rf._CACHE_SIZE` entries), so a sweep over field amplitudes walks each
-shape once.  `accumulate_phase` reads that unit walk and forms each
-interval's phase in one pass as sign * gamma_eff * (amplitude * unit
-integral): the products `integrals` and the signed sum always formed, in
-the same order, so every phase is the float the unmemoised walk gave.
+checked shape record and the filter's edges, in the bounded `_unit_walk`
+cache (`rf._CACHE_SIZE` entries).  The per-amplitude waveforms of a
+synchronized sweep share their unit waveform's record, so such a sweep
+walks each shape once.  `accumulate_phase` reads that unit walk and
+forms each interval's phase in one pass as sign * gamma_eff * (amplitude
+* unit integral): the products `integrals` and the signed sum always
+formed, in the same order, so every phase is the float the unmemoised
+walk gave.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CoilCalibration, ConfigError, SpinSystem
-from .rf import RFWaveform, _unit_walk
+from .rf import RFWaveform, _unit_walk, build_split_interval
 from .sequence import FilterFunction
 
 #: slack for windows touching the filter-domain edge (pure rounding)
@@ -118,8 +120,6 @@ def split_interval_decomposition(sys: SpinSystem, cal: CoilCalibration,
     """Phases from the first lobe, second lobe, and both lobes of a
     half-period-gated Hahn waveform.  The two parts tile the full one, so
     phi_first + phi_second == phi_full up to rounding."""
-    from .rf import build_split_interval  # local to avoid cycle at import
-
     filt = FilterFunction((tau,), 2 * tau)
     ph1, ph2 = phases
 

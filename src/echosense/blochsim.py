@@ -139,15 +139,14 @@ def _pulse(m: np.ndarray, mz: np.ndarray, angle: float, axis_phase: float):
     return m_new, mz_new
 
 
-def _trace_window(seq: PulseSequence, halfwidth: float | None) -> tuple[float, float]:
+def _trace_window(seq: PulseSequence) -> tuple[float, float]:
+    """Echo window of half-width min(tau/4, 0.8 * the room after the last
+    pulse), centred on the echo."""
     last_end = seq.pi_centers[-1] + seq.pulses[-1].duration / 2
     room = seq.echo_time - last_end
     if room <= 0:
         raise ConfigError("no free evolution left after the last pulse")
-    hw = min(seq.tau / 4, 0.8 * room) if halfwidth is None else halfwidth
-    if not 0 < hw <= room:
-        raise ConfigError(f"trace halfwidth {hw:.3e} s does not fit after "
-                          f"the last pulse (room {room:.3e} s)")
+    hw = min(seq.tau / 4, 0.8 * room)
     return seq.echo_time - hw, seq.echo_time + hw
 
 
@@ -158,8 +157,7 @@ def _envelope(sys: SpinSystem, t: float) -> float:
 def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
            ens: EnsembleConfig, mode: PulseMode = PulseMode.IDEAL,
            cal: CoilCalibration | None = None,
-           trace_points: int = 61,
-           trace_halfwidth: float | None = None) -> SimulationTrace:
+           trace_points: int = 61) -> SimulationTrace:
     """Evolve the ensemble through the sequence and sample the echo.
 
     `wave` is in protocol time (t=0 at the first pulse center); None means
@@ -170,7 +168,7 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
         wave = zero_field()
     eta = 1.0 if cal is None else cal.coupling_eta
     geff = sys.gamma * eta
-    win = _trace_window(seq, trace_halfwidth)
+    win = _trace_window(seq)
     times = np.linspace(win[0], win[1], trace_points)
     det, fac, w = ens.draw()
 
@@ -316,7 +314,7 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     if trace_points < 2:
         raise ConfigError("echo window must contain at least two samples")
     mode = PulseMode(mode)
-    win = _trace_window(seq, None)
+    win = _trace_window(seq)
     geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)
     # the readout's trapezoid mean, times the T2 envelope: a reference
     # that the envelope underflows to zero must still be caught below

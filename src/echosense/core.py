@@ -17,6 +17,9 @@ MU_B = 9.2740100783e-24
 HBAR = 1.054571817e-34
 #: mu_0 / 4 pi [T*m/A]
 MU0_OVER_4PI = 1e-7
+#: relative tolerance of density * volume against the active spin count
+#: when a `SampleSpec` gives all three
+SAMPLE_REL_TOL = 0.05
 
 
 class ConfigError(ValueError):
@@ -88,13 +91,12 @@ class SampleSpec:
 
     Any one of the three fields may be omitted (None) and is derived from
     the other two.  If all three are given they must be mutually
-    consistent within ``rel_tol``.
+    consistent within ``SAMPLE_REL_TOL``.
     """
 
     spin_density: float | None = None   # spins / m^3
     active_spin_count: float | None = None
     sensing_volume: float | None = None  # m^3
-    rel_tol: float = 0.05
 
     def __post_init__(self) -> None:
         rho, n, v = self.spin_density, self.active_spin_count, self.sensing_volume
@@ -110,7 +112,7 @@ class SampleSpec:
         elif v is None:
             v = n / rho
         else:
-            if not math.isclose(rho * v, n, rel_tol=self.rel_tol):
+            if not math.isclose(rho * v, n, rel_tol=SAMPLE_REL_TOL):
                 raise ConfigError(
                     f"inconsistent sample spec: density*volume = {rho * v:.3e} "
                     f"vs active_spin_count = {n:.3e}")

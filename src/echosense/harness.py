@@ -29,7 +29,8 @@ from . import blochsim
 from .analytic import accumulate_phase
 from .core import CoilCalibration, ConfigError, SampleSpec, SpinSystem
 from .echo import EchoResult, noisy_echo, wrap_phase
-from .rf import ResetMode, build_split_interval, build_synchronized
+from .rf import (ResetMode, build_split_interval, build_synchronized,
+                 pulse_gated)
 from .sensitivity import (SensitivityReport, build_report, fit_transduction,
                           reports_to_rows)
 from .sequence import (SequenceKind, build_cp, build_hahn, build_pdd,
@@ -342,6 +343,10 @@ def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
              for a, b in zip(cuts, cuts[1:])]
     zs = [z for part in _map(blochsim.echo_points, tasks, workers)
           for z in part]
+    # finite pulses hold the state with the RF off during each drive, so
+    # the closed form they match is that of the pulse-gated field
+    if cfg.pulse_mode is blochsim.PulseMode.FINITE:
+        waves = [pulse_gated(w, seq) for w in waves]
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}

@@ -12,30 +12,29 @@ Two synchronization modes:
   each refocusing interval of a DD sequence.
 
 A waveform's geometry does not depend on its amplitude, and sweeps and
-design scans build the same shape at every amplitude of a grid.  So each
-shape is checked and walked once, and every per-amplitude waveform is a
-scale of it.  Three private LRU caches of `_CACHE_SIZE` entries each
-hold the shapes:
+design scans build the same shape at every amplitude of a grid.  Each
+`RFWaveform` holds its checked shape record (everything but the
+amplitude), and two private LRU caches of `_CACHE_SIZE` entries each
+let a grid walk each shape once:
 
-* `_checked_shape`, keyed on (frequency, phase, windows, window phases,
-  reset mode), returns the one checked shape record that every
-  `RFWaveform` of that shape holds: its windows and phases as checked
-  floats and its reset mode as a `ResetMode` member.
 * `_unit_walk`, keyed on (shape record, edges), is the `integrals` walk
   at unit amplitude.  A record hashes by identity, so a lookup hashes
-  the edges but not the windows.
+  the edges but not the windows, and only waveforms that share a record
+  share an entry.
 * `_synchronized`, keyed on (tau, echo_time, pi_centers, n, phase, reset
   mode), is the `build_synchronized` waveform at unit amplitude; each
-  call copies it with the caller's amplitude and phase.
+  call copies it, record included, with the caller's amplitude and
+  phase.
 
 This is exact: the walk always summed each interval at unit amplitude
 and scaled it by the amplitude once, so `amplitude * unit_total` is the
 same float, and a copy holds the fields that a fresh construction would
 have checked and converted.  A cache stores no exceptions, so an invalid
 input raises on every call; the amplitude is checked on every call.
-Keys compare by value: 1 and 1.0, 0.0 and -0.0, or "continuous" and
-`ResetMode.CONTINUOUS` share an entry.  Every integral is the same for
-either, since an entry is built from the checked, coerced values.
+`_synchronized` keys compare by value: 1 and 1.0, 0.0 and -0.0, or
+"continuous" and `ResetMode.CONTINUOUS` share an entry.  Every integral
+is the same for either, since an entry is built from the checked,
+coerced values.
 """
 
 from __future__ import annotations
@@ -88,14 +87,8 @@ class RFWaveform:
 
     def __post_init__(self) -> None:
         _check_amplitude(self.amplitude)
-        try:
-            shape = _checked_shape(self.frequency, self.phase, self.windows,
-                                   self.window_phases, self.reset_mode)
-        except TypeError:  # lists are not hashable: check them as tuples
-            shape = _checked_shape(
-                self.frequency, self.phase, tuple(map(tuple, self.windows)),
-                None if self.window_phases is None
-                else tuple(self.window_phases), self.reset_mode)
+        shape = _checked_shape(self.frequency, self.phase, self.windows,
+                               self.window_phases, self.reset_mode)
         object.__setattr__(self, "windows", shape.windows)
         object.__setattr__(self, "window_phases", shape.window_phases)
         object.__setattr__(self, "reset_mode", shape.reset_mode)
@@ -175,7 +168,8 @@ class _Shape:
 
     `phases` holds the phase of each window's sinusoid: the window phases,
     or else the global phase for every window.  A record compares and
-    hashes by identity; `_checked_shape` hands out one per distinct key.
+    hashes by identity; each construction checks and builds its own, and
+    `_scaled` copies share it.
     """
 
     __slots__ = ("frequency", "windows", "window_phases", "phases",
@@ -189,7 +183,6 @@ class _Shape:
         self.reset_mode = reset_mode
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _checked_shape(frequency, phase, windows, window_phases,
                    reset_mode) -> _Shape:
     """Frequency finite and positive, phase finite, reset mode a
@@ -283,9 +276,9 @@ def _synchronized(tau, echo_time, centers, n, phase,
                       ResetMode.PER_WINDOW_RESET, tuple(phases))
 
 
-def zero_field(frequency: float = 1.0) -> RFWaveform:
+def zero_field() -> RFWaveform:
     """Zero-amplitude waveform for reference (no-RF) runs."""
-    return RFWaveform(0.0, frequency)
+    return RFWaveform(0.0, 1.0)
 
 
 def build_split_interval(tau: float, amplitude: float,

@@ -9,10 +9,11 @@ divided by sqrt(spin density), to concentration sensitivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blochsim
 from .core import (MU0_OVER_4PI, CoilCalibration, ConfigError, SampleSpec,
                    SpinSystem, _StrChoice)
 from .rf import ResetMode, build_synchronized
@@ -155,7 +156,8 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                          t_pi2: float, t_pi: float,
                          phase_resolution: float = 1.0, t_meas: float = 0.375,
                          reset_mode: ResetMode = ResetMode.PER_WINDOW_RESET,
-                         mode=None, trace_points: int = 61,
+                         mode: blochsim.PulseMode = blochsim.PulseMode.IDEAL,
+                         trace_points: int = 61,
                          ) -> list[SensitivityReport]:
     """Simulated amplitude sweep -> transduction fit -> report, per pulse count.
 
@@ -163,12 +165,6 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     CP runs of the same n_pi share identical ensembles.  `trace_points`
     is the echo-window sampling of every point.
     """
-    from dataclasses import replace
-
-    from . import blochsim
-
-    if mode is None:
-        mode = blochsim.PulseMode.IDEAL
     protocol = SequenceKind(protocol)
     build = {SequenceKind.PDD: build_pdd, SequenceKind.CP: build_cp}
     if protocol not in build:

@@ -39,6 +39,11 @@ FAST_RAW = {
 }
 
 
+def _read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _serial_pools(monkeypatch) -> list:
     """Replace the process pool with an in-process fake; the returned list
     collects the max_workers of every pool opened."""
@@ -249,6 +254,27 @@ class TestSweeps:
             assert [r.phase_unwrapped for r in serial.echo_results] == \
                    [r.phase_unwrapped for r in parallel.echo_results]
 
+    def test_finite_analytic_phase_is_pulse_gated(self, tmp_path, capsys):
+        # finite pulses see no RF during their drives, so the CSV's closed
+        # form must be the pulse-gated one: with the ungated field the
+        # PDD5 phase at 0.5 mT sat 5.8 widths off the simulated one
+        raw = json.loads(json.dumps(harness.bundled_config("fig4").raw))
+        raw["simulation"]["pulse_mode"] = "finite"
+        raw["ensemble"]["n_packets"] = n = 20_000
+        raw["dd"].update(protocols=["pdd"], n_pi_list=[5],
+                         amplitude_sweep_mt=[0.5])
+        path = tmp_path / "finite.json"
+        path.write_text(json.dumps(raw))
+        assert main(["dd-sweep", "-c", str(path),
+                     "-o", str(tmp_path / "out")]) == 0
+        [row] = _read_csv(capsys.readouterr().out.split()[0])
+        sim = float(row["phase_unwrapped_deg"])
+        ana = float(row["analytic_phase_deg"])
+        # the packets' RF amplitude factors scatter the mean phase by
+        # about spread * |phase| / sqrt(P)
+        width = raw["ensemble"]["rf_amplitude_spread"] * abs(ana) / math.sqrt(n)
+        assert abs((sim - ana + 180.0) % 360.0 - 180.0) < 3 * width
+
     def test_one_draw_and_no_trace_per_point(self, fast_cfg, monkeypatch):
         calls = {"draw": 0, "evolve": 0}
         draw, evolve = blochsim.EnsembleConfig.draw, blochsim.evolve
@@ -347,7 +373,7 @@ class TestEmission:
         rows = [{"a": 1.5, "b": "x"}, {"a": 2.5, "b": "y"}]
         p = tmp_path / "t.csv"
         harness.write_csv(p, rows)
-        back = list(csv.DictReader(open(p)))
+        back = _read_csv(p)
         assert [r["a"] for r in back] == ["1.5", "2.5"]
 
     def test_write_csv_refuses_empty(self, tmp_path):
@@ -415,7 +441,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out and out[0].endswith("sweep_amplitude.csv")
-        rows = list(csv.DictReader(open(out[0])))
+        rows = _read_csv(out[0])
         assert len(rows) == 5
 
     @pytest.mark.parametrize("workers", ["0", "-2", "two"])
@@ -435,7 +461,7 @@ class TestCli:
                    "-o", str(tmp_path / "out")])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert len(list(csv.DictReader(open(out[0])))) == 3
+        assert len(_read_csv(out[0])) == 3
 
     def test_numerical_failure_exit_3(self, tmp_path):
         # a vanishing phase-memory time kills the reference echo
@@ -490,13 +516,13 @@ class TestCli:
                    "-o", str(tmp_path / "out")])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
-        rows = list(csv.DictReader(open(out[0])))
+        rows = _read_csv(out[0])
         assert rows[0]["protocol"] == "cp"
 
     def test_sensitivity_with_bundled_default(self, tmp_path, capsys):
         assert main(["sensitivity", "-o", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out.strip().splitlines()
-        rows = list(csv.DictReader(open(out[0])))
+        rows = _read_csv(out[0])
         assert len(rows) == 10  # PDD and CP, n_pi 1..5
 
     def test_dump_trace_is_grid_point_zero(self, tmp_path, capsys):
@@ -507,7 +533,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1].endswith("trace.csv")
-        rows = list(csv.DictReader(open(out[-1])))
+        rows = _read_csv(out[-1])
 
         cfg = harness.load_config(raw)
         seq = cfg.build_sequence()
@@ -526,4 +552,4 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         svgs = [line for line in out if line.endswith(".svg")]
-        assert svgs and "<svg" in open(svgs[0]).read()
+        assert svgs and "<svg" in Path(svgs[0]).read_text()

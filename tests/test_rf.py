@@ -468,7 +468,7 @@ class TestGeometryCaches:
         seqs = [build_hahn(1.1e-6, T_PI2, T_PI),
                 build_pdd(3, 1.3e-6, T_PI2, T_PI),
                 build_cp(4, 0.95e-6, T_PI2, T_PI)]
-        for clear in (rf._synchronized, rf._checked_shape, rf._unit_walk):
+        for clear in (rf._synchronized, rf._unit_walk):
             clear.cache_clear()
         for phase in (first, -first):
             for seq in seqs:
@@ -496,7 +496,7 @@ class TestGeometryCaches:
 
     def test_every_cache_is_bounded(self):
         caches = [f for f in vars(rf).values() if hasattr(f, "cache_info")]
-        assert len(caches) == 3
+        assert len(caches) == 2
         assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
 
     @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
@@ -505,14 +505,14 @@ class TestGeometryCaches:
         seq = (build(1.3e-6, T_PI2, T_PI) if build is build_hahn
                else build(5, 1.3e-6, T_PI2, T_PI))
         filt = filter_function(seq)
-        caches = (rf._checked_shape, rf._synchronized, rf._unit_walk)
+        caches = (rf._synchronized, rf._unit_walk)
         for cache in caches:
             cache.cache_clear()
         for amp in np.linspace(0.0, 0.5e-3, 21):
             wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
             accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
             wave.integrals(filt.edges)  # the same edge set: no new walk
-        assert [c.cache_info().misses for c in caches] == [1, 1, 1]
+        assert [c.cache_info().misses for c in caches] == [1, 1]
         assert rf._synchronized.cache_info().hits == 20
 
     def test_copies_share_the_shape_and_pickle(self):
@@ -552,13 +552,13 @@ class TestResetModeValues:
     @pytest.mark.parametrize("make", ["direct", "synchronized"])
     def test_value_and_member_agree_in_either_order(self, mode, value_first,
                                                     make):
-        for cache in (rf._checked_shape, rf._synchronized, rf._unit_walk):
+        for cache in (rf._synchronized, rf._unit_walk):
             cache.cache_clear()
         order = (mode.value, mode) if value_first else (mode, mode.value)
         got = [getattr(self, make)(m) for m in order]
         assert got[0] == got[1]
         assert got[0][0] is mode
-        for cache in (rf._checked_shape, rf._synchronized, rf._unit_walk):
+        for cache in (rf._synchronized, rf._unit_walk):
             cache.cache_clear()
         assert getattr(self, make)(mode) == got[0]  # a cold member call
 
