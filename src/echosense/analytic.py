@@ -7,23 +7,29 @@ over the RF windows (`RFWaveform.integrals`), so its cost is linear in
 the pulse and window counts; an adaptive-quadrature twin of the same
 integral serves as the independent oracle in tests.
 
-The walk is memoised in `rf` at unit amplitude, keyed on the waveform's
-checked shape record and the filter's edges, in the bounded `_unit_walk`
-cache (`rf._CACHE_SIZE` entries).  The per-amplitude waveforms of a
+Neither the filter-domain check nor the signs depend on the amplitude, so
+both are folded into one checked, signed walk: `_signed_walk(shape,
+edges)` checks the waveform's windows against the filter domain, reads
+the unit-amplitude walk of `rf._unit_walk` and negates every odd
+interval.  It sits in a bounded LRU cache of `rf._CACHE_SIZE` entries,
+keyed like `_unit_walk` on the waveform's checked shape record (hashed by
+identity) and the filter's edges.  The per-amplitude waveforms of a
 synchronized sweep share their unit waveform's record, so such a sweep
-walks each shape once.  `accumulate_phase` reads that unit walk and
-forms each interval's phase in one pass as sign * gamma_eff * (amplitude
-* unit integral): the products `integrals` and the signed sum always
-formed, in the same order, so every phase is the float the unmemoised
-walk gave.
+checks, signs and walks each shape once, and `accumulate_phase` forms
+each interval's phase as gamma_eff * (amplitude * signed unit integral).
+IEEE products are exactly sign-symmetric, so that is the float that
+sign * gamma_eff * (amplitude * unit integral) gave, signed zeros
+included.  A cache stores no exceptions: a window outside the domain
+raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import CoilCalibration, ConfigError, SpinSystem
-from .rf import RFWaveform, _unit_walk, build_split_interval
+from .rf import _CACHE_SIZE, RFWaveform, _unit_walk, build_split_interval
 from .sequence import FilterFunction
 
 #: slack for windows touching the filter-domain edge (pure rounding)
@@ -38,29 +44,42 @@ class PhaseAccumulation:
     per_interval: tuple[float, ...]
 
 
-def _check_domain(filt: FilterFunction, wave: RFWaveform) -> None:
-    if not wave.windows:
+def _check_domain(windows, domain_end: float) -> None:
+    """Ordered RF windows must lie inside the filter domain [0, domain_end]."""
+    if not windows:
         return
-    lo = wave.windows[0][0]
-    hi = wave.windows[-1][1]
-    slack = _EDGE_EPS * max(1.0, abs(filt.domain_end))
-    if lo < -slack or hi > filt.domain_end + slack:
+    lo = windows[0][0]
+    hi = windows[-1][1]
+    slack = _EDGE_EPS * max(1.0, abs(domain_end))
+    if lo < -slack or hi > domain_end + slack:
         raise ConfigError(
             f"RF windows [{lo:.3e}, {hi:.3e}] exceed the filter domain "
-            f"[0, {filt.domain_end:.3e}]")
+            f"[0, {domain_end:.3e}]")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _signed_walk(shape, edges) -> tuple[float, ...]:
+    """The unit-amplitude walk of `shape` over the filter `edges`, checked
+    against the filter domain [0, edges[-1]], with every odd interval
+    negated: the sign starts at +1 and toggles at every breakpoint."""
+    _check_domain(shape.windows, edges[-1])
+    return tuple([-u if k % 2 else u
+                  for k, u in enumerate(_unit_walk(shape, edges))])
 
 
 def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
                      filt: FilterFunction, wave: RFWaveform) -> PhaseAccumulation:
     """Closed-form signed phase accumulated over the whole sequence."""
-    _check_domain(filt, wave)
     gamma_eff = sys.gamma * cal.coupling_eta
     amp = wave.amplitude
-    # the sign starts at +1 and toggles at every breakpoint
-    signed = (gamma_eff, -gamma_eff)
-    per = tuple([signed[k % 2] * (amp * u)
-                 for k, u in enumerate(_unit_walk(wave._shape, filt.edges))])
-    return PhaseAccumulation(sum(per), per)
+    per = tuple([gamma_eff * (amp * s)
+                 for s in _signed_walk(wave._shape, filt.edges)])
+    # the fields a construction would set, without its frozen-setattr calls
+    acc = object.__new__(PhaseAccumulation)
+    fields = acc.__dict__
+    fields["phi"] = sum(per)
+    fields["per_interval"] = per
+    return acc
 
 
 def accumulate_phase_quadrature(sys: SpinSystem, cal: CoilCalibration,
@@ -75,7 +94,7 @@ def accumulate_phase_quadrature(sys: SpinSystem, cal: CoilCalibration,
     # only this oracle needs it
     from scipy.integrate import quad
 
-    _check_domain(filt, wave)
+    _check_domain(wave.windows, filt.domain_end)
     gamma_eff = sys.gamma * cal.coupling_eta
     edges = {0.0, filt.domain_end}
     edges.update(filt.breakpoints)

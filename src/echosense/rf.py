@@ -26,6 +26,10 @@ let a grid walk each shape once:
   call copies it, record included, with the caller's amplitude and
   phase.
 
+The package holds one more cache of the same size, keyed the same way as
+`_unit_walk`: `analytic._signed_walk`, the unit walk checked against the
+filter domain and signed by the filter, which `accumulate_phase` reads.
+
 This is exact: the walk always summed each interval at unit amplitude
 and scaled it by the amplitude once, so `amplitude * unit_total` is the
 same float, and a copy holds the fields that a fresh construction would

@@ -61,8 +61,10 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     AUTO keeps the least-squares line only when its residual rms stays
     under the threshold; otherwise the maximum of the centered finite
     differences is reported (nonlinear regime).  A forced method is
-    always used.  Input phases must already be unwrapped; a wrap flyback
-    (a jump > 90 deg running against the overall trend) is rejected.
+    always used.  Every field and phase must be finite, and the fields
+    strictly increasing.  Input phases must already be unwrapped; a wrap
+    flyback (a jump > 90 deg running against the overall trend) is
+    rejected.
     """
     method = FitMethod(method)
     pts = list(points)
@@ -72,6 +74,11 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     # calls on arrays this small, and needs no BLAS
     b = [float(p[0]) for p in pts]
     phi = [float(p[1]) for p in pts]
+    if not (all(map(math.isfinite, b)) and all(map(math.isfinite, phi))):
+        i = next(i for i, pt in enumerate(zip(b, phi))
+                 if not all(map(math.isfinite, pt)))
+        raise ConfigError(f"point {i} (field {b[i]} T, phase {phi[i]} deg) "
+                          "is not finite")
     if any(b1 - b0 <= 0 for b0, b1 in zip(b, b[1:])):
         raise ConfigError("field values must be strictly increasing")
     # Data wrapped to (-90, 90] shows up as a sawtooth: large flybacks

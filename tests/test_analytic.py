@@ -1,6 +1,8 @@
 """Closed-form phase accumulation against the quadrature oracle."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from echosense import (CoilCalibration, ConfigError, FilterFunction,
                        build_pdd, build_split_interval, build_synchronized,
                        filter_function, gyromagnetic_ratio, phase_vs_rf_phase,
                        split_interval_decomposition)
+from echosense import analytic, rf
+from echosense.analytic import PhaseAccumulation
 
 from rf_oracle import integral_loop
 
@@ -251,3 +255,79 @@ class TestDomainChecks:
         p_first = accumulate_phase(SYS, CAL, filt, first).phi
         p_second = accumulate_phase(SYS, CAL, filt, second).phi
         assert p_first + p_second == pytest.approx(p_both, abs=1e-12)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _design(kind):
+    if kind == "hahn":
+        return build_hahn(1.3e-6, T_PI2, T_PI)
+    return (build_pdd if kind == "pdd" else build_cp)(5, 1.3e-6, T_PI2, T_PI)
+
+
+class TestSignedWalk:
+    """The checked, signed walk is memoised per shape and edges; the phases
+    built from it are the floats of the per-interval sign formula."""
+
+    CACHES = (analytic._signed_walk, rf._synchronized, rf._unit_walk)
+
+    def clear(self):
+        for cache in self.CACHES:
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("kind", ["hahn", "pdd", "cp"])
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    def test_one_design_checks_and_signs_once(self, kind, mode):
+        seq = _design(kind)
+        filt = filter_function(seq)
+        self.clear()
+        for amp in np.linspace(0.0, 0.5e-3, 21):
+            wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
+            accumulate_phase(SYS, CAL, filt, wave)
+        signed = analytic._signed_walk.cache_info()
+        assert (signed.misses, signed.hits) == (1, 20)
+        assert [c.cache_info().misses for c in self.CACHES[1:]] == [1, 1]
+
+    def test_domain_violation_raises_on_every_call(self):
+        filt = filter_function(build_hahn(1.2e-6, T_PI2, T_PI))
+        too_long = build_split_interval(1.5e-6, 1e-6, 0.0, 0.0)
+        self.clear()
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="exceed the filter domain"):
+                accumulate_phase(SYS, CAL, filt, too_long)
+        assert analytic._signed_walk.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("kind", ["hahn", "pdd", "cp"])
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    @pytest.mark.parametrize("phase", [0.0, -0.0])
+    def test_signed_zeros_match_the_sign_formula(self, kind, mode, phase):
+        seq = _design(kind)
+        filt = filter_function(seq)
+        gamma_eff = SYS.gamma * CAL.coupling_eta
+        signs = (gamma_eff, -gamma_eff)
+        zeros = set()
+        for amp in (0.0, -0.0, 0.3e-3):
+            wave = build_synchronized(seq, amp, 1, phase, mode)
+            want = [signs[k % 2] * v
+                    for k, v in enumerate(wave.integrals(filt.edges))]
+            got = accumulate_phase(SYS, CAL, filt, wave)
+            assert _bits(got.per_interval) == _bits(want)
+            assert _bits([got.phi]) == _bits([sum(want)])
+            if amp == 0.0:
+                zeros.update(_bits(got.per_interval))
+        # the zero amplitudes give zeros of both signs
+        assert zeros == {"0x0.0p+0", "-0x0.0p+0"}
+
+    def test_fast_built_result_is_a_phase_accumulation(self):
+        seq = build_cp(3, 1.3e-6, T_PI2, T_PI)
+        got = accumulate_phase(SYS, CAL, filter_function(seq),
+                               build_synchronized(seq, 0.4e-3))
+        built = PhaseAccumulation(got.phi, got.per_interval)
+        assert type(got) is PhaseAccumulation
+        assert got == built and hash(got) == hash(built)
+        assert repr(got) == repr(built)
+        assert pickle.loads(pickle.dumps(got)) == built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.phi = 0.0

@@ -1,7 +1,9 @@
 """Gated sinusoidal RF waveforms, synchronization, phase resets."""
 
+import importlib
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from echosense import (CoilCalibration, ConfigError, ResetMode, RFWaveform,
                        build_pdd, build_split_interval, build_synchronized,
                        filter_function, pulse_gated, synchronized_frequency,
                        zero_field)
+import echosense
 from echosense import rf
 
 from rf_oracle import build_synchronized_count, integral_loop
@@ -498,6 +501,23 @@ class TestGeometryCaches:
         caches = [f for f in vars(rf).values() if hasattr(f, "cache_info")]
         assert len(caches) == 2
         assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
+
+    def test_every_package_cache_is_bounded(self):
+        # module-level functions and class attributes of every module
+        caches = {}
+        for info in pkgutil.iter_modules(echosense.__path__):
+            module = importlib.import_module(f"echosense.{info.name}")
+            scopes = [vars(module)] + [vars(c) for c in vars(module).values()
+                                       if isinstance(c, type)]
+            for scope in scopes:
+                for name, obj in scope.items():
+                    obj = getattr(obj, "__func__", obj)  # static/class methods
+                    if hasattr(obj, "cache_info"):
+                        caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+        assert {"rf._unit_walk", "rf._synchronized",
+                "analytic._signed_walk"} <= caches.keys()
+        assert {k: v for k, v in caches.items()
+                if v != rf._CACHE_SIZE} == {}
 
     @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
     @pytest.mark.parametrize("mode", list(ResetMode))

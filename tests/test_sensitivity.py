@@ -107,6 +107,16 @@ class TestFitTransduction:
         with pytest.raises(ConfigError):
             fit_transduction(pts)
 
+    @pytest.mark.parametrize("point,where", [
+        ((1e-4, math.nan), "phase nan"),
+        ((math.nan, 1.0), "field nan"),
+        ((1e-4, math.inf), "phase inf"),
+    ])
+    def test_non_finite_point_rejected(self, point, where):
+        pts = [(0.0, 0.0), point, (2e-4, 2.0)]
+        with pytest.raises(ConfigError, match=f"point 1 .*{where}"):
+            fit_transduction(pts)
+
     def test_wrap_jump_rejected(self):
         pts = [(0.0, 80.0), (1e-4, -85.0), (2e-4, 75.0)]
         with pytest.raises(ConfigError, match="unwrap"):
