@@ -7,12 +7,14 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from echosense import (CoilCalibration, ConfigError, FilterFunction,
-                       ResetMode, SpinSystem, accumulate_phase,
-                       accumulate_phase_quadrature, build_cp, build_hahn,
-                       build_pdd, build_split_interval, build_synchronized,
-                       filter_function, gyromagnetic_ratio, phase_vs_rf_phase,
+                       NumericalError, ResetMode, RFWaveform, SpinSystem,
+                       accumulate_phase, accumulate_phase_quadrature,
+                       build_cp, build_hahn, build_pdd, build_split_interval,
+                       build_synchronized, filter_function,
+                       gyromagnetic_ratio, phase_vs_rf_phase, pulse_gated,
                        split_interval_decomposition)
 from echosense import analytic, rf
 from echosense.analytic import PhaseAccumulation
@@ -196,6 +198,82 @@ class TestQuadratureOracle:
         oracle = accumulate_phase_quadrature(SYS, CAL, filt, wave)
         assert closed == pytest.approx(oracle,
                                        rel=1e-9, abs=1e-9)
+
+
+def _quadpack_phase(cal, filt, wave) -> float:
+    """The phase integral piece by piece with QUADPACK's adaptive
+    Gauss-Kronrod rule (scipy's quad), cut at the same edges."""
+    edges = sorted({0.0, filt.domain_end, *filt.breakpoints,
+                    *(e for window in wave.windows for e in window)})
+
+    def integrand(t):
+        return float(filt.sign(t)) * float(wave.sample(t))
+
+    total = sum(quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12,
+                     limit=200)[0]
+                for a, b in zip(edges, edges[1:]) if b > a)
+    return SYS.gamma * cal.coupling_eta * total
+
+
+def _seeded_designs(rng, count):
+    """(filter, waveform) pairs: one in four a split-interval waveform,
+    the others Hahn, PDD and CP up to 8 pulses at harmonics 1-3, random
+    phases and both reset modes, 30 % of those pulse-gated."""
+    for _ in range(count):
+        kind = ("hahn", "pdd", "cp", "split")[rng.integers(4)]
+        tau = float(rng.uniform(0.6e-6, 2.0e-6))
+        amp = float(rng.uniform(0.0, 1.8e-3))
+        if kind == "split":
+            first = bool(rng.integers(2))
+            second = not first or bool(rng.integers(2))
+            ph1, ph2 = rng.uniform(0.0, 2 * math.pi, 2)
+            yield (FilterFunction((tau,), 2 * tau),
+                   build_split_interval(tau, amp, ph1, ph2, first, second))
+            continue
+        if kind == "hahn":
+            seq = build_hahn(tau, T_PI2, T_PI)
+        else:
+            build = build_pdd if kind == "pdd" else build_cp
+            seq = build(int(rng.integers(1, 9)), tau, T_PI2, T_PI)
+        wave = build_synchronized(seq, amp, int(rng.integers(1, 4)),
+                                  float(rng.uniform(0.0, 2 * math.pi)),
+                                  list(ResetMode)[rng.integers(2)])
+        if rng.random() < 0.3:
+            wave = pulse_gated(wave, seq)
+        yield filter_function(seq), wave
+
+
+class TestAdaptiveOracle:
+    def test_seeded_designs_match_quad(self):
+        # the bundled configs' coupling: at eta = 1 and mT fields the
+        # pieces reach ~100 rad, and float64 rounding of the sinusoid's
+        # argument alone moves either rule by up to ~4e-12 rad
+        cal = CoilCalibration(coupling_eta=0.006682)
+        rng = np.random.default_rng(1983)
+        for k, (filt, wave) in enumerate(_seeded_designs(rng, 300)):
+            ref = _quadpack_phase(cal, filt, wave)
+            got = accumulate_phase_quadrature(SYS, cal, filt, wave)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (k, got, ref)
+
+    @pytest.mark.parametrize("frequency", [2.37e7, 5.61e7, 2.113e8, 4.3e8])
+    def test_bisection_resolves_many_periods(self, frequency):
+        # 24 to 430 RF periods per 1 us piece: more than one pass of the
+        # 32-point rule resolves, so the bisected sum is what is checked
+        wave = RFWaveform(1e-3, frequency, 0.3, ((0.0, 2e-6),))
+        filt = FilterFunction((1e-6,), 2e-6)
+        closed = accumulate_phase(SYS, CAL, filt, wave).phi
+        oracle = accumulate_phase_quadrature(SYS, CAL, filt, wave)
+        assert oracle == pytest.approx(closed, rel=1e-11, abs=1e-11)
+
+    def test_non_convergence_raises_naming_the_piece(self):
+        # 3.3e5 RF periods per 1 us piece: past the bisection budget, where
+        # QUADPACK only warned and returned 2.08e-3 rad
+        wave = RFWaveform(1e-3, 3.3e11, 0.3, ((0.0, 2e-6),))
+        filt = FilterFunction((1e-6,), 2e-6)
+        assert abs(accumulate_phase(SYS, CAL, filt, wave).phi) < 1e-12
+        with pytest.raises(NumericalError,
+                           match=r"piece \[0\.0+e\+00, 1\.0+e-06\]"):
+            accumulate_phase_quadrature(SYS, CAL, filt, wave)
 
 
 class TestAgainstPerIntervalLoop:
