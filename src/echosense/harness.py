@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -302,11 +301,19 @@ class SweepResult:
             raise ConfigError("SweepResult lists must have equal lengths")
 
 
+#: the process pool class, imported by the first parallel `_map`, so that
+#: serial runs load neither concurrent.futures.process nor multiprocessing
+ProcessPoolExecutor = None
+
+
 def _map(fn, tasks, workers: int = 1) -> list:
     """fn(*task) for every task, in order; over a process pool of at most
     one process per task when workers > 1."""
+    global ProcessPoolExecutor
     workers = min(workers, len(tasks))
     if workers > 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, *zip(*tasks)))
     return [fn(*task) for task in tasks]

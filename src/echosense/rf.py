@@ -12,19 +12,24 @@ Two synchronization modes:
   each refocusing interval of a DD sequence.
 
 A waveform's geometry does not depend on its amplitude, and sweeps and
-design scans build the same shape at every amplitude of a grid.  Each
-`RFWaveform` holds its checked shape record (everything but the
-amplitude), and two private LRU caches of `_CACHE_SIZE` entries each
-let a grid walk each shape once:
+design scans build the same shape at every amplitude of a grid.  So an
+`RFWaveform` holds three slots: its amplitude, its global phase, and a
+checked `_Shape` record of everything else (frequency, windows, window
+phases, reset mode), which its read-only properties of those names read.
+The constructor checks and converts its inputs into a new record; a
+copy at another amplitude writes the three slots and shares the record,
+checking only the amplitude.  Two private LRU caches of `_CACHE_SIZE`
+entries each let a grid walk each shape once:
 
 * `_unit_walk`, keyed on (shape record, edges), is the `integrals` walk
   at unit amplitude.  A record hashes by identity, so a lookup hashes
   the edges but not the windows, and only waveforms that share a record
   share an entry.
 * `_synchronized`, keyed on (tau, echo_time, pi_centers, n, phase, reset
-  mode), is the `build_synchronized` waveform at unit amplitude; each
-  call copies it, record included, with the caller's amplitude and
-  phase.
+  mode), is the shape record of `build_synchronized`.  It checks the
+  scalars and builds the record straight from the windows and phases it
+  generates, which are valid by construction; each call wraps it in a
+  new waveform of the caller's amplitude and phase.
 
 The package holds one more cache of the same size, keyed the same way as
 `_unit_walk`: `analytic._signed_walk`, the unit walk checked against the
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +77,6 @@ def synchronized_frequency(tau: float, n: int) -> float:
     return n / (2 * tau)
 
 
-@dataclass(frozen=True)
 class RFWaveform:
     """Piecewise-gated sinusoidal field.
 
@@ -80,34 +84,69 @@ class RFWaveform:
     (same length as windows).  amplitude may be zero (reference runs).
     Windows are validated ordered and disjoint, which lets `integrals`
     evaluate every interval of a filter in one walk over them.
+
+    A waveform holds three slots: its amplitude, its global phase (stored
+    as given) and its checked `_Shape` record; frequency, windows,
+    window_phases and reset_mode read the record.  It is frozen: any
+    assignment raises `dataclasses.FrozenInstanceError`.  It compares,
+    hashes, prints and pickles by its six constructor fields.
     """
 
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-    windows: tuple[tuple[float, float], ...] = ()
-    reset_mode: ResetMode = ResetMode.CONTINUOUS
-    window_phases: tuple[float, ...] | None = None
+    __slots__ = ("amplitude", "phase", "_shape")
 
-    def __post_init__(self) -> None:
-        _check_amplitude(self.amplitude)
-        shape = _checked_shape(self.frequency, self.phase, self.windows,
-                               self.window_phases, self.reset_mode)
-        object.__setattr__(self, "windows", shape.windows)
-        object.__setattr__(self, "window_phases", shape.window_phases)
-        object.__setattr__(self, "reset_mode", shape.reset_mode)
-        object.__setattr__(self, "_shape", shape)
+    def __init__(self, amplitude: float, frequency: float, phase: float = 0.0,
+                 windows: tuple[tuple[float, float], ...] = (),
+                 reset_mode: ResetMode = ResetMode.CONTINUOUS,
+                 window_phases: tuple[float, ...] | None = None) -> None:
+        _check_amplitude(amplitude)
+        shape = _checked_shape(frequency, phase, windows, window_phases,
+                               reset_mode)
+        _set_amplitude(self, amplitude)
+        _set_phase(self, phase)
+        _set_shape(self, shape)
 
-    def _scaled(self, amplitude: float, phase: float) -> "RFWaveform":
-        """This waveform at another, already checked amplitude, sharing its
-        checked shape.  `phase` must compare equal to this waveform's; it
-        is stored as given, so a -0.0 stays -0.0."""
-        wave = object.__new__(RFWaveform)
-        fields = wave.__dict__
-        fields.update(self.__dict__)
-        fields["amplitude"] = amplitude
-        fields["phase"] = phase
-        return wave
+    @property
+    def frequency(self) -> float:
+        return self._shape.frequency
+
+    @property
+    def windows(self) -> tuple[tuple[float, float], ...]:
+        return self._shape.windows
+
+    @property
+    def reset_mode(self) -> ResetMode:
+        return self._shape.reset_mode
+
+    @property
+    def window_phases(self) -> tuple[float, ...] | None:
+        return self._shape.window_phases
+
+    def _fields(self) -> tuple:
+        shape = self._shape
+        return (self.amplitude, shape.frequency, self.phase, shape.windows,
+                shape.reset_mode, shape.window_phases)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(
+            _FIELDS, self._fields()))
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __reduce__(self):
+        return RFWaveform, self._fields()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _phase_of(self, k: int) -> float:
         return self.window_phases[k] if self.window_phases is not None else self.phase
@@ -152,14 +191,24 @@ class RFWaveform:
 
     def with_phase(self, phi: float) -> "RFWaveform":
         """Same waveform with the global phase set to phi (per-window offsets kept)."""
-        if self.window_phases is not None:
+        ph = self.window_phases
+        if ph is not None:
             shift = phi - self.phase
-            ph = tuple(p + shift for p in self.window_phases)
-            return replace(self, phase=phi, window_phases=ph)
-        return replace(self, phase=phi)
+            ph = tuple(p + shift for p in ph)
+        return RFWaveform(self.amplitude, self.frequency, phi, self.windows,
+                          self.reset_mode, ph)
 
     def end(self) -> float:
         return self.windows[-1][1] if self.windows else 0.0
+
+
+#: the constructor fields, in order, as `repr` names them
+_FIELDS = ("amplitude", "frequency", "phase", "windows", "reset_mode",
+           "window_phases")
+_new = object.__new__
+_set_amplitude = RFWaveform.amplitude.__set__
+_set_phase = RFWaveform.phase.__set__
+_set_shape = RFWaveform._shape.__set__
 
 
 def _check_amplitude(amplitude) -> None:
@@ -173,7 +222,8 @@ class _Shape:
     `phases` holds the phase of each window's sinusoid: the window phases,
     or else the global phase for every window.  A record compares and
     hashes by identity; each construction checks and builds its own, and
-    `_scaled` copies share it.
+    the waveforms that `build_synchronized` makes from one cache entry
+    share it.
     """
 
     __slots__ = ("frequency", "windows", "window_phases", "phases",
@@ -255,19 +305,36 @@ def _unit_walk(shape: _Shape, edges) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _synchronized(tau, echo_time, centers, n, phase,
-                  reset_mode) -> RFWaveform:
-    """`build_synchronized` at unit amplitude.  The reset windows tile
-    [0, echo_time] in tau-length steps, and each window's phase advances
-    by pi for every pi center at or before its start (`centers` strictly
-    increasing, as `PulseSequence.pi_centers` are)."""
+def _synchronized(tau, echo_time, centers, n, phase, reset_mode) -> _Shape:
+    """The checked shape record of `build_synchronized`.  The reset
+    windows tile [0, echo_time] in tau-length steps, and each window's
+    phase advances by pi for every pi center at or before its start
+    (`centers` strictly increasing, as `PulseSequence.pi_centers` are).
+
+    Only the scalars and the span are checked.  The windows k*tau ..
+    (k+1)*tau of a finite positive tau are non-empty, ordered and
+    disjoint, and finite if the last edge is; their phases are finite
+    with the phase."""
     nu = synchronized_frequency(tau, n)
-    if ResetMode(reset_mode) is ResetMode.CONTINUOUS:
-        return RFWaveform(1.0, nu, phase, ((0.0, echo_time),),
-                          ResetMode.CONTINUOUS)
+    reset_mode = ResetMode(reset_mode)
+    if not 0.0 < nu < math.inf:
+        raise ConfigError(f"frequency must be finite and positive, got {nu}")
+    if not math.isfinite(phase):
+        raise ConfigError(f"phase must be finite, got {phase}")
+    if not math.isfinite(echo_time):
+        raise ConfigError(f"echo_time must be finite, got {echo_time}")
+    tau, echo_time = float(tau), float(echo_time)
+    if reset_mode is ResetMode.CONTINUOUS:
+        if not echo_time > 0:
+            raise ConfigError(f"empty or inverted window [0.0, {echo_time})")
+        return _Shape(nu, ((0.0, echo_time),), None, (phase,), reset_mode)
     n_windows = int(round(echo_time / tau))
+    if not n_windows * tau < math.inf:
+        raise ConfigError(f"window edges must be finite, got "
+                          f"[{(n_windows - 1) * tau}, {n_windows * tau})")
     n_centers = len(centers)
     eps = 1e-15 * echo_time
+    phase0 = float(phase)
     windows, phases = [], []
     flips = 0  # pi centers at or before the current window start
     for k in range(n_windows):
@@ -275,9 +342,9 @@ def _synchronized(tau, echo_time, centers, n, phase,
         while flips < n_centers and centers[flips] <= a + eps:
             flips += 1
         windows.append((a, (k + 1) * tau))
-        phases.append(phase + flips * math.pi)
-    return RFWaveform(1.0, nu, phase, tuple(windows),
-                      ResetMode.PER_WINDOW_RESET, tuple(phases))
+        phases.append(phase0 + flips * math.pi)
+    phases = tuple(phases)
+    return _Shape(nu, tuple(windows), phases, phases, reset_mode)
 
 
 def zero_field() -> RFWaveform:
@@ -367,5 +434,12 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     spin refocusing" buys.
     """
     _check_amplitude(amplitude)
-    return _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n, phase,
-                         reset_mode)._scaled(amplitude, phase)
+    shape = _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n, phase,
+                          reset_mode)
+    # the shape was checked with a phase equal to this one; the slot keeps
+    # the phase as given, so a -0.0 stays -0.0
+    wave = _new(RFWaveform)
+    _set_amplitude(wave, amplitude)
+    _set_phase(wave, phase)
+    _set_shape(wave, shape)
+    return wave

@@ -9,6 +9,7 @@ divided by sqrt(spin density), to concentration sensitivity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,12 +67,15 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     flyback (a jump > 90 deg running against the overall trend) is
     rejected.
     """
-    method = FitMethod(method)
+    if method.__class__ is not FitMethod:
+        method = FitMethod(method)
     pts = list(points)
     if len(pts) < 3:
         raise ConfigError("fit_transduction needs at least 3 points")
     # a few dozen points: plain float arithmetic is far cheaper than numpy
-    # calls on arrays this small, and needs no BLAS
+    # calls on arrays this small, and needs no BLAS; list and map passes
+    # cost less than generators, and each sum adds the same terms in the
+    # same order
     b = [float(p[0]) for p in pts]
     phi = [float(p[1]) for p in pts]
     if not (all(map(math.isfinite, b)) and all(map(math.isfinite, phi))):
@@ -79,18 +83,19 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                  if not all(map(math.isfinite, pt)))
         raise ConfigError(f"point {i} (field {b[i]} T, phase {phi[i]} deg) "
                           "is not finite")
-    if any(b1 - b0 <= 0 for b0, b1 in zip(b, b[1:])):
+    # for finite floats b1 - b0 > 0 exactly when b0 < b1
+    if not all(map(operator.lt, b, b[1:])):
         raise ConfigError("field values must be strictly increasing")
     # Data wrapped to (-90, 90] shows up as a sawtooth: large flybacks
     # running against the trend.  A steep but genuinely unwrapped line has
-    # every jump along the trend, so only counter-trend jumps are rejected.
-    jumps = [p1 - p0 for p0, p1 in zip(phi, phi[1:])]
-    ordered = sorted(jumps)
+    # every jump along the trend, so only counter-trend jumps are rejected:
+    # the most negative one when the median jump is not negative, else the
+    # most positive one.
+    ordered = sorted(map(operator.sub, phi[1:], phi))
     mid = len(ordered) // 2
     median = (ordered[mid] if len(ordered) % 2
               else (ordered[mid - 1] + ordered[mid]) / 2)
-    trend = -1.0 if median < 0 else 1.0
-    if any(j * trend < 0 and abs(j) > 90.0 for j in jumps):
+    if ordered[-1] > 90.0 if median < 0 else ordered[0] < -90.0:
         raise ConfigError("wrapped-phase discontinuity detected: "
                           "unwrap the phases before fitting")
     b_range = (b[0], b[-1])
@@ -100,11 +105,11 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     n = len(b)
     b_mean, phi_mean = sum(b) / n, sum(phi) / n
     db = [x - b_mean for x in b]
-    slope_lin = (sum(d * (y - phi_mean) for d, y in zip(db, phi))
-                 / sum(d * d for d in db))
+    slope_lin = (sum([d * (y - phi_mean) for d, y in zip(db, phi)])
+                 / sum(map(operator.mul, db, db)))
     intercept = phi_mean - slope_lin * b_mean
-    rms = math.sqrt(sum((y - (slope_lin * x + intercept)) ** 2
-                        for x, y in zip(b, phi)) / n)
+    rms = math.sqrt(sum([(y - (slope_lin * x + intercept)) ** 2
+                         for x, y in zip(b, phi)]) / n)
 
     use_linear = (method is FitMethod.LINEAR_REGRESSION
                   or (method is FitMethod.AUTO and rms < residual_threshold))

@@ -6,6 +6,12 @@ pi-pulse centers and the echo live at exact multiples of tau regardless
 of pulse durations.  Finite durations only matter to the numerical
 simulator; absolute lab time starts at the leading edge of the first
 pulse (origin = t_pi2/2 before protocol zero).
+
+`Pulse`, `PulseSequence` and `build_custom` check every record they are
+given.  `build_hahn`, `build_pdd` and `build_cp` check their timings
+once and fill their pulse and sequence records without re-running those
+checks: what they build is the sequence, float for float, that the
+checked records would hold, and they reject what those would reject.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from .core import ConfigError, _StrChoice
 
 PI = math.pi
+_new = object.__new__
 
 
 class SequenceKind(_StrChoice):
@@ -75,6 +82,7 @@ class PulseSequence:
             raise ConfigError("a sequence needs at least pi/2 and pi pulses")
         if not self.tau > 0:
             raise ConfigError("tau must be positive")
+        _check_echo_time(self.echo_time)
         for a, b in zip(self.pulses, self.pulses[1:]):
             if b.start < a.end:
                 raise ConfigError(
@@ -107,6 +115,9 @@ class FilterFunction:
 
     def __post_init__(self) -> None:
         bps = self.breakpoints
+        if not 0.0 < self.domain_end < math.inf:
+            raise ConfigError(f"domain_end must be finite and positive, "
+                              f"got {self.domain_end}")
         if any(b <= a for a, b in zip(bps, bps[1:])):
             raise ConfigError("breakpoints must be strictly increasing")
         if bps and (bps[0] <= 0 or bps[-1] >= self.domain_end):
@@ -130,6 +141,11 @@ class FilterFunction:
         return sum(s * (b - a) for a, b, s in self.intervals())
 
 
+def _check_echo_time(echo_time: float) -> None:
+    if not math.isfinite(echo_time):
+        raise ConfigError(f"echo time must be finite, got {echo_time}")
+
+
 def _check_timings(tau: float, t_pi2: float, t_pi: float, gap: float) -> None:
     if not (t_pi2 > 0 and t_pi > 0):
         raise ConfigError("pulse durations must be positive")
@@ -139,39 +155,70 @@ def _check_timings(tau: float, t_pi2: float, t_pi: float, gap: float) -> None:
         raise ConfigError("pulses overlap: delay too short for the durations")
 
 
+def _pulse_train(kind: SequenceKind, tau: float, t_pi2: float, t_pi: float,
+                 steps, echo_time: float) -> PulseSequence:
+    """The sequence of a pi/2 pulse starting at 0 and pi pulses centred at
+    step * tau after its center, checked once and filled in place.
+
+    The echo time is a multiple of tau, so a finite one makes tau finite,
+    and with `_check_timings` that implies both `Pulse` checks.  The
+    overlap test stays: `_check_timings` sums the gap in another float
+    order, and can pass pulses that overlap by a rounding error.  So does
+    the echo test, one comparison that holds unless the pulse starts
+    overflow.  Every value is the float, from the same expression, that
+    `PulseSequence(tuple(Pulse(...)))` stores.
+    """
+    _check_timings(tau, t_pi2, t_pi, tau)
+    _check_echo_time(echo_time)
+    offset = t_pi2 / 2  # the builders' pulse grid starts here
+    half = t_pi / 2
+    origin = 0.0 + offset  # the first pulse's center
+    head = _new(Pulse)
+    head.__dict__.update(start=0.0, duration=t_pi2, nominal_angle=PI / 2,
+                         axis_phase=0.0)
+    pulses = [head]
+    pi_centers = []
+    prev_end = 0.0 + t_pi2
+    for step in steps:
+        start = offset + step * tau - half
+        if start < prev_end:
+            raise ConfigError(
+                f"overlapping pulses at t={prev_end:.3e}..{start:.3e}")
+        prev_end = start + t_pi
+        pulse = _new(Pulse)
+        pulse.__dict__.update(start=start, duration=t_pi, nominal_angle=PI,
+                              axis_phase=0.0)
+        pulses.append(pulse)
+        pi_centers.append(start + half - origin)
+    if echo_time <= pi_centers[-1]:
+        raise ConfigError("echo must come after the last pulse")
+    seq = _new(PulseSequence)
+    seq.__dict__.update(pulses=tuple(pulses), tau=tau, echo_time=echo_time,
+                        kind=kind, origin=origin,
+                        total_time=origin + echo_time,
+                        pi_centers=tuple(pi_centers))
+    return seq
+
+
 def build_hahn(tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """pi/2 -- tau -- pi, echo at 2*tau (pulse centers at 0 and tau)."""
-    _check_timings(tau, t_pi2, t_pi, tau)
-    origin = t_pi2 / 2
-    pulses = (
-        Pulse(0.0, t_pi2, PI / 2),
-        Pulse(origin + tau - t_pi / 2, t_pi, PI),
-    )
-    return PulseSequence(pulses, tau, 2 * tau, SequenceKind.HAHN)
+    return _pulse_train(SequenceKind.HAHN, tau, t_pi2, t_pi, (1,), 2 * tau)
 
 
 def build_pdd(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Periodic DD: pi pulses at tau, 2*tau, ..., N*tau; echo at (N+1)*tau."""
     if n_pi < 1:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
-    _check_timings(tau, t_pi2, t_pi, tau)
-    origin = t_pi2 / 2
-    pulses = [Pulse(0.0, t_pi2, PI / 2)]
-    pulses += [Pulse(origin + k * tau - t_pi / 2, t_pi, PI)
-               for k in range(1, n_pi + 1)]
-    return PulseSequence(tuple(pulses), tau, (n_pi + 1) * tau, SequenceKind.PDD)
+    return _pulse_train(SequenceKind.PDD, tau, t_pi2, t_pi,
+                        range(1, n_pi + 1), (n_pi + 1) * tau)
 
 
 def build_cp(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Carr-Purcell: first delay tau, then pi pulses spaced 2*tau; echo at 2*N*tau."""
     if n_pi < 1:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
-    _check_timings(tau, t_pi2, t_pi, tau)
-    origin = t_pi2 / 2
-    pulses = [Pulse(0.0, t_pi2, PI / 2)]
-    pulses += [Pulse(origin + (2 * k - 1) * tau - t_pi / 2, t_pi, PI)
-               for k in range(1, n_pi + 1)]
-    return PulseSequence(tuple(pulses), tau, 2 * n_pi * tau, SequenceKind.CP)
+    return _pulse_train(SequenceKind.CP, tau, t_pi2, t_pi,
+                        range(1, 2 * n_pi, 2), 2 * n_pi * tau)
 
 
 def build_custom(pulses, tau: float, echo_time: float) -> PulseSequence:

@@ -111,7 +111,9 @@ def _rotate(mx, my, mz, angle, axis_phase):
 
 def _unit_integral(wave, a, b):
     """Integral of `wave` over [a, b] at unit amplitude."""
-    return replace(wave, amplitude=1.0).integral(a, b)
+    unit = RFWaveform(1.0, wave.frequency, wave.phase, wave.windows,
+                      wave.reset_mode, wave.window_phases)
+    return unit.integral(a, b)
 
 
 def _ideal_loop(seq, wave, geff, det, fac, w, times):

@@ -1,4 +1,5 @@
-"""Import cost: the package and its CLI stay free of scipy."""
+"""Import cost: the package and its CLI stay free of scipy and of the
+process pool."""
 
 import json
 import os
@@ -53,3 +54,17 @@ def test_oracle_loads_neither_scipy_nor_numpy_polynomial():
     at_import, phi, after_call = json.loads(out)
     assert at_import == []
     assert phi != 0.0 and after_call == []
+
+
+def test_serial_runs_do_not_import_the_process_pool():
+    # the pool is imported by the first parallel sweep, so a serial run
+    # loads neither its module nor multiprocessing
+    code = ("import json, sys; import echosense, echosense.cli, "
+            "echosense.harness; print(json.dumps(sorted(m for m in "
+            "sys.modules if m == 'concurrent.futures.process' "
+            "or m.split('.')[0] == 'multiprocessing')))")
+    src = str(Path(echosense.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []

@@ -1,5 +1,7 @@
 """Gated sinusoidal RF waveforms, synchronization, phase resets."""
 
+import copy
+import dataclasses
 import importlib
 import math
 import pickle
@@ -593,3 +595,136 @@ class TestResetModeValues:
                 RFWaveform(1e-3, 2.5e5, 0.3, self.WINDOWS, "bogus")
             with pytest.raises(ConfigError):
                 build_synchronized(seq, 1e-3, 1, 0.0, "bogus")
+
+
+#: the waveform as a frozen dataclass of its six constructor fields: the
+#: reference for the slotted class's eq, hash and repr
+_DataclassWaveform = dataclasses.make_dataclass(
+    "RFWaveform", ["amplitude", "frequency", "phase", "windows", "reset_mode",
+                   "window_phases"], frozen=True)
+
+_FIELDS = ("amplitude", "frequency", "phase", "windows", "reset_mode",
+           "window_phases")
+
+
+def _surface_waves():
+    seq = build_cp(3, 1.3e-6, T_PI2, T_PI)
+    return [
+        RFWaveform(1e-3, 1e6, 0.2, ((0.0, 1e-6),)),
+        RFWaveform(1e-3, 1e6, 0.2, ((0.0, 1e-6),), "per-window-reset"),
+        RFWaveform(0.8, 0.3, -0.0, [[0, 2], [3, 5]],
+                   ResetMode.PER_WINDOW_RESET, [0.1, 1]),
+        zero_field(),
+        build_split_interval(1e-6, 0.4e-3, 0.3, 1.1),
+        build_synchronized(seq, 0.6e-3, 2, -0.0, ResetMode.PER_WINDOW_RESET),
+        build_synchronized(seq, 0.0, 1, 0.4, ResetMode.CONTINUOUS),
+    ]
+
+
+class TestWaveformSurface:
+    """The slotted waveform keeps the dataclass surface it replaced."""
+
+    @staticmethod
+    def fields(wave):
+        return tuple(getattr(wave, name) for name in _FIELDS)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_eq_hash_repr_match_the_dataclass(self, k):
+        wave = _surface_waves()[k]
+        ref = _DataclassWaveform(*self.fields(wave))
+        assert repr(wave) == repr(ref)
+        assert hash(wave) == hash(ref)
+        assert wave == RFWaveform(*self.fields(wave))
+        assert hash(wave) == hash(RFWaveform(*self.fields(wave)))
+        assert wave != ref  # another class, as between dataclasses
+        assert wave != self.fields(wave)
+
+    def test_fields_differ_unequal(self):
+        waves = _surface_waves()
+        for i, a in enumerate(waves):
+            for j, b in enumerate(waves):
+                assert (a == b) is (i == j)
+        wave = waves[0]
+        assert wave != RFWaveform(2e-3, *self.fields(wave)[1:])
+        assert len({wave, RFWaveform(*self.fields(wave))}) == 1
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_pickle_and_copy_round_trip(self, k):
+        wave = _surface_waves()[k]
+        edges = (0.0, 0.4e-6, 1.3e-6, 2.9e-6)
+        for other in (pickle.loads(pickle.dumps(wave)), copy.copy(wave),
+                      copy.deepcopy(wave)):
+            assert other == wave
+            assert _bits(self.fields(other)[:3]) == _bits(
+                self.fields(wave)[:3])
+            assert _bits(other.integrals(edges)) == _bits(
+                wave.integrals(edges))
+
+    @pytest.mark.parametrize("name", _FIELDS + ("_shape", "other"))
+    def test_every_assignment_raises(self, name):
+        wave = _surface_waves()[2]
+        before = self.fields(wave)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(wave, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(wave, name)
+        assert self.fields(wave) == before
+        assert not hasattr(wave, "__dict__")
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_with_phase_equals_the_constructor(self, k):
+        wave = _surface_waves()[k]
+        got = wave.with_phase(0.9)
+        ph = wave.window_phases
+        if ph is not None:
+            ph = tuple(p + (0.9 - wave.phase) for p in ph)
+        assert got == RFWaveform(wave.amplitude, wave.frequency, 0.9,
+                                 wave.windows, wave.reset_mode, ph)
+        assert wave.phase != 0.9  # the original is untouched
+
+    @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    @pytest.mark.parametrize("phase", [0, 0.0, -0.0, 0.7, np.float64(-1.2)])
+    def test_scaled_copy_equals_the_constructor(self, build, mode, phase):
+        seq = (build(1.3e-6, T_PI2, T_PI) if build is build_hahn
+               else build(4, 1.3e-6, T_PI2, T_PI))
+        for amp in (0.0, 0.3e-3, 1.1e-3):
+            wave = build_synchronized(seq, amp, 2, phase, mode)
+            fresh = RFWaveform(*self.fields(wave))
+            assert wave == fresh
+            assert wave.phase is phase  # stored as given
+            assert [type(x) for x in self.fields(wave)] == [
+                type(x) for x in self.fields(fresh)]
+            assert all(type(x) is float for x in (
+                *(e for w in wave.windows for e in w),
+                *(wave.window_phases or ())))
+            edges = (0.0, *seq.pi_centers, seq.echo_time)
+            assert _bits(wave.integrals(edges)) == _bits(
+                fresh.integrals(edges))
+
+    def test_synchronized_checks_its_scalars(self):
+        # an overflowing frequency, and windows whose last edge overflows
+        tiny = build_hahn(1e-309, 1e-310, 2e-310)
+        huge = echosense.build_custom(
+            (echosense.Pulse(0.0, 1.0, math.pi / 2),
+             echosense.Pulse(6e307, 1.0, math.pi)), 6e307, 1.7e308)
+        for seq, mode in ((tiny, ResetMode.CONTINUOUS),
+                          (tiny, ResetMode.PER_WINDOW_RESET),
+                          (huge, ResetMode.PER_WINDOW_RESET)):
+            with pytest.raises(ConfigError, match="must be finite"):
+                build_synchronized(seq, 1e-3, 1, 0.0, mode)
+        wave = build_synchronized(huge, 1e-3, 1, 0.0, ResetMode.CONTINUOUS)
+        assert wave.windows == ((0.0, 1.7e308),)
+
+    @pytest.mark.parametrize("mode", list(ResetMode))
+    def test_integer_sequence_gives_float_windows(self, mode):
+        # a custom sequence may hold ints; the windows are floats, as the
+        # constructor converts them
+        seq = echosense.build_custom(
+            (echosense.Pulse(0, 1, math.pi / 2),
+             echosense.Pulse(2, 1, math.pi)), 3, 6)
+        wave = build_synchronized(seq, 1e-3, 1, 0, mode)
+        assert wave == RFWaveform(*self.fields(wave))
+        assert all(type(x) is float for x in (
+            *(e for w in wave.windows for e in w),
+            *(wave.window_phases or ())))

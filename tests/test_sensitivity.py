@@ -13,6 +13,8 @@ from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
 from echosense.core import MU_B
 from echosense.sequence import SequenceKind
 
+import fit_oracle
+
 
 def linear_points(slope, n=11, b_max=1e-3, intercept=0.0, noise=None):
     b = np.linspace(0, b_max, n)
@@ -121,6 +123,88 @@ class TestFitTransduction:
         pts = [(0.0, 80.0), (1e-4, -85.0), (2e-4, 75.0)]
         with pytest.raises(ConfigError, match="unwrap"):
             fit_transduction(pts)
+
+
+def _fit_outcome(fit, points, *args):
+    """A fit's floats as hex and its method, or its exception and message."""
+    try:
+        r = fit(points, *args)
+    except Exception as e:  # the library and the oracle must raise alike
+        return type(e), str(e)
+    return ((r.slope.hex(), r.intercept.hex(), r.residual_rms.hex(),
+             r.b_range[0].hex(), r.b_range[1].hex()), r.method)
+
+
+def _fit_cases(seed):
+    """Seeded point sets: both trend signs, the max-derivative branch,
+    wrap flybacks, small counter-trend jumps, non-finite and unordered
+    points, overflowing jumps and too few points."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 41))
+    b = np.sort(rng.uniform(0.0, 1e-3, n))
+    b[0] = 0.0 if rng.random() < 0.5 else b[0]
+    slope = rng.choice([-1, 1]) * 10 ** rng.uniform(3, 8)
+    line = slope * b + rng.normal(0.0, 10 ** rng.uniform(-6, 1), n)
+    curve = 120 * np.sin(b / b[-1] * rng.uniform(2, 6)) * rng.choice([-1, 1])
+    wrapped = (line + 90.0) % 180.0 - 90.0
+    cases = {
+        "line": line,
+        "curve": curve,
+        "wrapped": wrapped,
+        "small_counter_jump": line + np.where(np.arange(n) == n // 2,
+                                              -np.sign(slope) * 80.0, 0.0),
+        "overflow": rng.choice([-1e308, 1e308], n),
+    }
+    out = [(name, list(zip(b, phi))) for name, phi in cases.items()]
+    bad = list(zip(b, line))
+    k = int(rng.integers(0, n))
+    value = rng.choice([math.nan, math.inf, -math.inf])
+    bad[k] = (value, bad[k][1]) if rng.random() < 0.5 else (bad[k][0], value)
+    out.append(("non_finite", bad))
+    unordered = list(zip(b, line))
+    unordered[k], unordered[k - 1] = unordered[k - 1], unordered[k]
+    out.append(("unordered", unordered))
+    out.append(("repeated_field", [(b[0], 0.0)] + list(zip(b, line))))
+    out.append(("too_few", list(zip(b, line))[:int(rng.integers(0, 3))]))
+    return out
+
+
+class TestFitAgainstOracle:
+    """`fit_transduction` against its generator-expression reference
+    (`tests/fit_oracle.py`): bit-equal fits, or the same error."""
+
+    METHODS = [(), (FitMethod.AUTO,), (FitMethod.LINEAR_REGRESSION,),
+               (FitMethod.MAX_DERIVATIVE,), ("auto",), ("max-derivative",),
+               ("bogus",), (FitMethod.AUTO, 1e9), ("auto", 0.0)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_point_sets(self, seed):
+        branches = set()
+        for name, points in _fit_cases(seed):
+            for args in self.METHODS:
+                want = _fit_outcome(fit_oracle.fit_transduction, points, *args)
+                got = _fit_outcome(fit_transduction, points, *args)
+                assert got == want, (name, args)
+
+    def test_every_branch_is_reached(self):
+        # the default-method fits of the seeded sets reach both methods
+        # and every error message
+        seen = set()
+        for seed in range(40):
+            for _, points in _fit_cases(seed):
+                kind, label = _fit_outcome(fit_oracle.fit_transduction,
+                                           points)
+                if kind is ConfigError:
+                    seen.add(label.split(" ")[0])
+                elif not isinstance(kind, type):  # a fit, not an error
+                    seen.add(label.value)
+        assert seen == {"linear-regression", "max-derivative", "point",
+                        "field", "wrapped-phase", "fit_transduction"}
+
+    def test_points_may_be_an_iterator(self):
+        points = linear_points(-2.3e6, noise=np.linspace(0, 1, 11))
+        assert (_fit_outcome(fit_transduction, iter(points))
+                == _fit_outcome(fit_oracle.fit_transduction, points))
 
 
 class TestArithmeticChain:

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from echosense import (ConfigError, FilterFunction, Pulse, PulseSequence,
                        build_cp, build_custom, build_hahn, build_pdd,
                        filter_function)
+from echosense.sequence import SequenceKind, _check_timings
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -215,3 +216,140 @@ class TestPulseSequenceValidation:
         pulses = (Pulse(0.0, T_PI2, math.pi / 2), Pulse(1e-6, T_PI, math.pi))
         with pytest.raises(ConfigError):
             PulseSequence(pulses, 0.0, 2e-6)
+
+    @pytest.mark.parametrize("echo_time", [math.inf, -math.inf, math.nan])
+    def test_non_finite_echo_rejected(self, echo_time):
+        pulses = (Pulse(0.0, T_PI2, math.pi / 2), Pulse(1e-6, T_PI, math.pi))
+        with pytest.raises(ConfigError, match="echo time must be finite"):
+            PulseSequence(pulses, 1e-6, echo_time)
+        with pytest.raises(ConfigError, match="echo time must be finite"):
+            build_custom(pulses, 1e-6, echo_time)
+
+    def test_builders_reject_overflowing_echo(self):
+        # the echo at 2*tau overflows while every pulse start is finite
+        for build in (lambda: build_hahn(1e308, T_PI2, T_PI),
+                      lambda: build_pdd(1, 1e308, T_PI2, T_PI),
+                      lambda: build_cp(1, 1e308, T_PI2, T_PI)):
+            with pytest.raises(ConfigError, match="echo time must be finite"):
+                build()
+
+
+class TestFilterDomain:
+    @pytest.mark.parametrize("domain_end", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_domain_end_rejected(self, domain_end):
+        with pytest.raises(ConfigError, match="domain_end"):
+            FilterFunction((), domain_end)
+
+    def test_positive_domain_end_accepted(self):
+        assert FilterFunction((), 2e-6).edges == (0.0, 2e-6)
+
+
+def _checked_build(kind, n_pi, tau, t_pi2, t_pi):
+    """The builders' construction before they checked once: the timing
+    check, then every `Pulse` and the `PulseSequence` check themselves
+    (n_pi >= 1)."""
+    _check_timings(tau, t_pi2, t_pi, tau)
+    origin = t_pi2 / 2
+    pulses = [Pulse(0.0, t_pi2, math.pi / 2)]
+    if kind == "hahn":
+        pulses.append(Pulse(origin + tau - t_pi / 2, t_pi, math.pi))
+        echo_time = 2 * tau
+    elif kind == "pdd":
+        pulses += [Pulse(origin + k * tau - t_pi / 2, t_pi, math.pi)
+                   for k in range(1, n_pi + 1)]
+        echo_time = (n_pi + 1) * tau
+    else:
+        pulses += [Pulse(origin + (2 * k - 1) * tau - t_pi / 2, t_pi, math.pi)
+                   for k in range(1, n_pi + 1)]
+        echo_time = 2 * n_pi * tau
+    return PulseSequence(tuple(pulses), tau, echo_time, SequenceKind(kind))
+
+
+def _lean_build(kind, n_pi, tau, t_pi2, t_pi):
+    if kind == "hahn":
+        return build_hahn(tau, t_pi2, t_pi)
+    return (build_pdd if kind == "pdd" else build_cp)(n_pi, tau, t_pi2, t_pi)
+
+
+def _built(build, *args):
+    try:
+        return build(*args)
+    except ConfigError:
+        return ConfigError
+
+
+_ULP = 2.0 ** -53
+#: bad and extreme timings: zero, negative, non-finite, overflowing,
+#: subnormal
+_odd = st.sampled_from([0.0, -1e-7, math.nan, math.inf, -math.inf, 1e308,
+                        5e-324, 1e-300])
+
+
+@st.composite
+def _timings(draw):
+    """(tau, t_pi2, t_pi): ordinary ones, ones whose gaps are a few ulps
+    wide (where float rounding decides an overlap), and bad ones."""
+    tau = draw(st.one_of(st.floats(1e-7, 3e-6), st.just(1.0)))
+    form = draw(st.sampled_from(["free", "bad", "tight_gap", "tight_pi"]))
+    j = draw(st.integers(-8, 8))
+    if form == "free":
+        t_pi2, t_pi = draw(st.floats(1e-9, 4e-6)), draw(st.floats(1e-9, 4e-6))
+    elif form == "bad":
+        tau, t_pi2, t_pi = draw(st.permutations(
+            [draw(_odd), tau * draw(st.floats(0.01, 0.4)),
+             tau * draw(st.floats(0.01, 0.4))]))
+    elif form == "tight_gap":  # tau - t_pi2/2 - t_pi/2 a few ulps from 0
+        t_pi = tau * draw(st.floats(0.01, 0.99))
+        t_pi2 = 2 * (tau - t_pi / 2) * (1 + j * _ULP)
+    else:  # tau - t_pi a few ulps from 0
+        t_pi = tau * (1 + j * _ULP)
+        t_pi2 = tau * draw(st.floats(1e-6, 1.5))
+    return tau, t_pi2, t_pi
+
+
+class TestBuildersMatchCheckedConstruction:
+    """Each builder checks once and fills its records; it must accept and
+    reject exactly what the per-pulse construction does, with the same
+    floats."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(["hahn", "pdd", "cp"]), st.integers(1, 12),
+           _timings())
+    # pulses that overlap by a rounding error although the timing check
+    # passes
+    @example("hahn", 1, (float.fromhex("0x1.307597dc5a381p-21"),
+                         float.fromhex("0x1.c1a991e81c280p-21"),
+                         float.fromhex("0x1.3e833ba130903p-22")))
+    @example("pdd", 8, (float.fromhex("0x1.b9acd1917096ep-20"),
+                        float.fromhex("0x1.f2c58c1598417p-41"),
+                        float.fromhex("0x1.b9acd1917096dp-20")))
+    @example("hahn", 1, (1e308, T_PI2, T_PI))
+    def test_same_outcome(self, kind, n_pi, timings):
+        want = _built(_checked_build, kind, n_pi, *timings)
+        got = _built(_lean_build, kind, n_pi, *timings)
+        if want is ConfigError:
+            assert got is ConfigError
+            return
+        assert got == want
+        assert got.kind is want.kind
+        for name in ("origin", "total_time", "echo_time", "tau"):
+            assert getattr(got, name).hex() == getattr(want, name).hex()
+        assert ([c.hex() for c in got.pi_centers]
+                == [c.hex() for c in want.pi_centers])
+        assert ([p.start.hex() for p in got.pulses]
+                == [p.start.hex() for p in want.pulses])
+
+    @pytest.mark.parametrize("kind, n_pi, timings", [
+        ("hahn", 1, ("0x1.307597dc5a381p-21", "0x1.c1a991e81c280p-21",
+                     "0x1.3e833ba130903p-22")),
+        ("pdd", 8, ("0x1.b9acd1917096ep-20", "0x1.f2c58c1598417p-41",
+                    "0x1.b9acd1917096dp-20")),
+        ("cp", 9, ("0x1.58b91a5e94131p-21", "0x1.bc865e14cca10p-21",
+                   "0x1.e9d7ad50b70a3p-22")),
+    ])
+    def test_rounding_overlap_rejected(self, kind, n_pi, timings):
+        # the timing check passes, so the builders' overlap test rejects
+        tau, t_pi2, t_pi = map(float.fromhex, timings)
+        _check_timings(tau, t_pi2, t_pi, tau)
+        with pytest.raises(ConfigError, match="overlapping pulses"):
+            _lean_build(kind, n_pi, tau, t_pi2, t_pi)
