@@ -26,7 +26,8 @@ import numpy as np
 
 from . import blochsim
 from .analytic import accumulate_phase
-from .core import CoilCalibration, ConfigError, SampleSpec, SpinSystem
+from .core import (CoilCalibration, ConfigError, NumericalError, SampleSpec,
+                   SpinSystem)
 from .echo import EchoResult, noisy_echo, wrap_phase
 from .rf import (ResetMode, build_split_interval, build_synchronized,
                  pulse_gated)
@@ -100,6 +101,15 @@ def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
                              sp["points"]).tolist())
 
 
+def _field_grid(spec, where: str) -> tuple[float, ...]:
+    """An amplitude grid in mT (spec or list) -> strictly increasing,
+    non-negative fields in T, as the transduction fit needs them."""
+    grid = _grid(spec, where, MT, ">= 0")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise _bad(where, "strictly increasing", spec)
+    return grid
+
+
 def _section(sec, where: str, schema: dict) -> dict:
     """The JSON object `sec` parsed key by key: {key: parse(value, where,
     *args)} for each key: (default, parse, *args) of `schema`; an
@@ -146,12 +156,12 @@ SCHEMA = {
            "amplitude_mt": (1.8, _num, ">= 0"),
            "reset_mode": ("continuous", _choice, ResetMode),
            "n_list": ([1, 2, 3, 4], _list, _count, 1),
-           "amplitude_sweep_mt": (None, _grid, MT, ">= 0"),
+           "amplitude_sweep_mt": (None, _field_grid),
            "phase_sweep_deg": (None, _grid)},
     "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_KINDS),
            "n_pi_list": ([1, 2, 3, 4, 5], _list, _count),
            "tau_us_list": (None, _list, _num),
-           "amplitude_sweep_mt": (None, _grid, MT, ">= 0"),
+           "amplitude_sweep_mt": (None, _field_grid),
            "reset_mode": ("per-window-reset", _choice, ResetMode)},
     "noise": {"sigma": (0.0, _num, ">= 0"), "n_averages": (1, _count, 1),
               "t_relax_ms": (None, _num, "> 0")},
@@ -319,26 +329,21 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _results_from_observables(cfg: ExperimentConfig, zs, noise_tag=()):
-    """EchoResults with `noisy_echo` noise and grid-level phase unwrapping;
-    point i's noise is seeded from (7919, *noise_tag, i)."""
-    sigma, n_avg = cfg.noise_sigma, cfg.n_averages
-    # noise-free sweeps skip the per-point seed derivation
-    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
-              for i, z in enumerate(zs)] if sigma > 0
-             else [(z, math.inf) for z in zs])
-    zs = [z for z, _ in noisy]
-    unwrapped = np.degrees(np.unwrap(np.angle(np.asarray(zs))))
-    return [EchoResult(abs(z), wrap_phase(float(ph)), float(ph), snr, n_avg)
-            for (z, snr), ph in zip(noisy, unwrapped)]
+def _echo_points(*args) -> list[complex]:
+    """`blochsim.echo_points(*args)`, with a floating-point overflow,
+    invalid result or division by zero raised as NumericalError rather
+    than warned about (in pool workers too)."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return blochsim.echo_points(*args)
+        except FloatingPointError as e:
+            raise NumericalError(f"simulation failed: {e}") from e
 
 
-def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
-           metadata, workers: int = 1, seed_offset=(),
-           noise_tag=()) -> SweepResult:
-    """Simulate one grid.  Point i's ensemble is seeded from
-    (*seed_offset, i) and its noise from (*seed_offset, *noise_tag, i):
-    every sweep of a run has its own noise tag, so none share noise."""
+def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
+              seed_offset=()) -> tuple[list[complex], list[float]]:
+    """The clean echoes and closed-form phases (rad) of one grid; point
+    i's ensemble is seeded from (*seed_offset, i)."""
     filt = filter_function(seq)
     ensembles = [replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
                  for i in range(len(waves))]
@@ -348,19 +353,35 @@ def _sweep(cfg: ExperimentConfig, seq, waves, axis_name, axis_values,
     tasks = [(cfg.spin_system, seq, waves[a:b], ensembles[a:b],
               cfg.pulse_mode, cfg.calibration, cfg.trace_points)
              for a, b in zip(cuts, cuts[1:])]
-    zs = [z for part in _map(blochsim.echo_points, tasks, workers)
-          for z in part]
+    zs = [z for part in _map(_echo_points, tasks, workers) for z in part]
     # finite pulses hold the state with the RF off during each drive, so
     # the closed form they match is that of the pulse-gated field
     if cfg.pulse_mode is blochsim.PulseMode.FINITE:
         waves = [pulse_gated(w, seq) for w in waves]
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
+    return zs, analytic
+
+
+def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
+           metadata, noise_tag=()) -> SweepResult:
+    """The SweepResult of a `_simulate` result, with `noisy_echo` noise
+    and grid-level phase unwrapping.  Point i's noise is seeded from
+    (7919, *noise_tag, i): every sweep of a run has its own noise tag, so
+    none share noise."""
+    zs, analytic = simulated
+    sigma, n_avg = cfg.noise_sigma, cfg.n_averages
+    # noise-free sweeps skip the per-point seed derivation
+    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
+              for i, z in enumerate(zs)] if sigma > 0
+             else [(z, math.inf) for z in zs])
+    unwrapped = np.degrees(np.unwrap(np.angle(np.asarray(
+        [z for z, _ in noisy]))))
+    echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph), snr, n_avg)
+              for (z, snr), ph in zip(noisy, unwrapped)]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
-    return SweepResult(axis_name, list(axis_values),
-                       _results_from_observables(
-                           cfg, zs, (*seed_offset, *noise_tag)),
-                       analytic, md)
+    return SweepResult(axis_name, list(axis_values), echoes, list(analytic),
+                       md)
 
 
 def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -370,8 +391,8 @@ def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     seq = cfg.build_sequence()
     waves = [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
                                 cfg.reset_mode) for a in cfg.amplitude_grid]
-    return _sweep(cfg, seq, waves, "b1_t", cfg.amplitude_grid,
-                  {"experiment": "sweep-amplitude"}, workers)
+    return _sweep(cfg, _simulate(cfg, seq, waves, workers), "b1_t",
+                  cfg.amplitude_grid, {"experiment": "sweep-amplitude"})
 
 
 def run_sweep_phase(cfg: ExperimentConfig, workers: int = 1,
@@ -383,9 +404,9 @@ def run_sweep_phase(cfg: ExperimentConfig, workers: int = 1,
     n = n if n is not None else cfg.rf_n
     waves = [build_synchronized(seq, cfg.rf_amplitude, n, math.radians(p),
                                 cfg.reset_mode) for p in cfg.phase_grid]
-    return _sweep(cfg, seq, waves, "phi_rf_deg", cfg.phase_grid,
-                  {"experiment": "sweep-phase", "n": n}, workers,
-                  seed_offset=(n,))
+    return _sweep(cfg, _simulate(cfg, seq, waves, workers, (n,)),
+                  "phi_rf_deg", cfg.phase_grid,
+                  {"experiment": "sweep-phase", "n": n}, (n,))
 
 
 def run_symmetry(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
@@ -416,10 +437,11 @@ def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     results = {}
     variant_ids = {"first": 1, "second": 2, "both": 3, "full": 4}
     for name, waves in variants.items():
-        results[name] = _sweep(cfg, seq, waves, "phi_rf_deg", phis,
+        tag = (variant_ids[name],)
+        results[name] = _sweep(cfg, _simulate(cfg, seq, waves, workers, tag),
+                               "phi_rf_deg", phis,
                                {"experiment": "split-interval",
-                                "variant": name}, workers,
-                               seed_offset=(variant_ids[name],))
+                                "variant": name}, tag)
     combined = results["both"]
     combined.metadata["variants"] = {
         name: {"analytic_phases": r.analytic_phases,
@@ -429,20 +451,29 @@ def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 
 def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
-    """Amplitude sweep per (protocol, n_pi, tau) with refocusing-locked RF;
-    the PDD and CP sweeps of one n_pi share their ensembles."""
-    out = []
+    """Amplitude sweep per (protocol, n_pi, tau) with refocusing-locked RF.
+
+    The PDD and CP sweeps of one n_pi share their ensembles, and each
+    distinct pulse train is simulated once per n_pi: PDD(1) and CP(1) are
+    the same Hahn train, so they share one simulation (as does a repeated
+    n_pi or tau).  Each sweep still draws its own noise."""
+    out, simulated = [], {}
     for p, protocol in enumerate(cfg.dd_protocols):
         for t, tau in enumerate(cfg.dd_taus):
             for n_pi in cfg.dd_n_pi:
                 seq = cfg.build_sequence(protocol, n_pi, tau)
-                waves = [build_synchronized(seq, a, 1, 0.0, cfg.dd_reset_mode)
-                         for a in cfg.dd_amplitudes]
+                # what blochsim and the closed form read of the sequence
+                key = (seq.pulses, seq.tau, seq.echo_time, n_pi)
+                if key not in simulated:
+                    waves = [build_synchronized(seq, a, 1, 0.0,
+                                                cfg.dd_reset_mode)
+                             for a in cfg.dd_amplitudes]
+                    simulated[key] = _simulate(cfg, seq, waves, workers,
+                                               (n_pi,))
                 out.append(_sweep(
-                    cfg, seq, waves, "b1_t", cfg.dd_amplitudes,
+                    cfg, simulated[key], "b1_t", cfg.dd_amplitudes,
                     {"experiment": "dd-sweep", "protocol": protocol.value,
-                     "n_pi": n_pi, "tau_s": tau},
-                    workers, seed_offset=(n_pi,), noise_tag=(p, t)))
+                     "n_pi": n_pi, "tau_s": tau}, (n_pi, p, t)))
     return out
 
 

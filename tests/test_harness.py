@@ -368,6 +368,61 @@ class TestSensitivityPipeline:
         assert phases(self.cfg(seed=99)) != phases(b)
 
 
+class TestSharedSimulation:
+    """PDD(1) and CP(1) are the same Hahn train: one simulation, two sweeps."""
+
+    DD = TestSensitivityPipeline.DD
+
+    def cfg(self, sigma=0.0):
+        return harness.load_config({**FAST_RAW, "dd": self.DD, "noise": {
+            "sigma": sigma, "n_averages": 1}})
+
+    @staticmethod
+    def by_design(results):
+        return {(r.metadata["protocol"], r.metadata["n_pi"]): r
+                for r in results}
+
+    @pytest.mark.parametrize("run", ["run_dd_sweep", "run_sensitivity"])
+    def test_each_pulse_train_simulated_once(self, monkeypatch, run):
+        calls = []
+        echo_points = blochsim.echo_points
+
+        def spy(*args):
+            calls.append(args[1])  # the sequence
+            return echo_points(*args)
+
+        monkeypatch.setattr(blochsim, "echo_points", spy)
+        getattr(harness, run)(self.cfg())
+        # PDD(1), PDD(2), CP(2): CP(1) reuses PDD(1)
+        assert len(calls) == 3
+        assert [s.n_pi for s in calls] == [1, 2, 2]
+
+    def test_cp1_equals_pdd1(self):
+        got = self.by_design(harness.run_dd_sweep(self.cfg()))
+        pdd, cp = got["pdd", 1], got["cp", 1]
+        assert cp.echo_results == pdd.echo_results
+        assert cp.analytic_phases == pdd.analytic_phases
+        assert cp.metadata["protocol"] == "cp"
+        # each sweep owns its lists
+        assert cp.echo_results is not pdd.echo_results
+        assert cp.analytic_phases is not pdd.analytic_phases
+        assert got["cp", 2].analytic_phases != got["pdd", 2].analytic_phases
+
+    def test_shared_simulation_keeps_its_own_noise(self):
+        got = self.by_design(harness.run_dd_sweep(self.cfg(sigma=0.05)))
+        pdd, cp = got["pdd", 1], got["cp", 1]
+        assert cp.analytic_phases == pdd.analytic_phases
+        assert ([er.phase_unwrapped for er in cp.echo_results]
+                != [er.phase_unwrapped for er in pdd.echo_results])
+
+    def test_workers_match_serial(self, monkeypatch):
+        cfg = self.cfg()
+        serial = harness.run_dd_sweep(cfg)
+        pools = _serial_pools(monkeypatch)
+        assert harness.run_dd_sweep(cfg, workers=2) == serial
+        assert pools == [2, 2, 2]  # one pool per simulated pulse train
+
+
 class TestEmission:
     def test_write_csv_round_trip(self, tmp_path):
         rows = [{"a": 1.5, "b": "x"}, {"a": 2.5, "b": "y"}]
@@ -505,6 +560,37 @@ class TestCli:
         raw = _apply_overrides(json.loads(json.dumps(FAST_RAW)),
                                self.BAD_VALUES[case])
         assert main(["validate", self._cfg_file(tmp_path, raw)]) == 2
+
+    @pytest.mark.parametrize("key", ["rf", "dd"])
+    @pytest.mark.parametrize("grid", [
+        {"start": 0.5, "stop": 0.0, "points": 41},
+        {"start": 0.2, "stop": 0.2, "points": 3},
+        [0.0, 0.2, 0.1],
+        [0.0, 0.1, 0.1]])
+    def test_validate_rejects_non_increasing_field_grid(self, tmp_path,
+                                                        capsys, key, grid):
+        # the transduction fit needs strictly increasing fields, so a run
+        # of the same config would fail later, in `sensitivity`
+        raw = json.loads(json.dumps(harness.bundled_config("fig5").raw))
+        raw[key]["amplitude_sweep_mt"] = grid
+        assert main(["validate", self._cfg_file(tmp_path, raw)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}.amplitude_sweep_mt must be strictly increasing" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_field_overflow_is_numerical_error(self, tmp_path, capsys,
+                                               monkeypatch, workers):
+        # 1.7e305 T overflows the RF coupling; numpy's warning about it is
+        # an error under this suite's filterwarnings, and must not escape
+        _serial_pools(monkeypatch)
+        raw = json.loads(json.dumps(harness.bundled_config("fig5").raw))
+        raw["dd"]["amplitude_sweep_mt"]["stop"] = 1.7e308
+        path = self._cfg_file(tmp_path, raw)
+        for command in ("dd-sweep", "sensitivity"):
+            assert main([command, "-c", path, "-o", str(tmp_path / "out"),
+                         "--workers", workers]) == 3
+            err = capsys.readouterr().err
+            assert "numerical error" in err and "overflow" in err
 
     def test_sensitivity_command(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_RAW))
