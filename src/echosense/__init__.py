@@ -2,11 +2,9 @@
 ensemble simulation, and the sensitivity analysis chain."""
 
 from .core import (HBAR, MU0_OVER_4PI, MU_B, CoilCalibration, ConfigError,
-                   NumericalError, SampleSpec, SpinSystem, gyromagnetic_ratio,
-                   volts_to_field)
+                   NumericalError, SampleSpec, SpinSystem, gyromagnetic_ratio)
 from .sequence import (FilterFunction, Pulse, PulseSequence, SequenceKind,
-                       build_cp, build_custom, build_hahn, build_pdd,
-                       filter_function)
+                       build_cp, build_hahn, build_pdd, filter_function)
 from .rf import (ResetMode, RFWaveform, build_split_interval,
                  build_synchronized, exclude_intervals, pulse_gated,
                  synchronized_frequency, zero_field)
@@ -15,7 +13,7 @@ from .analytic import (PhaseAccumulation, accumulate_phase,
                        split_interval_decomposition)
 from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace,
                        echo_observable, evolve, trace_to_csv)
-from .echo import EchoResult, add_measurement_noise, from_complex, wrap_phase
+from .echo import EchoResult, wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
                           concentration_sensitivity, dd_sensitivity_sweep,
                           dipole_field, fit_transduction,

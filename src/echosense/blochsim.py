@@ -19,10 +19,9 @@ intervals lie and in how a pulse acts:
   Omega = (Rabi*cos(phase), Rabi*sin(phase), detuning) across its drive,
   with the RF gated off; the free intervals run between pulse edges.
 
-After the last pulse the readout over the uniform trace grid is a
-geometric recurrence in the per-sample detuning factor, so Python-level
-work grows with the pulse count and not with the number of trace
-samples.
+After the last pulse each packet only precesses at its detuning, so
+`evolve` reads its trace out as one matrix product of the per-sample
+phase factors with the packets' weighted state.
 
 A sweep runs through `echo_points`, which returns each point's echo
 divided by its zero-RF reference.  It batches the sweep: the points go
@@ -37,11 +36,14 @@ set its RK4 step.  `evolve` keeps the full trace for dumps and tests.
 
 Echo phases are reported in the readout frame that keeps the first free
 interval at positive sign (receiver phase follows the refocusing
-parity), matching the filter-function convention.
+parity), matching the filter-function convention.  `evolve` and
+`echo_points` raise a floating-point overflow, invalid result or
+division by zero as NumericalError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,10 +152,23 @@ def _trace_window(seq: PulseSequence) -> tuple[float, float]:
     return seq.echo_time - hw, seq.echo_time + hw
 
 
+def _raise_fp_errors(fn):
+    """fn, raising floating-point errors as NumericalError, not warnings."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as e:
+            raise NumericalError(f"non-finite simulation result: {e}") from e
+    return checked
+
+
 def _envelope(sys: SpinSystem, t: float) -> float:
     return math.exp(-((t / sys.t_m) ** sys.stretch_beta))
 
 
+@_raise_fp_errors
 def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
            ens: EnsembleConfig, mode: PulseMode = PulseMode.IDEAL,
            cal: CoilCalibration | None = None,
@@ -260,26 +275,10 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
 
 def _evolve_trace(seq: PulseSequence, mode: PulseMode, wave: RFWaveform,
                   geff: float, det, fac, w, times) -> np.ndarray:
-    """Ensemble trace on `times`, which must be uniformly spaced (evolve
-    builds them with linspace)."""
+    """Ensemble trace on `times`, the packets precessing after times[0]."""
     m = _readout_state(seq, mode, det, geff * fac[None] * wave.amplitude,
                        [wave], times[0])[0]
-    # On the uniform grid, sample j of packet k is its first sample times
-    # q_k**j with q_k = exp(i*det_k*dt).  The rows q**j are filled by
-    # doubling: each pass extends the filled rows by multiplying them with
-    # q**n, which is cheaper in numpy than a complex cumprod.
-    n_t = len(times)
-    z = np.empty((n_t, len(det)), dtype=complex)
-    z[0] = w * m
-    if n_t > 1:
-        qn = np.exp(1j * det * ((times[-1] - times[0]) / (n_t - 1)))
-        n = 1
-        while n < n_t:
-            k = min(n, n_t - n)
-            np.multiply(z[:k], qn, out=z[n:n + k])
-            n += k
-            qn = qn * qn
-    out = z.sum(axis=1)
+    out = np.exp(1j * np.outer(times - times[0], det)) @ (w * m)
     # odd refocusing count: the receiver phase follows the parity (w is real)
     return np.conj(out) if seq.n_pi % 2 == 1 else out
 
@@ -299,6 +298,7 @@ def echo_observable(trace: SimulationTrace,
     return z
 
 
+@_raise_fp_errors
 def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
                 mode: PulseMode, cal: CoilCalibration | None,
                 trace_points: int) -> list[complex]:

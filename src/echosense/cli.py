@@ -137,7 +137,9 @@ def main(argv=None) -> int:
         for p in written:
             print(p)
         return 0
-    except ConfigError as e:
+    # an OSError here is an output root or run directory that cannot be
+    # written: config files are read through harness.read_json
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

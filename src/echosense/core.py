@@ -8,7 +8,7 @@ at the CLI / config boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 #: Bohr magneton [J/T] (CODATA 2018)
@@ -128,7 +128,7 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class CoilCalibration:
-    """RF coil calibration: AWG voltage to field, plus effective coupling.
+    """RF coil: AWG voltage to field (recorded, not simulated) and coupling.
 
     coupling_eta is the fraction of the nominal coil field effectively
     seen by the spins; 1.0 for ideal-physics tests, a fitted value
@@ -147,14 +147,3 @@ class CoilCalibration:
         if not 0 < self.coupling_eta <= 1:
             raise ConfigError(
                 f"coupling_eta must be in (0, 1], got {self.coupling_eta}")
-
-    def with_eta(self, eta: float) -> "CoilCalibration":
-        return replace(self, coupling_eta=eta)
-
-
-def volts_to_field(cal: CoilCalibration, v: float) -> float:
-    """Nominal coil field for an AWG voltage, before coupling_eta."""
-    if not 0 <= v <= cal.max_voltage:
-        raise ConfigError(
-            f"voltage {v} V outside [0, {cal.max_voltage}] V")
-    return v * cal.field_per_volt

@@ -7,7 +7,6 @@ echo SNR to the achievable phase resolution.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,13 +35,6 @@ def wrap_phase(phi: float) -> float:
     return 90.0 - ((90.0 - phi) % 180.0)
 
 
-def from_complex(z: complex, n_averages: int = 1,
-                 snr: float = math.inf) -> EchoResult:
-    """EchoResult from a (normalized) complex echo observable."""
-    phase = math.degrees(cmath.phase(z))
-    return EchoResult(abs(z), wrap_phase(phase), phase, snr, n_averages)
-
-
 def noisy_echo(clean: complex, sigma: float, n_averages: int,
                seed: int = 0) -> tuple[complex, float]:
     """(noisy echo, snr) of a clean echo under averaged Gaussian quadrature
@@ -62,10 +54,3 @@ def noisy_echo(clean: complex, sigma: float, n_averages: int,
     s = sigma / math.sqrt(n_averages)
     noisy = clean + complex(*(s * rng.standard_normal(2)))
     return noisy, abs(clean) * math.sqrt(n_averages) / sigma
-
-
-def add_measurement_noise(clean: complex, sigma: float, n_averages: int,
-                          seed: int = 0) -> EchoResult:
-    """EchoResult of a clean echo corrupted as in `noisy_echo`."""
-    noisy, snr = noisy_echo(clean, sigma, n_averages, seed)
-    return from_complex(noisy, n_averages, snr)

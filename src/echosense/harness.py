@@ -19,15 +19,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
 
 from . import blochsim
 from .analytic import accumulate_phase
-from .core import (CoilCalibration, ConfigError, NumericalError, SampleSpec,
-                   SpinSystem)
+from .core import CoilCalibration, ConfigError, SampleSpec, SpinSystem
 from .echo import EchoResult, noisy_echo, wrap_phase
 from .rf import (ResetMode, build_split_interval, build_synchronized,
                  pulse_gated)
@@ -329,31 +328,20 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _echo_points(*args) -> list[complex]:
-    """`blochsim.echo_points(*args)`, with a floating-point overflow,
-    invalid result or division by zero raised as NumericalError rather
-    than warned about (in pool workers too)."""
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            return blochsim.echo_points(*args)
-        except FloatingPointError as e:
-            raise NumericalError(f"simulation failed: {e}") from e
-
-
 def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
               seed_offset=()) -> tuple[list[complex], list[float]]:
     """The clean echoes and closed-form phases (rad) of one grid; point
-    i's ensemble is seeded from (*seed_offset, i)."""
+    i's ensemble is seeded from (*seed_offset, i).  Each worker runs one
+    contiguous slice of the grid through `blochsim.echo_points`."""
     filt = filter_function(seq)
     ensembles = [replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
                  for i in range(len(waves))]
-    # one echo_points call per contiguous slice, one slice per worker
     k = max(1, min(workers, len(waves)))
     cuts = [len(waves) * j // k for j in range(k + 1)]
     tasks = [(cfg.spin_system, seq, waves[a:b], ensembles[a:b],
               cfg.pulse_mode, cfg.calibration, cfg.trace_points)
              for a, b in zip(cuts, cuts[1:])]
-    zs = [z for part in _map(_echo_points, tasks, workers) for z in part]
+    zs = list(chain(*_map(blochsim.echo_points, tasks, workers)))
     # finite pulses hold the state with the RF off during each drive, so
     # the closed form they match is that of the pulse-gated field
     if cfg.pulse_mode is blochsim.PulseMode.FINITE:

@@ -198,9 +198,6 @@ class RFWaveform:
         return RFWaveform(self.amplitude, self.frequency, phi, self.windows,
                           self.reset_mode, ph)
 
-    def end(self) -> float:
-        return self.windows[-1][1] if self.windows else 0.0
-
 
 #: the constructor fields, in order, as `repr` names them
 _FIELDS = ("amplitude", "frequency", "phase", "windows", "reset_mode",

@@ -1,4 +1,4 @@
-"""Microwave pulse sequences (Hahn, PDD, CP, custom) and their sign filters.
+"""Microwave pulse sequences (Hahn, PDD, CP) and their sign filters.
 
 Timing convention: the delay grid is defined by pulse *centers*.  The
 protocol clock t=0 sits at the center of the initial pi/2 pulse, so the
@@ -7,11 +7,12 @@ of pulse durations.  Finite durations only matter to the numerical
 simulator; absolute lab time starts at the leading edge of the first
 pulse (origin = t_pi2/2 before protocol zero).
 
-`Pulse`, `PulseSequence` and `build_custom` check every record they are
-given.  `build_hahn`, `build_pdd` and `build_cp` check their timings
-once and fill their pulse and sequence records without re-running those
-checks: what they build is the sequence, float for float, that the
-checked records would hold, and they reject what those would reject.
+`Pulse` and `PulseSequence` check every record they are given; a
+sequence built from explicit pulses has kind CUSTOM.  `build_hahn`,
+`build_pdd` and `build_cp` check their timings once and fill their pulse
+and sequence records without re-running those checks: what they build is
+the sequence, float for float, that the checked records would hold, and
+they reject what those would reject.
 """
 
 from __future__ import annotations
@@ -219,11 +220,6 @@ def build_cp(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
     return _pulse_train(SequenceKind.CP, tau, t_pi2, t_pi,
                         range(1, 2 * n_pi, 2), 2 * n_pi * tau)
-
-
-def build_custom(pulses, tau: float, echo_time: float) -> PulseSequence:
-    """Fully validated custom sequence from explicit pulses."""
-    return PulseSequence(tuple(pulses), tau, echo_time, SequenceKind.CUSTOM)
 
 
 def filter_function(seq: PulseSequence) -> FilterFunction:

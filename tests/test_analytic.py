@@ -62,7 +62,8 @@ class TestHahnClosedForm:
     def test_coupling_eta_scales_phase(self):
         filt, wave = hahn_parts(1.2e-6, 1e-6)
         full = accumulate_phase(SYS, CAL, filt, wave).phi
-        scaled = accumulate_phase(SYS, CAL.with_eta(6.682e-3), filt, wave).phi
+        cal = dataclasses.replace(CAL, coupling_eta=6.682e-3)
+        scaled = accumulate_phase(SYS, cal, filt, wave).phi
         assert scaled == pytest.approx(6.682e-3 * full, rel=1e-12)
 
 

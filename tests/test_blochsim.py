@@ -242,13 +242,24 @@ class TestFinitePulse:
         with pytest.raises(ConfigError, match=blowup):
             echo_points(SYS, seq, [wave], [ens], PulseMode.FINITE, CAL, 61)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_echo_raises(self):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
         # the RF phase overflows to inf, so the signal state turns NaN
         wave = build_synchronized(seq, 1e300, 1, 0.0)
         with pytest.raises(NumericalError, match="non-finite"):
             echo_points(SYS, seq, [wave], [DELTA], PulseMode.FINITE, CAL, 61)
+
+
+class TestFloatingPointErrors:
+    """A floating-point overflow ends `evolve` in NumericalError; numpy's
+    warning about it is an error under this suite's filterwarnings."""
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_evolve_overflow_is_numerical_error(self, mode):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        wave = build_synchronized(seq, 1e300, 1, 0.0)
+        with pytest.raises(NumericalError, match="non-finite.*overflow"):
+            evolve(SYS, seq, wave, DELTA, mode, CAL)
 
 
 class TestRfAfterEcho:

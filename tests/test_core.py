@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from echosense import core
 from echosense import (HBAR, MU_B, CoilCalibration, ConfigError, SampleSpec,
-                       SpinSystem, gyromagnetic_ratio, volts_to_field)
+                       SpinSystem, gyromagnetic_ratio)
 
 
 class TestGyromagneticRatio:
@@ -122,17 +122,8 @@ class TestSampleSpec:
 class TestCoilCalibration:
     def test_default_full_scale_field(self):
         cal = CoilCalibration()
-        assert volts_to_field(cal, 2.5) == pytest.approx(1.8e-3, rel=1e-12)
-
-    def test_linearity(self):
-        cal = CoilCalibration()
-        assert volts_to_field(cal, 1.25) == pytest.approx(0.9e-3, rel=1e-12)
-        assert volts_to_field(cal, 0.0) == 0.0
-
-    @pytest.mark.parametrize("v", [-0.1, 2.6, 1e3])
-    def test_out_of_range_voltage_rejected(self, v):
-        with pytest.raises(ConfigError):
-            volts_to_field(CoilCalibration(), v)
+        assert cal.max_voltage * cal.field_per_volt == pytest.approx(
+            1.8e-3, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         {"field_per_volt": 0.0},
@@ -145,14 +136,3 @@ class TestCoilCalibration:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CoilCalibration(**kwargs)
-
-    def test_with_eta(self):
-        cal = CoilCalibration().with_eta(6.682e-3)
-        assert cal.coupling_eta == 6.682e-3
-        assert cal.field_per_volt == CoilCalibration().field_per_volt
-
-    @given(st.floats(min_value=0.0, max_value=2.5))
-    def test_field_nonnegative_and_bounded(self, v):
-        cal = CoilCalibration()
-        b = volts_to_field(cal, v)
-        assert 0.0 <= b <= cal.max_voltage * cal.field_per_volt + 1e-18

@@ -1,14 +1,13 @@
 """Echo observable extraction, phase wrapping, measurement noise."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from echosense import (ConfigError, EchoResult, add_measurement_noise,
-                       from_complex, wrap_phase)
+from echosense import ConfigError, EchoResult, wrap_phase
+from echosense.echo import noisy_echo
 
 
 class TestWrapPhase:
@@ -47,18 +46,7 @@ class TestWrapPhase:
 
 
 class TestFromComplex:
-    def test_amplitude_and_phase(self):
-        z = 0.8 * cmath.exp(1j * math.radians(30.0))
-        r = from_complex(z)
-        assert r.amplitude == pytest.approx(0.8)
-        assert r.phase_unwrapped == pytest.approx(30.0)
-        assert r.phase_wrapped == pytest.approx(30.0)
-
-    def test_wrapping_beyond_quadrant(self):
-        z = cmath.exp(1j * math.radians(120.0))
-        r = from_complex(z)
-        assert r.phase_unwrapped == pytest.approx(120.0)
-        assert r.phase_wrapped == pytest.approx(-60.0)
+    """The EchoResult that a sweep builds from each complex echo."""
 
     def test_negative_amplitude_impossible(self):
         with pytest.raises(ConfigError):
@@ -66,27 +54,30 @@ class TestFromComplex:
 
 
 class TestMeasurementNoise:
+    @staticmethod
+    def phase(clean, sigma, n_averages, seed):
+        """Phase (rad) of the noisy echo."""
+        return float(np.angle(noisy_echo(clean, sigma, n_averages, seed)[0]))
+
     def test_zero_sigma_is_clean(self):
         z = 0.5 + 0.2j
-        r = add_measurement_noise(z, 0.0, 4)
-        assert r.amplitude == pytest.approx(abs(z))
-        assert r.snr == math.inf
-        assert r.n_averages == 4
+        assert noisy_echo(z, 0.0, 4) == (z, math.inf)
 
     def test_snr_definition(self):
-        r = add_measurement_noise(1.0 + 0.0j, 0.1, 16, seed=3)
-        assert r.snr == pytest.approx(1.0 * 4 / 0.1)
+        _, snr = noisy_echo(1.0 + 0.0j, 0.1, 16, seed=3)
+        assert snr == pytest.approx(1.0 * 4 / 0.1)
 
     def test_deterministic_in_seed(self):
-        a = add_measurement_noise(1.0, 0.05, 1, seed=7)
-        b = add_measurement_noise(1.0, 0.05, 1, seed=7)
+        a = noisy_echo(1.0, 0.05, 1, seed=7)
+        b = noisy_echo(1.0, 0.05, 1, seed=7)
         assert a == b
+        assert a[0] != 1.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigError):
-            add_measurement_noise(1.0, -0.1, 1)
+            noisy_echo(1.0, -0.1, 1)
         with pytest.raises(ConfigError):
-            add_measurement_noise(1.0, 0.1, 0)
+            noisy_echo(1.0, 0.1, 0)
 
     def test_phase_std_scales_inverse_sqrt_averages(self):
         # quadrupling n_averages halves the phase std (within 10% over
@@ -95,8 +86,7 @@ class TestMeasurementNoise:
         n_draws = 10_000
 
         def phase_std(n_avg):
-            phases = [add_measurement_noise(clean, sigma, n_avg,
-                                            seed=s).phase_unwrapped
+            phases = [self.phase(clean, sigma, n_avg, s)
                       for s in range(n_draws)]
             return float(np.std(phases))
 
@@ -106,7 +96,5 @@ class TestMeasurementNoise:
     def test_phase_std_matches_small_angle_prediction(self):
         # for SNR >> 1 the phase std approaches sigma/(|z| sqrt(n)) rad
         clean, sigma = 1.0 + 0.0j, 0.02
-        phases = [math.radians(add_measurement_noise(clean, sigma, 1,
-                                                     seed=s).phase_unwrapped)
-                  for s in range(10_000)]
+        phases = [self.phase(clean, sigma, 1, s) for s in range(10_000)]
         assert float(np.std(phases)) == pytest.approx(sigma, rel=0.10)

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echosense import (ConfigError, ResetMode, SequenceKind,
-                       add_measurement_noise, blochsim, build_synchronized,
-                       dd_sensitivity_sweep)
+from echosense import (ConfigError, ResetMode, SequenceKind, blochsim,
+                       build_synchronized, dd_sensitivity_sweep)
 from echosense import harness
 from echosense.cli import _apply_overrides, main
+from echosense.echo import noisy_echo
 
 FAST_RAW = {
     "spin_system": {"g": 2.0, "t_m_us": 100.0,
@@ -225,7 +225,7 @@ class TestSweeps:
             [clean] = blochsim.echo_points(
                 cfg.spin_system, seq, [wave], [ens], cfg.pulse_mode,
                 cfg.calibration, cfg.trace_points)
-            assert er.snr == add_measurement_noise(clean, 0.05, 4).snr
+            assert er.snr == noisy_echo(clean, 0.05, 4)[1]
 
     def test_noise_differs_between_sweeps(self):
         raw = json.loads(json.dumps(harness.bundled_config("fig4").raw))
@@ -509,6 +509,22 @@ class TestCli:
                   "--workers", workers])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-amplitude", "reproduce"])
+    @pytest.mark.parametrize("below", [(), ("x",)],
+                             ids=["file", "below-file"])
+    def test_unusable_output_root_exit_2(self, tmp_path, capsys, command,
+                                         below):
+        # an output root that is, or runs through, a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = (["fig2"] if command == "reproduce"
+                  else ["-c", self._cfg_file(tmp_path)])
+        assert main([command, *target,
+                     "-o", str(blocker.joinpath(*below))]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(blocker) in err[0]
 
     def test_set_override(self, tmp_path, capsys):
         rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),

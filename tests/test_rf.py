@@ -171,7 +171,7 @@ class TestIntegralsWalk:
     @pytest.mark.parametrize("name", list(_walk_waves()))
     def test_random_edges_cut_through_windows(self, name):
         wave = _walk_waves()[name]
-        end = max(wave.end(), 1e-6)
+        end = max([1e-6, *(b for _, b in wave.windows)])
         rng = np.random.default_rng(11)
         for n in (2, 3, 7, 25):
             edges = tuple(np.sort(rng.uniform(-0.3 * end, 1.3 * end, n)))
@@ -180,7 +180,7 @@ class TestIntegralsWalk:
     @pytest.mark.parametrize("name", list(_walk_waves()))
     def test_edges_outside_and_on_window_bounds(self, name):
         wave = _walk_waves()[name]
-        end = max(wave.end(), 1e-6)
+        end = max([1e-6, *(b for _, b in wave.windows)])
         bounds = sorted({x for win in wave.windows for x in win})
         self.check(wave, (-2 * end, -end, 0.0))          # wholly before
         self.check(wave, (2 * end, 3 * end, 4 * end))    # wholly after
@@ -705,7 +705,7 @@ class TestWaveformSurface:
     def test_synchronized_checks_its_scalars(self):
         # an overflowing frequency, and windows whose last edge overflows
         tiny = build_hahn(1e-309, 1e-310, 2e-310)
-        huge = echosense.build_custom(
+        huge = echosense.PulseSequence(
             (echosense.Pulse(0.0, 1.0, math.pi / 2),
              echosense.Pulse(6e307, 1.0, math.pi)), 6e307, 1.7e308)
         for seq, mode in ((tiny, ResetMode.CONTINUOUS),
@@ -720,7 +720,7 @@ class TestWaveformSurface:
     def test_integer_sequence_gives_float_windows(self, mode):
         # a custom sequence may hold ints; the windows are floats, as the
         # constructor converts them
-        seq = echosense.build_custom(
+        seq = echosense.PulseSequence(
             (echosense.Pulse(0, 1, math.pi / 2),
              echosense.Pulse(2, 1, math.pi)), 3, 6)
         wave = build_synchronized(seq, 1e-3, 1, 0, mode)

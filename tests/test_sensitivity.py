@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
-                       FitMethod, SampleSpec, SpinSystem,
+                       FitMethod, NumericalError, SampleSpec, SpinSystem,
                        concentration_sensitivity, dd_sensitivity_sweep,
                        dipole_field, fit_transduction,
                        minimum_detectable_field, spectral_sensitivity)
@@ -297,3 +297,11 @@ class TestDdSensitivitySweep:
             dd_sensitivity_sweep(
                 SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
                 self.SAMPLE, [0.0, 1e-4], self.ENS, 80e-9, 160e-9)
+
+    def test_overflow_is_numerical_error(self):
+        # 1e302 T overflows the RF coupling; numpy's warning about it is an
+        # error under this suite's filterwarnings, and must not escape
+        with pytest.raises(NumericalError, match="non-finite.*overflow"):
+            dd_sensitivity_sweep(
+                SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
+                self.SAMPLE, [0.0, 1e302, 2e302], self.ENS, 80e-9, 160e-9)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from echosense import (ConfigError, FilterFunction, Pulse, PulseSequence,
-                       build_cp, build_custom, build_hahn, build_pdd,
-                       filter_function)
+                       build_cp, build_hahn, build_pdd, filter_function)
 from echosense.sequence import SequenceKind, _check_timings
 
 T_PI2 = 80e-9
@@ -116,23 +115,25 @@ class TestBuildCp:
 
 
 class TestBuildCustom:
+    """A custom sequence: a PulseSequence of explicit pulses."""
+
     def test_accepts_explicit_pulses(self):
         pulses = (Pulse(0.0, T_PI2, math.pi / 2),
                   Pulse(1e-6, T_PI, math.pi))
-        seq = build_custom(pulses, 1e-6, 2.2e-6)
+        seq = PulseSequence(pulses, 1e-6, 2.2e-6)
         assert seq.n_pi == 1
 
     def test_overlap_rejected(self):
         pulses = (Pulse(0.0, 200e-9, math.pi / 2),
                   Pulse(100e-9, T_PI, math.pi))
         with pytest.raises(ConfigError):
-            build_custom(pulses, 1e-6, 2e-6)
+            PulseSequence(pulses, 1e-6, 2e-6)
 
     def test_echo_before_last_pulse_rejected(self):
         pulses = (Pulse(0.0, T_PI2, math.pi / 2),
                   Pulse(1e-6, T_PI, math.pi))
         with pytest.raises(ConfigError):
-            build_custom(pulses, 1e-6, 0.5e-6)
+            PulseSequence(pulses, 1e-6, 0.5e-6)
 
 
 class TestFilterFunction:
@@ -222,8 +223,6 @@ class TestPulseSequenceValidation:
         pulses = (Pulse(0.0, T_PI2, math.pi / 2), Pulse(1e-6, T_PI, math.pi))
         with pytest.raises(ConfigError, match="echo time must be finite"):
             PulseSequence(pulses, 1e-6, echo_time)
-        with pytest.raises(ConfigError, match="echo time must be finite"):
-            build_custom(pulses, 1e-6, echo_time)
 
     def test_builders_reject_overflowing_echo(self):
         # the echo at 2*tau overflows while every pulse start is finite
