@@ -15,8 +15,17 @@ from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace,
                        echo_observable, evolve, trace_to_csv)
 from .echo import EchoResult, wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
-                          concentration_sensitivity, dd_sensitivity_sweep,
-                          dipole_field, fit_transduction,
-                          minimum_detectable_field, spectral_sensitivity)
+                          concentration_sensitivity, dipole_field,
+                          fit_transduction, minimum_detectable_field,
+                          spectral_sensitivity)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the DD sensitivity sweep lives in harness, which `import echosense`
+    # does not load (its config hashing alone pulls in OpenSSL)
+    if name == "dd_sensitivity_sweep":
+        from .harness import dd_sensitivity_sweep
+        return dd_sensitivity_sweep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -111,11 +111,12 @@ def main(argv=None) -> int:
             return 0
 
         cfg = _load(args)
+        root = harness.output_root(args.output_root)
         result = harness.EXPERIMENTS[args.command](cfg, args.workers)
         stem = ("split" if args.command == "split-interval"
                 else args.command.replace("-", "_"))
         written = harness.emit(
-            harness.run_directory(args.command, cfg, args.output_root),
+            harness.run_directory(args.command, cfg, root),
             {stem: harness.experiment_rows(cfg, result)}, args.plot)
 
         if getattr(args, "dump_trace", False):

@@ -59,15 +59,13 @@ class SpinSystem:
 
     t_m is the phase-memory time of the echo envelope, modeled as a
     stretched exponential exp(-(t/t_m)**stretch_beta).  Inhomogeneous
-    broadening is a Gaussian detuning distribution of std
-    inhomogeneous_sigma (rad/s); unresolved hyperfine structure is folded
-    into it.
+    broadening is not a property of the spin system here: the simulated
+    detuning spread is the ensemble's (`blochsim.EnsembleConfig`).
     """
 
     g: float = 2.00
     t_m: float = 1e-5
     stretch_beta: float = 1.0
-    inhomogeneous_sigma: float = 0.0
     label: str = ""
     #: g * mu_B / hbar, fixed at construction
     gamma: float = field(init=False, repr=False)
@@ -80,9 +78,6 @@ class SpinSystem:
         if not 1.0 <= self.stretch_beta <= 3.0:
             raise ConfigError(
                 f"stretch_beta must be in [1, 3], got {self.stretch_beta}")
-        if not 0 <= self.inhomogeneous_sigma < math.inf:
-            raise ConfigError("inhomogeneous_sigma must be finite and >= 0, "
-                              f"got {self.inhomogeneous_sigma}")
 
 
 @dataclass(frozen=True)

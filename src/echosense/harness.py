@@ -7,8 +7,11 @@ to SI.  Every run is reproducible from (config, seed): per-point
 ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
 ensemble seed defaulting to the top-level seed, results are gathered in
 grid order, and the canonical config hash is stamped into every CSV row
-and into the run directory name.  Every experiment runs
-its points through one sweep and writes its CSVs through one emitter.
+and into the run directory name.  Every simulated grid, those of
+`dd_sensitivity_sweep` included, is seeded and simulated by
+`_grid_echoes` and unwrapped by `_unwrapped_deg`; every experiment
+returns plain `SweepResult`s (or sensitivity reports fitted to them) and
+writes its CSVs through one emitter.
 """
 
 from __future__ import annotations
@@ -139,7 +142,9 @@ SCHEMA = {
     "": {"seed": (0, _count), "label": ("", _text)},
     "spin_system": {"g": (2.0, _num), "t_m_us": (10.0, _num),
                     "stretch_beta": (1.0, _num), "label": ("", _text),
-                    "inhomogeneous_sigma_mhz": (0.0, _num)},
+                    # recorded, not simulated: the simulated spread is
+                    # ensemble.detuning_sigma_mhz
+                    "inhomogeneous_sigma_mhz": (0.0, _num, ">= 0")},
     "sample": dict.fromkeys(("spin_density_per_cm3", "active_spin_count",
                              "sensing_volume_mm3"), (None, _num)),
     "calibration": {"field_per_volt_mt": (0.72, _num),
@@ -249,9 +254,7 @@ def load_config(source) -> ExperimentConfig:
         cfg = ExperimentConfig(
             spin_system=SpinSystem(
                 g=ss["g"], t_m=ss["t_m_us"] * US,
-                stretch_beta=ss["stretch_beta"],
-                inhomogeneous_sigma=ss["inhomogeneous_sigma_mhz"] * MHZ_TO_RAD,
-                label=ss["label"]),
+                stretch_beta=ss["stretch_beta"], label=ss["label"]),
             sample=SampleSpec(
                 spin_density=None if rho is None else rho * 1e6,
                 active_spin_count=sm["active_spin_count"],
@@ -328,20 +331,34 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
-              seed_offset=()) -> tuple[list[complex], list[float]]:
-    """The clean echoes and closed-form phases (rad) of one grid; point
-    i's ensemble is seeded from (*seed_offset, i).  Each worker runs one
+def _grid_echoes(sys: SpinSystem, cal: CoilCalibration, ens, mode,
+                 trace_points: int, seq, waves, tag=(),
+                 workers: int = 1) -> list[complex]:
+    """The clean echoes of one grid: point i runs the ensemble `ens`
+    reseeded with point_seed(ens.seed, *tag, i), and each worker runs one
     contiguous slice of the grid through `blochsim.echo_points`."""
-    filt = filter_function(seq)
-    ensembles = [replace(cfg.ensemble, seed=cfg.point_seed(*seed_offset, i))
+    ensembles = [replace(ens, seed=blochsim.point_seed(ens.seed, *tag, i))
                  for i in range(len(waves))]
     k = max(1, min(workers, len(waves)))
     cuts = [len(waves) * j // k for j in range(k + 1)]
-    tasks = [(cfg.spin_system, seq, waves[a:b], ensembles[a:b],
-              cfg.pulse_mode, cfg.calibration, cfg.trace_points)
+    tasks = [(sys, seq, waves[a:b], ensembles[a:b], mode, cal, trace_points)
              for a, b in zip(cuts, cuts[1:])]
-    zs = list(chain(*_map(blochsim.echo_points, tasks, workers)))
+    return list(chain(*_map(blochsim.echo_points, tasks, workers)))
+
+
+def _unwrapped_deg(zs) -> np.ndarray:
+    """The phases (deg) of one grid's echoes, unwrapped along the grid."""
+    return np.degrees(np.unwrap(np.angle(np.asarray(zs))))
+
+
+def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
+              tag=()) -> tuple[list[complex], list[float]]:
+    """The clean echoes (seeded from tag) and closed-form phases (rad) of
+    one grid."""
+    filt = filter_function(seq)
+    zs = _grid_echoes(cfg.spin_system, cfg.calibration, cfg.ensemble,
+                      cfg.pulse_mode, cfg.trace_points, seq, waves, tag,
+                      workers)
     # finite pulses hold the state with the RF off during each drive, so
     # the closed form they match is that of the pulse-gated field
     if cfg.pulse_mode is blochsim.PulseMode.FINITE:
@@ -353,20 +370,18 @@ def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
 
 def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
            metadata, noise_tag=()) -> SweepResult:
-    """The SweepResult of a `_simulate` result, with `noisy_echo` noise
-    and grid-level phase unwrapping.  Point i's noise is seeded from
-    (7919, *noise_tag, i): every sweep of a run has its own noise tag, so
-    none share noise."""
+    """The SweepResult of a `_simulate` result, with `noisy_echo` noise.
+    Point i's noise is seeded from (7919, *noise_tag, i): every sweep of
+    a run has its own noise tag, so none share noise."""
     zs, analytic = simulated
     sigma, n_avg = cfg.noise_sigma, cfg.n_averages
     # noise-free sweeps skip the per-point seed derivation
     noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
               for i, z in enumerate(zs)] if sigma > 0
              else [(z, math.inf) for z in zs])
-    unwrapped = np.degrees(np.unwrap(np.angle(np.asarray(
-        [z for z, _ in noisy]))))
+    phases = _unwrapped_deg([z for z, _ in noisy])
     echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph), snr, n_avg)
-              for (z, snr), ph in zip(noisy, unwrapped)]
+              for (z, snr), ph in zip(noisy, phases)]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
     return SweepResult(axis_name, list(axis_values), echoes, list(analytic),
                        md)
@@ -402,40 +417,27 @@ def run_symmetry(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
     return [run_sweep_phase(cfg, workers, n=n) for n in cfg.n_list]
 
 
-def run_split_interval(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Half-period gating on the first/second/both tau intervals of a Hahn
-    sequence, swept over the gated lobe's phase."""
+def run_split_interval(cfg: ExperimentConfig,
+                       workers: int = 1) -> list[SweepResult]:
+    """Half-period gating on the first, second and both tau intervals of a
+    Hahn sequence, and the full synchronized field, each swept over the
+    gated lobe's phase: one sweep per variant."""
     phis, amp = cfg.split_grid, cfg.rf_amplitude
     seq = cfg.build_sequence(kind=SequenceKind.HAHN)
-    tau = seq.tau
-
-    def gated(phi0, first, second, phase_second=0.0):
-        return build_split_interval(tau, amp, phi0, phase_second,
-                                    enable_first=first, enable_second=second)
-
+    rads = [math.radians(p) for p in phis]
     variants = {
-        "first": [gated(math.radians(p), True, False) for p in phis],
-        "second": [build_split_interval(tau, amp, 0.0, math.radians(p),
-                                        enable_first=False, enable_second=True)
-                   for p in phis],
-        "both": [gated(math.radians(p), True, True) for p in phis],
-        "full": [build_synchronized(seq, amp, 1, math.radians(p),
-                                    ResetMode.CONTINUOUS) for p in phis],
+        "first": [build_split_interval(seq.tau, amp, r, enable_second=False)
+                  for r in rads],
+        "second": [build_split_interval(seq.tau, amp, 0.0, r,
+                                        enable_first=False) for r in rads],
+        "both": [build_split_interval(seq.tau, amp, r) for r in rads],
+        "full": [build_synchronized(seq, amp, 1, r, ResetMode.CONTINUOUS)
+                 for r in rads],
     }
-    results = {}
-    variant_ids = {"first": 1, "second": 2, "both": 3, "full": 4}
-    for name, waves in variants.items():
-        tag = (variant_ids[name],)
-        results[name] = _sweep(cfg, _simulate(cfg, seq, waves, workers, tag),
-                               "phi_rf_deg", phis,
-                               {"experiment": "split-interval",
-                                "variant": name}, tag)
-    combined = results["both"]
-    combined.metadata["variants"] = {
-        name: {"analytic_phases": r.analytic_phases,
-               "echo_results": r.echo_results}
-        for name, r in results.items()}
-    return combined
+    return [_sweep(cfg, _simulate(cfg, seq, waves, workers, (v,)),
+                   "phi_rf_deg", phis,
+                   {"experiment": "split-interval", "variant": name}, (v,))
+            for v, (name, waves) in enumerate(variants.items(), 1)]
 
 
 def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
@@ -481,6 +483,43 @@ def run_sensitivity(cfg: ExperimentConfig,
     return reports
 
 
+def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
+                         sys: SpinSystem, cal: CoilCalibration,
+                         sample: SampleSpec, amplitudes, ens_base,
+                         t_pi2: float, t_pi: float,
+                         phase_resolution: float = 1.0, t_meas: float = 0.375,
+                         reset_mode: ResetMode = ResetMode.PER_WINDOW_RESET,
+                         mode: blochsim.PulseMode = blochsim.PulseMode.IDEAL,
+                         trace_points: int = 61,
+                         ) -> list[SensitivityReport]:
+    """Simulated amplitude sweep -> transduction fit -> report, per pulse
+    count of one protocol, without a config.
+
+    Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi, i), as
+    in `run_dd_sweep`, so PDD and CP runs of the same n_pi share identical
+    ensembles.  `trace_points` is the echo-window sampling of every point.
+    """
+    protocol = SequenceKind(protocol)
+    if protocol not in _DD_KINDS:
+        raise ConfigError(f"protocol must be PDD or CP, got {protocol}")
+    build = build_pdd if protocol is SequenceKind.PDD else build_cp
+    amplitudes = [float(a) for a in amplitudes]
+    if len(amplitudes) < 3:
+        raise ConfigError("need at least 3 amplitude grid points")
+
+    reports = []
+    for n_pi in n_pi_list:
+        seq = build(n_pi, tau, t_pi2, t_pi)
+        waves = [build_synchronized(seq, a, 1, 0.0, reset_mode)
+                 for a in amplitudes]
+        zs = _grid_echoes(sys, cal, ens_base, mode, trace_points, seq, waves,
+                          (int(n_pi),))
+        fit = fit_transduction(zip(amplitudes, _unwrapped_deg(zs)))
+        reports.append(build_report(fit, phase_resolution, t_meas, sample,
+                                    protocol.value, int(n_pi), tau))
+    return reports
+
+
 #: CLI subcommand -> experiment runner(cfg, workers)
 EXPERIMENTS = {
     "sweep-amplitude": run_sweep_amplitude,
@@ -519,41 +558,43 @@ def sweep_rows(res: SweepResult) -> list[dict]:
             "phase_unwrapped_deg": er.phase_unwrapped,
             "analytic_phase_rad": ph,
             "analytic_phase_deg": math.degrees(ph),
-            **{k: v for k, v in res.metadata.items()
-               if isinstance(v, (int, float, str))},
+            **res.metadata,
         })
     return rows
 
 
-def split_rows(res: SweepResult) -> list[dict]:
-    variants = res.metadata["variants"]
+def split_rows(sweeps: list[SweepResult]) -> list[dict]:
+    """One row per gated-lobe phase, with the columns of every
+    split-interval variant side by side, in the order of `sweeps`."""
+    md = sweeps[0].metadata
     rows = []
-    for i, phi0 in enumerate(res.axis_values):
+    for i, phi0 in enumerate(sweeps[0].axis_values):
         row = {"index": i, "phi_rf_deg": float(phi0)}
-        for name in ("first", "second", "both", "full"):
-            v = variants[name]
-            row[f"analytic_{name}_rad"] = v["analytic_phases"][i]
-            row[f"phase_{name}_deg"] = v["echo_results"][i].phase_unwrapped
-            row[f"amplitude_{name}"] = v["echo_results"][i].amplitude
+        for res in sweeps:
+            name, er = res.metadata["variant"], res.echo_results[i]
+            row[f"analytic_{name}_rad"] = res.analytic_phases[i]
+            row[f"phase_{name}_deg"] = er.phase_unwrapped
+            row[f"amplitude_{name}"] = er.amplitude
         row["analytic_removed_rad"] = (row["analytic_full_rad"]
                                        - row["analytic_first_rad"])
-        row["config_hash"] = res.metadata["config_hash"]
-        row["seed"] = res.metadata["seed"]
+        row["config_hash"] = md["config_hash"]
+        row["seed"] = md["seed"]
         rows.append(row)
     return rows
 
 
 def experiment_rows(cfg: ExperimentConfig, result) -> list[dict]:
-    """CSV rows of any experiment's result: a sweep, a list of sweeps, or a
-    list of sensitivity reports (stamped with the config hash and seed)."""
+    """CSV rows of any experiment's result: a sweep, a list of sweeps
+    (the split-interval variants side by side), or a list of sensitivity
+    reports (stamped with the config hash and seed)."""
     if isinstance(result, SweepResult):
-        if "variants" in result.metadata:
-            return split_rows(result)
         return sweep_rows(result)
     if result and isinstance(result[0], SensitivityReport):
         return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
                 for row in reports_to_rows(result)]
-    return [row for res in result for row in experiment_rows(cfg, res)]
+    if result and result[0].metadata["experiment"] == "split-interval":
+        return split_rows(result)
+    return [row for res in result for row in sweep_rows(res)]
 
 
 def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:
@@ -574,9 +615,12 @@ def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:
 
 
 def output_root(override=None) -> Path:
-    if override:
-        return Path(override)
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
+    """The output root (`override`, else $ECHOSENSE_OUTPUT_ROOT, else
+    ./runs), created if missing.  Runs call it before their first sweep,
+    so that a root that cannot be created fails before any simulation."""
+    root = Path(override or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
+    root.mkdir(parents=True, exist_ok=True)
+    return root
 
 
 def run_directory(name: str, cfg: ExperimentConfig, outroot=None) -> Path:
@@ -604,6 +648,7 @@ def reproduce(figure: str, outroot=None, workers: int = 1,
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
     cfg = bundled_config(figure)
+    outroot = output_root(outroot)
 
     def rows(experiment):
         return experiment_rows(cfg, EXPERIMENTS[experiment](cfg, workers))

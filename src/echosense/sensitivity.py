@@ -3,22 +3,20 @@
 Slope detection: the transduction coefficient d(phase)/d(B_RF) converts
 the instrument's phase resolution into a minimum detectable field, which
 normalizes to spectral sensitivity B_min*sqrt(t_meas) [T/sqrt(Hz)] and,
-divided by sqrt(spin density), to concentration sensitivity.
+divided by sqrt(spin density), to concentration sensitivity.  This
+module only analyses phases: the sweeps that simulate them, the DD
+sweep `dd_sensitivity_sweep` included, live in `harness`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import blochsim
-from .core import (MU0_OVER_4PI, CoilCalibration, ConfigError, SampleSpec,
-                   SpinSystem, _StrChoice)
-from .rf import ResetMode, build_synchronized
-from .sequence import SequenceKind, build_cp, build_pdd
+from .core import MU0_OVER_4PI, ConfigError, SampleSpec, _StrChoice
 
 #: linear fit residual (deg) above which the max-derivative estimate is used
 RESIDUAL_THRESHOLD_DEG = 2.0
@@ -160,47 +158,6 @@ def build_report(fit: TransductionFit, phase_resolution: float, t_meas: float,
     return SensitivityReport(b_min, s, s_vol, phase_resolution, t_meas,
                              sample.active_spin_count, sample, fit,
                              protocol, n_pi, tau)
-
-
-def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
-                         sys: SpinSystem, cal: CoilCalibration,
-                         sample: SampleSpec, amplitudes, ens_base,
-                         t_pi2: float, t_pi: float,
-                         phase_resolution: float = 1.0, t_meas: float = 0.375,
-                         reset_mode: ResetMode = ResetMode.PER_WINDOW_RESET,
-                         mode: blochsim.PulseMode = blochsim.PulseMode.IDEAL,
-                         trace_points: int = 61,
-                         ) -> list[SensitivityReport]:
-    """Simulated amplitude sweep -> transduction fit -> report, per pulse count.
-
-    Per-point seeds derive from (base seed, n_pi, grid index) so PDD and
-    CP runs of the same n_pi share identical ensembles.  `trace_points`
-    is the echo-window sampling of every point.
-    """
-    protocol = SequenceKind(protocol)
-    build = {SequenceKind.PDD: build_pdd, SequenceKind.CP: build_cp}
-    if protocol not in build:
-        raise ConfigError(f"protocol must be PDD or CP, got {protocol}")
-    amplitudes = np.asarray(list(amplitudes), dtype=float)
-    if len(amplitudes) < 3:
-        raise ConfigError("need at least 3 amplitude grid points")
-
-    reports = []
-    for n_pi in n_pi_list:
-        seq = build[protocol](n_pi, tau, t_pi2, t_pi)
-        waves = [build_synchronized(seq, float(amp), n=1, phase=0.0,
-                                    reset_mode=reset_mode)
-                 for amp in amplitudes]
-        ensembles = [replace(ens_base, seed=blochsim.point_seed(
-                         ens_base.seed, int(n_pi), idx))
-                     for idx in range(len(amplitudes))]
-        zs = blochsim.echo_points(sys, seq, waves, ensembles, mode, cal,
-                                  trace_points)
-        phases_deg = np.degrees(np.unwrap(np.angle(zs)))
-        fit = fit_transduction(zip(amplitudes, phases_deg))
-        reports.append(build_report(fit, phase_resolution, t_meas, sample,
-                                    protocol.value, int(n_pi), tau))
-    return reports
 
 
 def reports_to_rows(reports) -> list[dict]:

@@ -75,7 +75,6 @@ class PulseSequence:
     echo_time: float
     kind: SequenceKind = SequenceKind.CUSTOM
     origin: float = field(init=False)
-    total_time: float = field(init=False)
     pi_centers: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -90,7 +89,6 @@ class PulseSequence:
                     f"overlapping pulses at t={a.end:.3e}..{b.start:.3e}")
         origin = self.pulses[0].center
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "total_time", origin + self.echo_time)
         object.__setattr__(self, "pi_centers",
                            tuple(p.center - origin for p in self.pulses[1:]))
         if self.echo_time <= self.pi_centers[-1]:
@@ -196,7 +194,6 @@ def _pulse_train(kind: SequenceKind, tau: float, t_pi2: float, t_pi: float,
     seq = _new(PulseSequence)
     seq.__dict__.update(pulses=tuple(pulses), tau=tau, echo_time=echo_time,
                         kind=kind, origin=origin,
-                        total_time=origin + echo_time,
                         pi_centers=tuple(pi_centers))
     return seq
 

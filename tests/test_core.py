@@ -59,7 +59,6 @@ class TestSpinSystem:
         {"t_m": -1e-6},
         {"stretch_beta": 0.5},
         {"stretch_beta": 3.5},
-        {"inhomogeneous_sigma": -1.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -80,8 +80,6 @@ def _outroot(tmp_path, monkeypatch):
 class TestLoadConfig:
     def test_unit_conversions(self, fast_cfg):
         assert fast_cfg.spin_system.t_m == pytest.approx(1e-4)
-        assert fast_cfg.spin_system.inhomogeneous_sigma == pytest.approx(
-            2 * math.pi * 0.1e6)
         assert fast_cfg.calibration.field_per_volt == pytest.approx(7.2e-4)
         assert fast_cfg.sample.spin_density == pytest.approx(2.3e25)
         seq = fast_cfg.build_sequence()
@@ -182,14 +180,30 @@ class TestSweeps:
             assert np.allclose(r.analytic_phases, 0.0, atol=1e-12)
 
     def test_split_interval_variants_and_additivity(self, fast_cfg):
-        res = harness.run_split_interval(fast_cfg)
-        variants = res.metadata["variants"]
-        assert set(variants) == {"first", "second", "both", "full"}
-        first = np.asarray(variants["first"]["analytic_phases"])
-        second = np.asarray(variants["second"]["analytic_phases"])
-        both = np.asarray(variants["both"]["analytic_phases"])
+        sweeps = harness.run_split_interval(fast_cfg)
+        assert [r.metadata["variant"] for r in sweeps] == [
+            "first", "second", "both", "full"]
+        first, second, both, _ = (np.asarray(r.analytic_phases)
+                                  for r in sweeps)
         # the harness sweeps the first lobe's phase with the second fixed
         assert np.allclose(first + second[0], both, atol=1e-12)
+
+    def test_every_metadata_value_is_scalar(self, fast_cfg):
+        # sweep_rows copies a sweep's metadata into each of its CSV rows
+        def scalar(v):
+            return isinstance(v, (int, float, str))
+
+        for name, run in harness.EXPERIMENTS.items():
+            result = run(fast_cfg)
+            sweeps = [r for r in (result if isinstance(result, list)
+                                  else [result])
+                      if isinstance(r, harness.SweepResult)]
+            assert sweeps or name == "sensitivity"
+            for res in sweeps:
+                assert all(map(scalar, res.metadata.values())), (
+                    name, res.metadata)
+            for row in harness.experiment_rows(fast_cfg, result):
+                assert all(map(scalar, row.values())), (name, row)
 
     def test_dd_sweep_per_protocol_results(self, fast_cfg):
         raw = json.loads(json.dumps(FAST_RAW))
@@ -513,9 +527,18 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep-amplitude", "reproduce"])
     @pytest.mark.parametrize("below", [(), ("x",)],
                              ids=["file", "below-file"])
-    def test_unusable_output_root_exit_2(self, tmp_path, capsys, command,
-                                         below):
-        # an output root that is, or runs through, a regular file
+    def test_unusable_output_root_exit_2(self, tmp_path, capsys, monkeypatch,
+                                         command, below):
+        # an output root that is, or runs through, a regular file, is
+        # rejected before anything is simulated
+        calls = []
+        echo_points = blochsim.echo_points
+
+        def spy(*args):
+            calls.append(args)
+            return echo_points(*args)
+
+        monkeypatch.setattr(blochsim, "echo_points", spy)
         blocker = tmp_path / "file"
         blocker.write_text("")
         target = (["fig2"] if command == "reproduce"
@@ -525,6 +548,7 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert str(blocker) in err[0]
+        assert calls == []
 
     def test_set_override(self, tmp_path, capsys):
         rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),
@@ -547,6 +571,8 @@ class TestCli:
         "non-numeric-g": ["spin_system.g=x"],
         "zero-averages": ["noise.sigma=0.1", "noise.n_averages=0"],
         "negative-sigma": ["noise.sigma=-5"],
+        "negative-inhomogeneous-sigma": [
+            "spin_system.inhomogeneous_sigma_mhz=-1"],
         "one-trace-point": ["simulation.trace_points=1"],
     }
 
