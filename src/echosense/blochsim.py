@@ -23,11 +23,12 @@ After the last pulse each packet only precesses at its detuning, so
 `evolve` reads its trace out as one matrix product of the per-sample
 phase factors with the packets' weighted state.
 
-A sweep runs through `echo_points`, which returns each point's echo
-divided by its zero-RF reference.  It batches the sweep: the points go
-through in blocks, each point's ensemble is drawn once and shared by
-signal and reference, which are stacked in one (2, points, packets)
-state, and each pulse acts once per block.  The readout builds no trace:
+A sweep runs through `echo_points`, which takes one ensemble per wave,
+all of one packet count, and returns each point's echo divided by its
+zero-RF reference.  It batches the sweep: the points go through in
+blocks, each point's ensemble is drawn once and shared by signal and
+reference, which are stacked in one (2, points, packets) state, and
+each pulse acts once per block.  The readout builds no trace:
 the trapezoid mean over the uniform window is the closed-form geometric
 sum of each packet's per-sample factor.  An ideal block holds at most
 `_BLOCK_PACKET_POINTS` packet-points, because its working arrays set the
@@ -120,14 +121,12 @@ class SimulationTrace:
 
     times: np.ndarray
     ensemble_mxy: np.ndarray
-    echo_window: tuple[float, float]
 
     def __post_init__(self) -> None:
+        if len(self.times) < 2:
+            raise ConfigError("echo window must contain at least two samples")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("trace times must be strictly increasing")
-        a, b = self.echo_window
-        if a < self.times[0] - 1e-15 or b > self.times[-1] + 1e-15:
-            raise ConfigError("echo window outside the simulated span")
 
 
 def _pulse(m: np.ndarray, mz: np.ndarray, angle: float, axis_phase: float):
@@ -183,13 +182,12 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
         wave = zero_field()
     eta = 1.0 if cal is None else cal.coupling_eta
     geff = sys.gamma * eta
-    win = _trace_window(seq)
-    times = np.linspace(win[0], win[1], trace_points)
+    times = np.linspace(*_trace_window(seq), trace_points)
     det, fac, w = ens.draw()
 
     mxy = (_evolve_trace(seq, mode, wave, geff, det, fac, w, times)
            * _envelope(sys, seq.echo_time))
-    return SimulationTrace(times, mxy, win)
+    return SimulationTrace(times, mxy)
 
 
 def _free_edges(seq: PulseSequence, mode: PulseMode):
@@ -286,8 +284,6 @@ def _evolve_trace(seq: PulseSequence, mode: PulseMode, wave: RFWaveform,
 def echo_observable(trace: SimulationTrace,
                     reference: SimulationTrace | None = None) -> complex:
     """Window-averaged complex echo; divided by the no-RF reference when given."""
-    if len(trace.times) < 2:
-        raise ConfigError("echo window must contain at least two samples")
     span = trace.times[-1] - trace.times[0]
     z = complex(np.trapezoid(trace.ensemble_mxy, trace.times) / span)
     if reference is not None:
@@ -309,10 +305,17 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     The points run in blocks, each point's ensemble drawn once.  An ideal
     block holds at most `_BLOCK_PACKET_POINTS` packet-points; a finite
     block holds one point, because the RK4 step follows the point's own
-    detunings.  The ensembles of one sweep share a packet count.
+    detunings.  There is one ensemble per wave, and all share a packet
+    count.
     """
     if trace_points < 2:
         raise ConfigError("echo window must contain at least two samples")
+    if len(waves) != len(ensembles):
+        raise ConfigError(f"{len(waves)} waves but {len(ensembles)} "
+                          "ensembles: one ensemble per wave")
+    if len({ens.n_packets for ens in ensembles}) > 1:
+        raise ConfigError("the ensembles of one sweep must share a packet "
+                          "count")
     mode = PulseMode(mode)
     win = _trace_window(seq)
     geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)

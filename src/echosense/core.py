@@ -2,7 +2,8 @@
 
 Everything in this package is SI internally: tesla, seconds, radians,
 meters.  Conversions from bench units (mT, MHz, ns, degrees) happen only
-at the CLI / config boundary.
+at the CLI / config boundary.  Records hold only what a computation reads;
+config values that only document the bench stay in the hashed raw config.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class SpinSystem:
     g: float = 2.00
     t_m: float = 1e-5
     stretch_beta: float = 1.0
-    label: str = ""
     #: g * mu_B / hbar, fixed at construction
     gamma: float = field(init=False, repr=False)
 
@@ -123,22 +123,16 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class CoilCalibration:
-    """RF coil: AWG voltage to field (recorded, not simulated) and coupling.
+    """RF coil coupling to the spins.
 
     coupling_eta is the fraction of the nominal coil field effectively
     seen by the spins; 1.0 for ideal-physics tests, a fitted value
     (~6.7e-3) reproduces the measured transduction.
     """
 
-    field_per_volt: float = 7.2e-4  # T/V: 2.5 V -> 1.8 mT
-    max_voltage: float = 2.5
     coupling_eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.field_per_volt > 0:
-            raise ConfigError("field_per_volt must be positive")
-        if not self.max_voltage > 0:
-            raise ConfigError("max_voltage must be positive")
         if not 0 < self.coupling_eta <= 1:
             raise ConfigError(
                 f"coupling_eta must be in (0, 1], got {self.coupling_eta}")

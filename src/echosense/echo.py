@@ -1,8 +1,9 @@
 """Echo observables as the instrument reports them.
 
 Amplitude normalized to the zero-RF reference, phase wrapped into
-(-90, +90] degrees, and a Gaussian quadrature-noise model that links the
-echo SNR to the achievable phase resolution.
+(-90, +90] degrees, and a Gaussian quadrature-noise model of an
+averaged measurement: each quadrature gets noise of std
+sigma/sqrt(n_averages), which sets the phase scatter a sweep shows.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ class EchoResult:
     amplitude: float
     phase_wrapped: float    # degrees, (-90, +90]
     phase_unwrapped: float  # degrees
-    snr: float = math.inf
-    n_averages: int = 1
 
     def __post_init__(self) -> None:
         if self.amplitude < 0:
@@ -36,21 +35,18 @@ def wrap_phase(phi: float) -> float:
 
 
 def noisy_echo(clean: complex, sigma: float, n_averages: int,
-               seed: int = 0) -> tuple[complex, float]:
-    """(noisy echo, snr) of a clean echo under averaged Gaussian quadrature
-    noise.
+               seed: int = 0) -> complex:
+    """The clean echo under averaged Gaussian quadrature noise.
 
     Each quadrature gets independent noise of std sigma/sqrt(n_averages)
-    drawn from default_rng(seed); snr = |clean| * sqrt(n_averages) / sigma.
-    sigma = 0 returns the clean echo with infinite snr.
+    drawn from default_rng(seed).  sigma = 0 returns the clean echo.
     """
     if sigma < 0:
         raise ConfigError("sigma must be >= 0")
     if n_averages < 1:
         raise ConfigError("n_averages must be >= 1")
     if sigma == 0:
-        return clean, math.inf
+        return clean
     rng = np.random.default_rng(seed)
     s = sigma / math.sqrt(n_averages)
-    noisy = clean + complex(*(s * rng.standard_normal(2)))
-    return noisy, abs(clean) * math.sqrt(n_averages) / sigma
+    return clean + complex(*(s * rng.standard_normal(2)))

@@ -46,6 +46,9 @@ MT = 1e-3
 MHZ_TO_RAD = 2 * math.pi * 1e6
 #: a key with no default, which every config must give
 REQUIRED = object()
+#: the largest float spacing (rad) of a configured design's closed-form
+#: phase; the bundled configs peak near 16 rad, spaced 3.6e-15 rad
+_PHASE_ULP_MAX = 1e-6
 
 
 def config_hash(raw: dict) -> str:
@@ -103,11 +106,17 @@ def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
                              sp["points"]).tolist())
 
 
+def _increasing(grid) -> bool:
+    """Whether the field grid is strictly increasing, as the transduction
+    fit needs it."""
+    return all(a < b for a, b in zip(grid, grid[1:]))
+
+
 def _field_grid(spec, where: str) -> tuple[float, ...]:
     """An amplitude grid in mT (spec or list) -> strictly increasing,
-    non-negative fields in T, as the transduction fit needs them."""
+    non-negative fields in T."""
     grid = _grid(spec, where, MT, ">= 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not _increasing(grid):
         raise _bad(where, "strictly increasing", spec)
     return grid
 
@@ -133,27 +142,29 @@ def _section(sec, where: str, schema: dict) -> dict:
     return out
 
 
-_DD_KINDS = (SequenceKind.PDD, SequenceKind.CP)
+#: the builder of each DD protocol, from its pulse count, tau, t_pi2, t_pi
+_DD_BUILDERS = {SequenceKind.PDD: build_pdd, SequenceKind.CP: build_cp}
 #: every key a config may hold, by section ("" is the top level), as
 #: (default in bench units, parser, *parser args); a default of None
 #: marks an optional key whose absence `load_config` resolves.  Sweep
-#: grids come out of their parser in SI units.
+#: grids come out of their parser in SI units.  The labels,
+#: `inhomogeneous_sigma_mhz`, the coil's `field_per_volt_mt` and
+#: `max_voltage_v`, and `t_relax_ms` are checked and recorded in the
+#: config hash, but not simulated: no record holds them.
 SCHEMA = {
     "": {"seed": (0, _count), "label": ("", _text)},
     "spin_system": {"g": (2.0, _num), "t_m_us": (10.0, _num),
                     "stretch_beta": (1.0, _num), "label": ("", _text),
-                    # recorded, not simulated: the simulated spread is
-                    # ensemble.detuning_sigma_mhz
                     "inhomogeneous_sigma_mhz": (0.0, _num, ">= 0")},
     "sample": dict.fromkeys(("spin_density_per_cm3", "active_spin_count",
                              "sensing_volume_mm3"), (None, _num)),
-    "calibration": {"field_per_volt_mt": (0.72, _num),
-                    "max_voltage_v": (2.5, _num),
+    "calibration": {"field_per_volt_mt": (0.72, _num, "> 0"),
+                    "max_voltage_v": (2.5, _num, "> 0"),
                     "coupling_eta": (1.0, _num)},
     "ensemble": {"n_packets": (200, _count, 1),
                  "detuning_sigma_mhz": (0.0, _num),
                  "rf_amplitude_spread": (0.0, _num), "seed": (None, _count)},
-    "sequence": {"kind": ("hahn", _choice, (SequenceKind.HAHN, *_DD_KINDS)),
+    "sequence": {"kind": ("hahn", _choice, (SequenceKind.HAHN, *_DD_BUILDERS)),
                  "tau_ns": (REQUIRED, _num), "t_pi2_ns": (80, _num),
                  "t_pi_ns": (160, _num), "n_pi": (1, _count, 1)},
     "rf": {"n": (1, _count, 1), "phase_deg": (0.0, _num),
@@ -162,7 +173,7 @@ SCHEMA = {
            "n_list": ([1, 2, 3, 4], _list, _count, 1),
            "amplitude_sweep_mt": (None, _field_grid),
            "phase_sweep_deg": (None, _grid)},
-    "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_KINDS),
+    "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_BUILDERS),
            "n_pi_list": ([1, 2, 3, 4, 5], _list, _count),
            "tau_us_list": (None, _list, _num),
            "amplitude_sweep_mt": (None, _field_grid),
@@ -218,10 +229,8 @@ class ExperimentConfig:
         t_pi2, t_pi = sq["t_pi2_ns"] * NS, sq["t_pi_ns"] * NS
         if kind is SequenceKind.HAHN:
             return build_hahn(tau, t_pi2, t_pi)
-        if kind is SequenceKind.CUSTOM:
-            raise ConfigError("a custom sequence cannot be built from a config")
-        build = build_pdd if kind is SequenceKind.PDD else build_cp
-        return build(n_pi if n_pi is not None else sq["n_pi"], tau, t_pi2, t_pi)
+        return _DD_BUILDERS[kind](n_pi if n_pi is not None else sq["n_pi"],
+                                  tau, t_pi2, t_pi)
 
     def point_seed(self, *idx) -> int:
         return blochsim.point_seed(self.ensemble.seed, *idx)
@@ -254,15 +263,12 @@ def load_config(source) -> ExperimentConfig:
         cfg = ExperimentConfig(
             spin_system=SpinSystem(
                 g=ss["g"], t_m=ss["t_m_us"] * US,
-                stretch_beta=ss["stretch_beta"], label=ss["label"]),
+                stretch_beta=ss["stretch_beta"]),
             sample=SampleSpec(
                 spin_density=None if rho is None else rho * 1e6,
                 active_spin_count=sm["active_spin_count"],
                 sensing_volume=None if volume is None else volume * 1e-9),
-            calibration=CoilCalibration(
-                field_per_volt=cb["field_per_volt_mt"] * MT,
-                max_voltage=cb["max_voltage_v"],
-                coupling_eta=cb["coupling_eta"]),
+            calibration=CoilCalibration(coupling_eta=cb["coupling_eta"]),
             ensemble=blochsim.EnsembleConfig(
                 n_packets=en["n_packets"],
                 detuning_sigma=en["detuning_sigma_mhz"] * MHZ_TO_RAD,
@@ -287,16 +293,45 @@ def load_config(source) -> ExperimentConfig:
             pulse_mode=top["simulation"]["pulse_mode"],
             trace_points=top["simulation"]["trace_points"],
             seed=top["seed"], raw=dict(source))
-        # every sequence a run can build must build; the timing checks do
-        # not depend on n_pi, so the smallest n_pi stands for every sweep
-        cfg.build_sequence()
-        for kind, tau in product(cfg.dd_protocols, cfg.dd_taus):
-            cfg.build_sequence(kind, min(cfg.dd_n_pi), tau)
+        _check_designs(cfg)
         return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"invalid config: {e}") from e
+
+
+def _check_designs(cfg: ExperimentConfig) -> None:
+    """Every design a run can build must build, and its closed-form phase
+    at the largest field a command gives it must be finite and resolved
+    to `_PHASE_ULP_MAX`: each DD design at the top dd field, and the
+    configured sequence at each harmonic of rf.n and rf.n_list and
+    split-interval's Hahn train at the top rf field.  The phase is
+    sinusoidal in the RF phase, so its largest magnitude is
+    hypot(phase at 0, phase at pi/2)."""
+    top_rf = max((cfg.rf_amplitude, *(cfg.amplitude_grid or ())))
+    seq = cfg.build_sequence()
+    designs = [(f"sequence at harmonic {n}", seq, n, cfg.reset_mode, top_rf)
+               for n in sorted({cfg.rf_n, *cfg.n_list})]
+    designs.append(("split-interval Hahn train",
+                    cfg.build_sequence(SequenceKind.HAHN), 1,
+                    ResetMode.CONTINUOUS, top_rf))
+    designs += [(f"{kind.value}({n_pi}) at tau {tau:.6g} s",
+                 cfg.build_sequence(kind, n_pi, tau), 1, cfg.dd_reset_mode,
+                 cfg.dd_amplitudes[-1])
+                for kind, tau, n_pi in product(cfg.dd_protocols, cfg.dd_taus,
+                                               cfg.dd_n_pi)]
+    for name, seq, n, reset, amp in designs:
+        filt = filter_function(seq)
+        phi = math.hypot(*[accumulate_phase(
+            cfg.spin_system, cfg.calibration, filt,
+            build_synchronized(seq, amp, n, rf_phase, reset)).phi
+            for rf_phase in (0.0, math.pi / 2)])
+        if not (math.isfinite(phi) and math.ulp(phi) <= _PHASE_ULP_MAX):
+            raise ConfigError(
+                f"the {name} accumulates a closed-form phase of {phi:.3g} "
+                f"rad at {amp:.3g} T, which float spacing cannot resolve "
+                f"to {_PHASE_ULP_MAX} rad; lower the field")
 
 
 @dataclass
@@ -377,11 +412,10 @@ def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
     sigma, n_avg = cfg.noise_sigma, cfg.n_averages
     # noise-free sweeps skip the per-point seed derivation
     noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
-              for i, z in enumerate(zs)] if sigma > 0
-             else [(z, math.inf) for z in zs])
-    phases = _unwrapped_deg([z for z, _ in noisy])
-    echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph), snr, n_avg)
-              for (z, snr), ph in zip(noisy, phases)]
+              for i, z in enumerate(zs)] if sigma > 0 else zs)
+    phases = _unwrapped_deg(noisy)
+    echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph))
+              for z, ph in zip(noisy, phases)]
     md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
     return SweepResult(axis_name, list(axis_values), echoes, list(analytic),
                        md)
@@ -452,8 +486,8 @@ def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
         for t, tau in enumerate(cfg.dd_taus):
             for n_pi in cfg.dd_n_pi:
                 seq = cfg.build_sequence(protocol, n_pi, tau)
-                # what blochsim and the closed form read of the sequence
-                key = (seq.pulses, seq.tau, seq.echo_time, n_pi)
+                # a simulation depends on the train and its seed tag alone
+                key = (seq, n_pi)
                 if key not in simulated:
                     waves = [build_synchronized(seq, a, 1, 0.0,
                                                 cfg.dd_reset_mode)
@@ -500,12 +534,14 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     ensembles.  `trace_points` is the echo-window sampling of every point.
     """
     protocol = SequenceKind(protocol)
-    if protocol not in _DD_KINDS:
+    if protocol not in _DD_BUILDERS:
         raise ConfigError(f"protocol must be PDD or CP, got {protocol}")
-    build = build_pdd if protocol is SequenceKind.PDD else build_cp
+    build = _DD_BUILDERS[protocol]
     amplitudes = [float(a) for a in amplitudes]
     if len(amplitudes) < 3:
         raise ConfigError("need at least 3 amplitude grid points")
+    if not _increasing(amplitudes):
+        raise ConfigError("amplitudes must be strictly increasing")
 
     reports = []
     for n_pi in n_pi_list:

@@ -148,19 +148,17 @@ class RFWaveform:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _phase_of(self, k: int) -> float:
-        return self.window_phases[k] if self.window_phases is not None else self.phase
-
     def sample(self, t):
         """Field value(s) at time(s) t [T]; zero outside every window."""
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
-        for k, (a, b) in enumerate(self.windows):
+        shape = self._shape
+        for (a, b), ph in zip(shape.windows, shape.phases):
             inside = (t_arr >= a) & (t_arr < b)
             if not np.any(inside):
                 continue
-            t0 = 0.0 if self.reset_mode is ResetMode.CONTINUOUS else a
-            arg = TWO_PI * self.frequency * (t_arr - t0) + self._phase_of(k)
+            t0 = 0.0 if shape.reset_mode is ResetMode.CONTINUOUS else a
+            arg = TWO_PI * shape.frequency * (t_arr - t0) + ph
             out = np.where(inside, self.amplitude * np.sin(arg), out)
         return out if out.ndim else float(out)
 
@@ -171,23 +169,12 @@ class RFWaveform:
         windows and the edges: a window is visited once per interval it
         overlaps, so the cost is linear in len(edges) + len(windows).
         Each interval sums its window pieces (antiderivative of sin) in
-        window order, exactly as a separate integral(a, b) call would.
-        The walk runs at unit amplitude and is memoised per shape and
-        edges; each result is the amplitude times its unit integral.
+        window order, whatever the other edges.  The walk runs at unit
+        amplitude and is memoised per shape and edges; each result is the
+        amplitude times its unit integral.
         """
         amp = self.amplitude
         return [amp * v for v in _unit_walk(self._shape, tuple(edges))]
-
-    def integral(self, a: float, b: float) -> float:
-        """Closed-form integral of the field over [a, b]."""
-        return self.integrals((a, b))[0]
-
-    def piece(self, k: int) -> tuple[float, float, float, float]:
-        """(t_on, t_off, t0, phase) of window k, such that the field inside
-        is amplitude * sin(2*pi*frequency*(t - t0) + phase)."""
-        a, b = self.windows[k]
-        t0 = 0.0 if self.reset_mode is ResetMode.CONTINUOUS else a
-        return a, b, t0, self._phase_of(k)
 
     def with_phase(self, phi: float) -> "RFWaveform":
         """Same waveform with the global phase set to phi (per-window offsets kept)."""
@@ -385,11 +372,11 @@ def exclude_intervals(wave: RFWaveform, blocked) -> RFWaveform:
     for a, b in blocked:
         if b <= a:
             raise ConfigError(f"empty or inverted blocked span [{a}, {b}]")
-    w = TWO_PI * wave.frequency
+    shape = wave._shape
+    w = TWO_PI * shape.frequency
     windows, phases = [], []
-    for k, (wa, wb) in enumerate(wave.windows):
-        t0 = 0.0 if wave.reset_mode is ResetMode.CONTINUOUS else wa
-        ph = wave._phase_of(k)
+    for (wa, wb), ph in zip(shape.windows, shape.phases):
+        t0 = 0.0 if shape.reset_mode is ResetMode.CONTINUOUS else wa
         cursor = wa
         for a, b in blocked:
             a, b = max(a, wa), min(b, wb)

@@ -45,7 +45,6 @@ class SensitivityReport:
     phase_resolution: float  # degrees
     t_meas: float           # s
     spin_count: float
-    sample: SampleSpec
     fit: TransductionFit
     protocol: str = ""
     n_pi: int = 0
@@ -156,8 +155,8 @@ def build_report(fit: TransductionFit, phase_resolution: float, t_meas: float,
     s = spectral_sensitivity(b_min, t_meas)
     s_vol = concentration_sensitivity(s, sample.spin_density)
     return SensitivityReport(b_min, s, s_vol, phase_resolution, t_meas,
-                             sample.active_spin_count, sample, fit,
-                             protocol, n_pi, tau)
+                             sample.active_spin_count, fit, protocol, n_pi,
+                             tau)
 
 
 def reports_to_rows(reports) -> list[dict]:

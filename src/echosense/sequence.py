@@ -7,12 +7,12 @@ of pulse durations.  Finite durations only matter to the numerical
 simulator; absolute lab time starts at the leading edge of the first
 pulse (origin = t_pi2/2 before protocol zero).
 
-`Pulse` and `PulseSequence` check every record they are given; a
-sequence built from explicit pulses has kind CUSTOM.  `build_hahn`,
-`build_pdd` and `build_cp` check their timings once and fill their pulse
-and sequence records without re-running those checks: what they build is
-the sequence, float for float, that the checked records would hold, and
-they reject what those would reject.
+`Pulse` and `PulseSequence` check every record they are given.
+`build_hahn`, `build_pdd` and `build_cp` check their timings once and
+fill their pulse and sequence records without re-running those checks:
+what they build is the sequence, float for float, that the checked
+records would hold, and they reject what those would reject.  A sequence
+holds no protocol name, so Hahn, PDD(1) and CP(1) are one equal value.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class SequenceKind(_StrChoice):
     HAHN = "hahn"
     PDD = "pdd"
     CP = "cp"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class PulseSequence:
     pulses: tuple[Pulse, ...]
     tau: float
     echo_time: float
-    kind: SequenceKind = SequenceKind.CUSTOM
     origin: float = field(init=False)
     pi_centers: tuple[float, ...] = field(init=False)
 
@@ -130,15 +128,6 @@ class FilterFunction:
         out = np.where(count % 2 == 0, 1.0, -1.0)
         return out if out.ndim else float(out)
 
-    def intervals(self) -> list[tuple[float, float, int]]:
-        """Constant-sign intervals as (t0, t1, sign) covering [0, domain_end]."""
-        edges = self.edges
-        return [(a, b, 1 if k % 2 == 0 else -1)
-                for k, (a, b) in enumerate(zip(edges, edges[1:]))]
-
-    def integral(self) -> float:
-        return sum(s * (b - a) for a, b, s in self.intervals())
-
 
 def _check_echo_time(echo_time: float) -> None:
     if not math.isfinite(echo_time):
@@ -154,8 +143,8 @@ def _check_timings(tau: float, t_pi2: float, t_pi: float, gap: float) -> None:
         raise ConfigError("pulses overlap: delay too short for the durations")
 
 
-def _pulse_train(kind: SequenceKind, tau: float, t_pi2: float, t_pi: float,
-                 steps, echo_time: float) -> PulseSequence:
+def _pulse_train(tau: float, t_pi2: float, t_pi: float, steps,
+                 echo_time: float) -> PulseSequence:
     """The sequence of a pi/2 pulse starting at 0 and pi pulses centred at
     step * tau after its center, checked once and filled in place.
 
@@ -193,30 +182,29 @@ def _pulse_train(kind: SequenceKind, tau: float, t_pi2: float, t_pi: float,
         raise ConfigError("echo must come after the last pulse")
     seq = _new(PulseSequence)
     seq.__dict__.update(pulses=tuple(pulses), tau=tau, echo_time=echo_time,
-                        kind=kind, origin=origin,
-                        pi_centers=tuple(pi_centers))
+                        origin=origin, pi_centers=tuple(pi_centers))
     return seq
 
 
 def build_hahn(tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """pi/2 -- tau -- pi, echo at 2*tau (pulse centers at 0 and tau)."""
-    return _pulse_train(SequenceKind.HAHN, tau, t_pi2, t_pi, (1,), 2 * tau)
+    return _pulse_train(tau, t_pi2, t_pi, (1,), 2 * tau)
 
 
 def build_pdd(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Periodic DD: pi pulses at tau, 2*tau, ..., N*tau; echo at (N+1)*tau."""
     if n_pi < 1:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
-    return _pulse_train(SequenceKind.PDD, tau, t_pi2, t_pi,
-                        range(1, n_pi + 1), (n_pi + 1) * tau)
+    return _pulse_train(tau, t_pi2, t_pi, range(1, n_pi + 1),
+                        (n_pi + 1) * tau)
 
 
 def build_cp(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Carr-Purcell: first delay tau, then pi pulses spaced 2*tau; echo at 2*N*tau."""
     if n_pi < 1:
         raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
-    return _pulse_train(SequenceKind.CP, tau, t_pi2, t_pi,
-                        range(1, 2 * n_pi, 2), 2 * n_pi * tau)
+    return _pulse_train(tau, t_pi2, t_pi, range(1, 2 * n_pi, 2),
+                        2 * n_pi * tau)
 
 
 def filter_function(seq: PulseSequence) -> FilterFunction:

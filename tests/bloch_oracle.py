@@ -18,6 +18,8 @@ from echosense import (ConfigError, NumericalError, echo_observable,
                        zero_field)
 from echosense.blochsim import SimulationTrace, _trace_window
 
+from rf_oracle import window_sinusoid
+
 #: free-evolution RK4 step also satisfies step <= _ANGLE_CAP / max|Omega|
 _ANGLE_CAP = 0.05
 _MAX_STEPS_PER_SEGMENT = 20_000_000
@@ -93,7 +95,7 @@ def _evolve_finite(seq, wave, geff: float, det, fac, w, times) -> np.ndarray:
                 om_free[:, 2] = det
                 st = _rk4(st, lo, hi, h_free, lambda t: om_free)
             else:
-                _, _, t0, ph = wave.piece(k)
+                t0, ph = window_sinusoid(wave, k)
 
                 def omega(t, t0=t0, ph=ph):
                     b_rf = amp * math.sin(two_pi_nu * (t - t0) + ph)
@@ -123,8 +125,8 @@ def _evolve_finite(seq, wave, geff: float, det, fac, w, times) -> np.ndarray:
                 mj = state[:, 0] + 1j * state[:, 1]
                 # refer the RF phase of this sample to the echo time
                 # (acquisition-window RF deficit, same convention as ideal)
-                resid = gfac * wave.integral(min(next_t, seq.echo_time),
-                                             seq.echo_time)
+                resid = gfac * wave.integrals(
+                    (min(next_t, seq.echo_time), seq.echo_time))[0]
                 mj = mj * np.exp(1j * resid)
                 if seq.n_pi % 2 == 1:
                     mj = np.conj(mj)
@@ -145,14 +147,13 @@ def _evolve_finite(seq, wave, geff: float, det, fac, w, times) -> np.ndarray:
 def finite_trace(sys, seq, wave, ens, cal, trace_points: int = 61):
     """The RK4 trace of `wave` (None: no RF) on the default trace window,
     without the decoherence envelope."""
-    win = _trace_window(seq)
-    times = np.linspace(win[0], win[1], trace_points)
+    times = np.linspace(*_trace_window(seq), trace_points)
     det, fac, w = ens.draw()
     if wave is None:
         wave = zero_field()
     mxy = _evolve_finite(seq, wave, sys.gamma * cal.coupling_eta,
                          det, fac, w, times)
-    return SimulationTrace(times, mxy, win)
+    return SimulationTrace(times, mxy)
 
 
 def finite_echo(sys, seq, wave, ens, cal, trace_points: int = 61) -> complex:

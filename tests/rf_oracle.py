@@ -14,6 +14,16 @@ from echosense import ConfigError, ResetMode, RFWaveform
 from echosense.rf import synchronized_frequency
 
 
+def window_sinusoid(wave: RFWaveform, k: int) -> tuple[float, float]:
+    """(t0, phase) of window k of `wave`, such that the field inside is
+    amplitude * sin(2*pi*frequency*(t - t0) + phase): a reset window
+    restarts at its start, and window phases override the global one."""
+    t0 = (0.0 if wave.reset_mode is ResetMode.CONTINUOUS
+          else wave.windows[k][0])
+    ph = wave.phase if wave.window_phases is None else wave.window_phases[k]
+    return t0, ph
+
+
 def integral_loop(wave: RFWaveform, a: float, b: float) -> float:
     """Integral of `wave` over [a, b], visiting every window."""
     if b < a:
@@ -24,7 +34,7 @@ def integral_loop(wave: RFWaveform, a: float, b: float) -> float:
         lo, hi = max(a, wa), min(b, wb)
         if hi <= lo:
             continue
-        _, _, t0, ph = wave.piece(k)
+        t0, ph = window_sinusoid(wave, k)
         total += (math.cos(w * (lo - t0) + ph) - math.cos(w * (hi - t0) + ph)) / w
     return wave.amplitude * total
 

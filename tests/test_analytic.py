@@ -303,8 +303,9 @@ class TestAgainstPerIntervalLoop:
                                       float(rng.uniform(0, 2 * math.pi)), mode)
             filt = filter_function(seq)
             gamma_eff = SYS.gamma * cal.coupling_eta
-            per = tuple(s * gamma_eff * integral_loop(wave, a, b)
-                        for a, b, s in filt.intervals())
+            edges = filt.edges
+            per = tuple((-1) ** k * gamma_eff * integral_loop(wave, a, b)
+                        for k, (a, b) in enumerate(zip(edges, edges[1:])))
             got = accumulate_phase(SYS, cal, filt, wave)
             assert got.per_interval == per
             assert got.phi == sum(per)

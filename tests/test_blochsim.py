@@ -113,7 +113,7 @@ def _unit_integral(wave, a, b):
     """Integral of `wave` over [a, b] at unit amplitude."""
     unit = RFWaveform(1.0, wave.frequency, wave.phase, wave.windows,
                       wave.reset_mode, wave.window_phases)
-    return unit.integral(a, b)
+    return unit.integrals((a, b))[0]
 
 
 def _ideal_loop(seq, wave, geff, det, fac, w, times):
@@ -337,8 +337,7 @@ class TestTraceValidation:
     def test_trace_window_straddles_echo(self):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
         tr = evolve(SYS, seq, None, DELTA)
-        a, b = tr.echo_window
-        assert a < seq.echo_time < b
+        assert tr.times[0] < seq.echo_time < tr.times[-1]
         assert np.all(np.diff(tr.times) > 0)
 
     def test_too_few_samples_rejected(self):
@@ -447,6 +446,23 @@ class TestEchoPoints:
         waves, ensembles = self.sweep(seq, DELTA, [0.1e-3])
         with pytest.raises(ConfigError, match="two samples"):
             echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 1)
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_one_ensemble_per_wave(self, mode):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        waves, ensembles = self.sweep(seq, DELTA, [0.1e-3, 0.2e-3, 0.3e-3])
+        for w, e in ((waves, ensembles[:2]), (waves[:2], ensembles)):
+            with pytest.raises(ConfigError, match="one ensemble per wave"):
+                echo_points(SYS, seq, w, e, mode, self.CAL, 5)
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_ensembles_share_packet_count(self, mode):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        waves, ensembles = self.sweep(seq, EnsembleConfig(n_packets=3),
+                                      [0.1e-3, 0.2e-3])
+        ensembles[1] = replace(ensembles[1], n_packets=4)
+        with pytest.raises(ConfigError, match="share a packet count"):
+            echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 5)
 
 
 class TestFiniteAgainstOracle:

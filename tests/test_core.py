@@ -119,15 +119,10 @@ class TestSampleSpec:
 
 
 class TestCoilCalibration:
-    def test_default_full_scale_field(self):
-        cal = CoilCalibration()
-        assert cal.max_voltage * cal.field_per_volt == pytest.approx(
-            1.8e-3, rel=1e-12)
-
     @pytest.mark.parametrize("kwargs", [
-        {"field_per_volt": 0.0},
-        {"field_per_volt": -1.0},
-        {"max_voltage": 0.0},
+        {"coupling_eta": math.nan},
+        {"coupling_eta": math.inf},
+        {"coupling_eta": math.nextafter(1.0, 2.0)},
         {"coupling_eta": 0.0},
         {"coupling_eta": -0.5},
         {"coupling_eta": 1.5},

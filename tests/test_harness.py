@@ -16,7 +16,7 @@ from echosense import (ConfigError, ResetMode, SequenceKind, blochsim,
                        build_synchronized, dd_sensitivity_sweep)
 from echosense import harness
 from echosense.cli import _apply_overrides, main
-from echosense.echo import noisy_echo
+from echosense.echo import noisy_echo, wrap_phase
 
 FAST_RAW = {
     "spin_system": {"g": 2.0, "t_m_us": 100.0,
@@ -80,10 +80,19 @@ def _outroot(tmp_path, monkeypatch):
 class TestLoadConfig:
     def test_unit_conversions(self, fast_cfg):
         assert fast_cfg.spin_system.t_m == pytest.approx(1e-4)
-        assert fast_cfg.calibration.field_per_volt == pytest.approx(7.2e-4)
         assert fast_cfg.sample.spin_density == pytest.approx(2.3e25)
         seq = fast_cfg.build_sequence()
         assert seq.tau == pytest.approx(1.2e-6)
+
+    def test_bundled_config_hashes(self):
+        # run directories and CSV rows carry these: a config key that
+        # stops loading, or a hash of anything but the raw config, moves
+        # them
+        assert {name: harness.bundled_config(name).hash for name in (
+            "default", "fig2", "fig3", "fig4", "fig5")} == {
+            "default": "2a2a89f5250b", "fig2": "c0b4c0d71289",
+            "fig3": "14ab2ea563cc", "fig4": "2fc67d25f916",
+            "fig5": "f53022eb8ee3"}
 
     def test_invalid_sequence_fails_fast(self):
         raw = json.loads(json.dumps(FAST_RAW))
@@ -91,13 +100,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             harness.load_config(raw)
 
-    @pytest.mark.parametrize("kind", list(SequenceKind)[:3])
+    @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_build_sequence_kind_value_equals_member(self, fast_cfg, kind):
         got = fast_cfg.build_sequence(kind.value, 3, 1.5e-6)
         assert got == fast_cfg.build_sequence(kind, 3, 1.5e-6)
-        assert got.kind is kind
 
-    @pytest.mark.parametrize("kind", ["custom", "bogus", SequenceKind.CUSTOM])
+    @pytest.mark.parametrize("kind", ["custom", "bogus"])
     def test_build_sequence_unknown_kind_rejected(self, fast_cfg, kind):
         with pytest.raises(ConfigError):
             fast_cfg.build_sequence(kind, 3, 1.5e-6)
@@ -218,14 +226,6 @@ class TestSweeps:
         for r in out:
             assert len(r.echo_results) == 4
 
-    def test_noise_block_populates_snr(self):
-        raw = json.loads(json.dumps(FAST_RAW))
-        raw["noise"] = {"sigma": 0.01, "n_averages": 4}
-        cfg = harness.load_config(raw)
-        res = harness.run_sweep_amplitude(cfg)
-        assert all(np.isfinite(r.snr) and r.n_averages == 4
-                   for r in res.echo_results)
-
     def test_noise_snr_matches_add_measurement_noise(self):
         raw = json.loads(json.dumps(FAST_RAW))
         raw["noise"] = {"sigma": 0.05, "n_averages": 4}
@@ -239,7 +239,11 @@ class TestSweeps:
             [clean] = blochsim.echo_points(
                 cfg.spin_system, seq, [wave], [ens], cfg.pulse_mode,
                 cfg.calibration, cfg.trace_points)
-            assert er.snr == noisy_echo(clean, 0.05, 4)[1]
+            z = noisy_echo(clean, 0.05, 4, cfg.point_seed(7919, i))
+            assert z != clean
+            assert er.amplitude == abs(z)
+            assert er.phase_wrapped == wrap_phase(
+                float(np.degrees(np.angle(z))))
 
     def test_noise_differs_between_sweeps(self):
         raw = json.loads(json.dumps(harness.bundled_config("fig4").raw))
@@ -574,6 +578,14 @@ class TestCli:
         "negative-inhomogeneous-sigma": [
             "spin_system.inhomogeneous_sigma_mhz=-1"],
         "one-trace-point": ["simulation.trace_points=1"],
+        "zero-field-per-volt": ["calibration.field_per_volt_mt=0"],
+        "zero-max-voltage": ["calibration.max_voltage_v=0"],
+        # closed-form phases of 2.5e300 rad (float spacing 2e284 rad) and
+        # of an overflow: no run can resolve them
+        "unresolved-dd-phase": [
+            'dd.amplitude_sweep_mt={"start":0,"stop":1e300,"points":3}'],
+        "overflowing-dd-phase": [
+            'dd.amplitude_sweep_mt={"start":0,"stop":1.7e308,"points":3}'],
     }
 
     #: inputs that fail before there is a config to check, as (config
@@ -622,11 +634,13 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_field_overflow_is_numerical_error(self, tmp_path, capsys,
                                                monkeypatch, workers):
-        # 1.7e305 T overflows the RF coupling; numpy's warning about it is
-        # an error under this suite's filterwarnings, and must not escape
+        # a 2e301 MHz detuning spread overflows the drawn detunings (a field
+        # that overflows the RF coupling no longer validates); numpy's
+        # warning about it is an error under this suite's filterwarnings,
+        # and must not escape
         _serial_pools(monkeypatch)
         raw = json.loads(json.dumps(harness.bundled_config("fig5").raw))
-        raw["dd"]["amplitude_sweep_mt"]["stop"] = 1.7e308
+        raw["ensemble"]["detuning_sigma_mhz"] = 2e301
         path = self._cfg_file(tmp_path, raw)
         for command in ("dd-sweep", "sensitivity"):
             assert main([command, "-c", path, "-o", str(tmp_path / "out"),

@@ -7,8 +7,8 @@ import pytest
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        FitMethod, NumericalError, SampleSpec, SpinSystem,
-                       concentration_sensitivity, dd_sensitivity_sweep,
-                       dipole_field, fit_transduction,
+                       blochsim, concentration_sensitivity,
+                       dd_sensitivity_sweep, dipole_field, fit_transduction,
                        minimum_detectable_field, spectral_sensitivity)
 from echosense.core import MU_B
 from echosense.sequence import SequenceKind
@@ -297,6 +297,19 @@ class TestDdSensitivitySweep:
             dd_sensitivity_sweep(
                 SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
                 self.SAMPLE, [0.0, 1e-4], self.ENS, 80e-9, 160e-9)
+
+    @pytest.mark.parametrize("amps", [np.linspace(0.5e-3, 0, 41),
+                                      [0.0, 2e-4, 1e-4], [0.0, 1e-4, 1e-4]])
+    def test_non_increasing_amplitudes_rejected_unsimulated(
+            self, monkeypatch, amps):
+        calls = []
+        monkeypatch.setattr(blochsim, "echo_points",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            dd_sensitivity_sweep(
+                SequenceKind.CP, [5, 4], 1.7e-6, self.SYS, self.CAL,
+                self.SAMPLE, amps, self.ENS, 80e-9, 160e-9)
+        assert calls == []
 
     def test_overflow_is_numerical_error(self):
         # 1e302 T overflows the RF coupling; numpy's warning about it is an
