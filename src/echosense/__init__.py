@@ -12,7 +12,7 @@ from .analytic import (PhaseAccumulation, accumulate_phase,
                        accumulate_phase_quadrature, phase_vs_rf_phase,
                        split_interval_decomposition)
 from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace,
-                       echo_observable, evolve, trace_to_csv)
+                       echo_observable, evolve)
 from .echo import EchoResult, wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
                           concentration_sensitivity, dipole_field,

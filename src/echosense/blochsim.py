@@ -33,7 +33,8 @@ the trapezoid mean over the uniform window is the closed-form geometric
 sum of each packet's per-sample factor.  An ideal block holds at most
 `_BLOCK_PACKET_POINTS` packet-points, because its working arrays set the
 sweep's peak memory; a finite block holds one point, whose detunings
-set its RK4 step.  `evolve` keeps the full trace for dumps and tests.
+set its RK4 step.  `evolve` keeps the full trace for dumps and tests;
+both take their echo window from `_trace_window`.  Nothing here writes.
 
 Echo phases are reported in the readout frame that keeps the first free
 interval at positive sign (receiver phase follows the refocusing
@@ -140,9 +141,12 @@ def _pulse(m: np.ndarray, mz: np.ndarray, angle: float, axis_phase: float):
     return m_new, mz_new
 
 
-def _trace_window(seq: PulseSequence) -> tuple[float, float]:
-    """Echo window of half-width min(tau/4, 0.8 * the room after the last
-    pulse), centred on the echo."""
+def _trace_window(seq: PulseSequence,
+                  trace_points: int) -> tuple[float, float]:
+    """Echo window, for `trace_points` >= 2 samples, of half-width
+    min(tau/4, 0.8 * the room after the last pulse), centred on the echo."""
+    if trace_points < 2:
+        raise ConfigError("echo window must contain at least two samples")
     last_end = seq.pi_centers[-1] + seq.pulses[-1].duration / 2
     room = seq.echo_time - last_end
     if room <= 0:
@@ -182,7 +186,7 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
         wave = zero_field()
     eta = 1.0 if cal is None else cal.coupling_eta
     geff = sys.gamma * eta
-    times = np.linspace(*_trace_window(seq), trace_points)
+    times = np.linspace(*_trace_window(seq, trace_points), trace_points)
     det, fac, w = ens.draw()
 
     mxy = (_evolve_trace(seq, mode, wave, geff, det, fac, w, times)
@@ -308,8 +312,6 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     detunings.  There is one ensemble per wave, and all share a packet
     count.
     """
-    if trace_points < 2:
-        raise ConfigError("echo window must contain at least two samples")
     if len(waves) != len(ensembles):
         raise ConfigError(f"{len(waves)} waves but {len(ensembles)} "
                           "ensembles: one ensemble per wave")
@@ -317,7 +319,7 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
         raise ConfigError("the ensembles of one sweep must share a packet "
                           "count")
     mode = PulseMode(mode)
-    win = _trace_window(seq)
+    win = _trace_window(seq, trace_points)
     geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)
     # the readout's trapezoid mean, times the T2 envelope: a reference
     # that the envelope underflows to zero must still be caught below
@@ -363,14 +365,3 @@ def _block(seq: PulseSequence, mode: PulseMode, waves, ensembles,
     z = m.sum(axis=-1)
     # odd refocusing count: the receiver phase follows the parity (w is real)
     return np.conj(z) if seq.n_pi % 2 == 1 else z
-
-
-def trace_to_csv(trace: SimulationTrace, path) -> None:
-    """Dump the ensemble means as time_s, mx, my."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_s", "mx", "my"])
-        for t, m in zip(trace.times, trace.ensemble_mxy):
-            wr.writerow([repr(float(t)), repr(float(m.real)), repr(float(m.imag))])

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment catalog; a JSON config drives every
-run and --set key=value flags override individual fields.  Exit codes:
-0 success, 2 config error, 3 numerical error.
+Parses argv for the subcommands of `harness.EXPERIMENTS`, which decides
+what each runs and writes, and for reproduce and validate; --set
+key=value flags override config fields.  Exit codes: 0 success, 2
+config error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import harness
 from .core import ConfigError, NumericalError
@@ -112,29 +112,12 @@ def main(argv=None) -> int:
 
         cfg = _load(args)
         root = harness.output_root(args.output_root)
-        result = harness.EXPERIMENTS[args.command](cfg, args.workers)
-        stem = ("split" if args.command == "split-interval"
-                else args.command.replace("-", "_"))
-        written = harness.emit(
-            harness.run_directory(args.command, cfg, root),
-            {stem: harness.experiment_rows(cfg, result)}, args.plot)
-
+        _, _, stem = harness.EXPERIMENTS[args.command]
+        rows = harness.run_experiment(args.command, cfg, args.workers)
+        outdir = harness.run_directory(args.command, cfg, root)
+        written = harness.emit(outdir, {stem: rows}, args.plot)
         if getattr(args, "dump_trace", False):
-            from . import blochsim
-            from .rf import build_synchronized
-
-            seq = cfg.build_sequence()
-            wave = build_synchronized(seq, cfg.amplitude_grid[0], cfg.rf_n,
-                                      cfg.rf_phase, cfg.reset_mode)
-            # the ensemble and trace grid of grid point 0, as in the sweep
-            ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
-            tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
-                                 cfg.pulse_mode, cfg.calibration,
-                                 trace_points=cfg.trace_points)
-            path = written[0].parent / "trace.csv"
-            blochsim.trace_to_csv(tr, path)
-            written.append(path)
-
+            written.append(harness.dump_trace(cfg, outdir))
         for p in written:
             print(p)
         return 0

@@ -8,10 +8,10 @@ ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
 ensemble seed defaulting to the top-level seed, results are gathered in
 grid order, and the canonical config hash is stamped into every CSV row
 and into the run directory name.  Every simulated grid, those of
-`dd_sensitivity_sweep` included, is seeded and simulated by
-`_grid_echoes` and unwrapped by `_unwrapped_deg`; every experiment
-returns plain `SweepResult`s (or sensitivity reports fitted to them) and
-writes its CSVs through one emitter.
+`dd_sensitivity_sweep` included, is seeded by `_point_ensemble`,
+simulated by `_grid_echoes` and unwrapped by `_unwrapped_deg`.
+`EXPERIMENTS` holds each subcommand's runner, row builder and CSV stem;
+`write_csv` writes every CSV, `dump_trace`'s included.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ def _check_designs(cfg: ExperimentConfig) -> None:
     configured sequence at each harmonic of rf.n and rf.n_list and
     split-interval's Hahn train at the top rf field.  The phase is
     sinusoidal in the RF phase, so its largest magnitude is
-    hypot(phase at 0, phase at pi/2)."""
+    hypot(phase at 0, phase at pi/2).  So must the phase by which a
+    packet 10 detuning sigmas out precesses over the design's echo time."""
     top_rf = max((cfg.rf_amplitude, *(cfg.amplitude_grid or ())))
     seq = cfg.build_sequence()
     designs = [(f"sequence at harmonic {n}", seq, n, cfg.reset_mode, top_rf)
@@ -327,11 +328,15 @@ def _check_designs(cfg: ExperimentConfig) -> None:
             cfg.spin_system, cfg.calibration, filt,
             build_synchronized(seq, amp, n, rf_phase, reset)).phi
             for rf_phase in (0.0, math.pi / 2)])
-        if not (math.isfinite(phi) and math.ulp(phi) <= _PHASE_ULP_MAX):
+        drift = 10 * cfg.ensemble.detuning_sigma * seq.echo_time
+        if not all(math.isfinite(p) and math.ulp(p) <= _PHASE_ULP_MAX
+                   for p in (phi, drift)):
             raise ConfigError(
                 f"the {name} accumulates a closed-form phase of {phi:.3g} "
-                f"rad at {amp:.3g} T, which float spacing cannot resolve "
-                f"to {_PHASE_ULP_MAX} rad; lower the field")
+                f"rad at {amp:.3g} T, and a packet 10 detuning sigmas out "
+                f"precesses by {drift:.3g} rad; float spacing must resolve "
+                f"both to {_PHASE_ULP_MAX} rad: lower the field or "
+                f"ensemble.detuning_sigma_mhz")
 
 
 @dataclass
@@ -366,14 +371,18 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
+def _point_ensemble(ens, tag, i: int):
+    """`ens` reseeded for point i of a grid seeded from `tag`."""
+    return replace(ens, seed=blochsim.point_seed(ens.seed, *tag, i))
+
+
 def _grid_echoes(sys: SpinSystem, cal: CoilCalibration, ens, mode,
                  trace_points: int, seq, waves, tag=(),
                  workers: int = 1) -> list[complex]:
-    """The clean echoes of one grid: point i runs the ensemble `ens`
-    reseeded with point_seed(ens.seed, *tag, i), and each worker runs one
-    contiguous slice of the grid through `blochsim.echo_points`."""
-    ensembles = [replace(ens, seed=blochsim.point_seed(ens.seed, *tag, i))
-                 for i in range(len(waves))]
+    """The clean echoes of one grid: point i runs
+    _point_ensemble(ens, tag, i), and each worker runs one contiguous
+    slice of the grid through `blochsim.echo_points`."""
+    ensembles = [_point_ensemble(ens, tag, i) for i in range(len(waves))]
     k = max(1, min(workers, len(waves)))
     cuts = [len(waves) * j // k for j in range(k + 1)]
     tasks = [(sys, seq, waves[a:b], ensembles[a:b], mode, cal, trace_points)
@@ -421,15 +430,34 @@ def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
                        md)
 
 
-def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Echo amplitude/phase vs RF field amplitude at fixed RF phase."""
+def _amplitude_sweep(cfg: ExperimentConfig):
+    """The amplitude sweep's sequence and the wave of each grid field."""
     if cfg.amplitude_grid is None:
         raise ConfigError("rf.amplitude_sweep_mt required for sweep-amplitude")
     seq = cfg.build_sequence()
-    waves = [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
-                                cfg.reset_mode) for a in cfg.amplitude_grid]
+    return seq, [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
+                                    cfg.reset_mode)
+                 for a in cfg.amplitude_grid]
+
+
+def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
+    """Echo amplitude/phase vs RF field amplitude at fixed RF phase."""
+    seq, waves = _amplitude_sweep(cfg)
     return _sweep(cfg, _simulate(cfg, seq, waves, workers), "b1_t",
                   cfg.amplitude_grid, {"experiment": "sweep-amplitude"})
+
+
+def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
+    """Write outdir/trace.csv: time_s, mx, my of the echo window of the
+    amplitude sweep's point 0, with the sweep's wave and ensemble."""
+    seq, waves = _amplitude_sweep(cfg)
+    tr = blochsim.evolve(cfg.spin_system, seq, waves[0],
+                         _point_ensemble(cfg.ensemble, (), 0),
+                         cfg.pulse_mode, cfg.calibration, cfg.trace_points)
+    path = outdir / "trace.csv"
+    write_csv(path, [{"time_s": t, "mx": m.real, "my": m.imag} for t, m
+                     in zip(tr.times.tolist(), tr.ensemble_mxy.tolist())])
+    return path
 
 
 def run_sweep_phase(cfg: ExperimentConfig, workers: int = 1,
@@ -556,17 +584,6 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     return reports
 
 
-#: CLI subcommand -> experiment runner(cfg, workers)
-EXPERIMENTS = {
-    "sweep-amplitude": run_sweep_amplitude,
-    "sweep-phase": run_sweep_phase,
-    "symmetry": run_symmetry,
-    "split-interval": run_split_interval,
-    "dd-sweep": run_dd_sweep,
-    "sensitivity": run_sensitivity,
-}
-
-
 # ---------------------------------------------------------------------------
 # emission
 
@@ -602,7 +619,6 @@ def sweep_rows(res: SweepResult) -> list[dict]:
 def split_rows(sweeps: list[SweepResult]) -> list[dict]:
     """One row per gated-lobe phase, with the columns of every
     split-interval variant side by side, in the order of `sweeps`."""
-    md = sweeps[0].metadata
     rows = []
     for i, phi0 in enumerate(sweeps[0].axis_values):
         row = {"index": i, "phi_rf_deg": float(phi0)}
@@ -613,24 +629,32 @@ def split_rows(sweeps: list[SweepResult]) -> list[dict]:
             row[f"amplitude_{name}"] = er.amplitude
         row["analytic_removed_rad"] = (row["analytic_full_rad"]
                                        - row["analytic_first_rad"])
-        row["config_hash"] = md["config_hash"]
-        row["seed"] = md["seed"]
         rows.append(row)
     return rows
 
 
-def experiment_rows(cfg: ExperimentConfig, result) -> list[dict]:
-    """CSV rows of any experiment's result: a sweep, a list of sweeps
-    (the split-interval variants side by side), or a list of sensitivity
-    reports (stamped with the config hash and seed)."""
-    if isinstance(result, SweepResult):
-        return sweep_rows(result)
-    if result and isinstance(result[0], SensitivityReport):
-        return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
-                for row in reports_to_rows(result)]
-    if result and result[0].metadata["experiment"] == "split-interval":
-        return split_rows(result)
-    return [row for res in result for row in sweep_rows(res)]
+def _sweeps_rows(sweeps: list[SweepResult]) -> list[dict]:
+    return [row for res in sweeps for row in sweep_rows(res)]
+
+
+#: CLI subcommand -> (runner(cfg, workers), CSV rows of the runner's
+#: result, stem of the CSV they go to)
+EXPERIMENTS = {
+    "sweep-amplitude": (run_sweep_amplitude, sweep_rows, "sweep_amplitude"),
+    "sweep-phase": (run_sweep_phase, sweep_rows, "sweep_phase"),
+    "symmetry": (run_symmetry, _sweeps_rows, "symmetry"),
+    "split-interval": (run_split_interval, split_rows, "split"),
+    "dd-sweep": (run_dd_sweep, _sweeps_rows, "dd_sweep"),
+    "sensitivity": (run_sensitivity, reports_to_rows, "sensitivity"),
+}
+
+
+def run_experiment(command: str, cfg: ExperimentConfig,
+                   workers: int = 1) -> list[dict]:
+    """`command`'s CSV rows on `cfg`, each ending in cfg's hash and seed."""
+    run, rows, _ = EXPERIMENTS[command]
+    return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
+            for row in rows(run(cfg, workers))]
 
 
 def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:
@@ -687,7 +711,7 @@ def reproduce(figure: str, outroot=None, workers: int = 1,
     outroot = output_root(outroot)
 
     def rows(experiment):
-        return experiment_rows(cfg, EXPERIMENTS[experiment](cfg, workers))
+        return run_experiment(experiment, cfg, workers)
 
     if figure == "fig2":
         tables = {"amplitude": rows("sweep-amplitude"),

@@ -147,7 +147,7 @@ def _evolve_finite(seq, wave, geff: float, det, fac, w, times) -> np.ndarray:
 def finite_trace(sys, seq, wave, ens, cal, trace_points: int = 61):
     """The RK4 trace of `wave` (None: no RF) on the default trace window,
     without the decoherence envelope."""
-    times = np.linspace(*_trace_window(seq), trace_points)
+    times = np.linspace(*_trace_window(seq, trace_points), trace_points)
     det, fac, w = ens.draw()
     if wave is None:
         wave = zero_field()

@@ -166,7 +166,7 @@ class TestIdealAgainstLoop:
                 if b1 else zero_field())
         geff = SYS.gamma * 6.682e-3
         det, fac, w = ens.draw()
-        a, b = _trace_window(seq)
+        a, b = _trace_window(seq, 2)
         for n_t in (1, 2, 61):
             times = np.linspace(a, b, n_t)
             got = _evolve_trace(seq, PulseMode.IDEAL, wave, geff, det, fac,
@@ -344,8 +344,9 @@ class TestTraceValidation:
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
         tr = evolve(SYS, seq, None, DELTA, trace_points=2)
         echo_observable(tr)  # two points is the minimum
-        with pytest.raises(Exception):
-            evolve(SYS, seq, None, DELTA, trace_points=1)
+        for trace_points in (0, 1):
+            with pytest.raises(ConfigError, match="two samples"):
+                evolve(SYS, seq, None, DELTA, trace_points=trace_points)
 
 
 SEQS = pytest.mark.parametrize("seq", [

@@ -1,4 +1,6 @@
-"""`reproduce fig2..fig5` against the committed CSVs in tests/golden/.
+"""`reproduce fig2..fig5`, and the trace that `sweep-amplitude
+--dump-trace` writes for the bundled default on a 5-point grid, against
+the committed CSVs in tests/golden/.
 
 File names, headers, and string and integer cells must match exactly.
 A float cell may move by at most 1e-9 times the largest magnitude in its
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from echosense import harness
+from echosense.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_REL_TOL = 1e-9
@@ -43,6 +46,26 @@ def _column_scales(rows) -> list[float]:
     return scales
 
 
+def _assert_matches(name: str, got: Path) -> None:
+    """The CSV `got` against the golden CSV `name`, cell by cell."""
+    header, rows = _read(GOLDEN / name)
+    got_header, got_rows = _read(got)
+    assert got_header == header, name
+    assert len(got_rows) == len(rows), name
+    scales = _column_scales(rows)
+    for i, (row, got_row) in enumerate(zip(rows, got_rows)):
+        assert len(got_row) == len(row), (name, i)
+        for j, (cell, got_cell) in enumerate(zip(row, got_row)):
+            where = (name, i, header[j])
+            want_v, got_v = _parse(cell), _parse(got_cell)
+            if type(want_v) is float and math.isfinite(want_v):
+                assert type(got_v) is float, where
+                assert abs(got_v - want_v) <= FLOAT_REL_TOL * scales[j], \
+                    where
+            else:
+                assert got_cell == cell, where
+
+
 @pytest.mark.parametrize("figure", harness.FIGURES)
 def test_reproduce_matches_golden(figure, tmp_path):
     written = harness.reproduce(figure, tmp_path)
@@ -50,19 +73,13 @@ def test_reproduce_matches_golden(figure, tmp_path):
     want = sorted(p.name for p in GOLDEN.glob(f"{figure}_*.csv"))
     assert sorted(got) == want
     for name in want:
-        header, rows = _read(GOLDEN / name)
-        got_header, got_rows = _read(got[name])
-        assert got_header == header, name
-        assert len(got_rows) == len(rows), name
-        scales = _column_scales(rows)
-        for i, (row, got_row) in enumerate(zip(rows, got_rows)):
-            assert len(got_row) == len(row), (name, i)
-            for j, (cell, got_cell) in enumerate(zip(row, got_row)):
-                where = (name, i, header[j])
-                want_v, got_v = _parse(cell), _parse(got_cell)
-                if type(want_v) is float and math.isfinite(want_v):
-                    assert type(got_v) is float, where
-                    assert abs(got_v - want_v) <= FLOAT_REL_TOL * scales[j], \
-                        where
-                else:
-                    assert got_cell == cell, where
+        _assert_matches(name, got[name])
+
+
+def test_dump_trace_matches_golden(tmp_path, capsys):
+    assert main(["sweep-amplitude", "-o", str(tmp_path), "--dump-trace",
+                 "--set", 'rf.amplitude_sweep_mt='
+                          '{"start":0,"stop":0.5,"points":5}']) == 0
+    written = capsys.readouterr().out.split()
+    assert Path(written[-1]).name == "trace.csv"
+    _assert_matches("trace.csv", Path(written[-1]))

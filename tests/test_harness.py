@@ -201,7 +201,7 @@ class TestSweeps:
         def scalar(v):
             return isinstance(v, (int, float, str))
 
-        for name, run in harness.EXPERIMENTS.items():
+        for name, (run, rows, _) in harness.EXPERIMENTS.items():
             result = run(fast_cfg)
             sweeps = [r for r in (result if isinstance(result, list)
                                   else [result])
@@ -210,7 +210,7 @@ class TestSweeps:
             for res in sweeps:
                 assert all(map(scalar, res.metadata.values())), (
                     name, res.metadata)
-            for row in harness.experiment_rows(fast_cfg, result):
+            for row in rows(result):
                 assert all(map(scalar, row.values())), (name, row)
 
     def test_dd_sweep_per_protocol_results(self, fast_cfg):
@@ -631,22 +631,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{key}.amplitude_sweep_mt must be strictly increasing" in err
 
+    @pytest.mark.parametrize("figure, sets", [
+        ("fig5", ["ensemble.detuning_sigma_mhz=2e301"]),
+        ("fig4", ['simulation.pulse_mode="finite"',
+                  "ensemble.detuning_sigma_mhz=1e9"])],
+        ids=["overflowing", "unresolved-finite"])
+    def test_validate_rejects_unresolved_detuning(self, tmp_path, capsys,
+                                                  figure, sets):
+        # a packet 10 sigmas out would precess by an overflowing phase, or
+        # by 2.1e11 rad spaced 3e-5 rad: runs would overflow or hit the RK4
+        # step limit, so the config is rejected before any is simulated
+        raw = _apply_overrides(
+            json.loads(json.dumps(harness.bundled_config(figure).raw)), sets)
+        assert main(["validate", self._cfg_file(tmp_path, raw)]) == 2
+        assert "ensemble.detuning_sigma_mhz" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_field_overflow_is_numerical_error(self, tmp_path, capsys,
                                                monkeypatch, workers):
-        # a 2e301 MHz detuning spread overflows the drawn detunings (a field
-        # that overflows the RF coupling no longer validates); numpy's
-        # warning about it is an error under this suite's filterwarnings,
-        # and must not escape
+        # a relative RF amplitude spread of 1e305 overflows the packets' RF
+        # coupling (a nominal field that overflows it no longer validates);
+        # numpy's warning about it is an error under this suite's
+        # filterwarnings, and must not escape
         _serial_pools(monkeypatch)
         raw = json.loads(json.dumps(harness.bundled_config("fig5").raw))
-        raw["ensemble"]["detuning_sigma_mhz"] = 2e301
+        raw["ensemble"]["rf_amplitude_spread"] = 1e305
         path = self._cfg_file(tmp_path, raw)
         for command in ("dd-sweep", "sensitivity"):
             assert main([command, "-c", path, "-o", str(tmp_path / "out"),
                          "--workers", workers]) == 3
             err = capsys.readouterr().err
             assert "numerical error" in err and "overflow" in err
+        assert main(["validate", path]) == 0
 
     def test_sensitivity_command(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_RAW))
