@@ -1,8 +1,11 @@
 """Spin-echo AC magnetometry: sequences, RF phase accumulation, Bloch
 ensemble simulation, and the sensitivity analysis chain."""
 
+import importlib
+
 from .core import (HBAR, MU0_OVER_4PI, MU_B, CoilCalibration, ConfigError,
-                   NumericalError, SampleSpec, SpinSystem, gyromagnetic_ratio)
+                   EnsembleConfig, NumericalError, PulseMode, SampleSpec,
+                   SpinSystem, gyromagnetic_ratio)
 from .sequence import (FilterFunction, Pulse, PulseSequence, SequenceKind,
                        build_cp, build_hahn, build_pdd, filter_function)
 from .rf import (ResetMode, RFWaveform, build_split_interval,
@@ -11,8 +14,6 @@ from .rf import (ResetMode, RFWaveform, build_split_interval,
 from .analytic import (PhaseAccumulation, accumulate_phase,
                        accumulate_phase_quadrature, phase_vs_rf_phase,
                        split_interval_decomposition)
-from .blochsim import (EnsembleConfig, PulseMode, SimulationTrace,
-                       echo_observable, evolve)
 from .echo import EchoResult, wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
                           concentration_sensitivity, dipole_field,
@@ -22,10 +23,19 @@ from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
 __version__ = "0.1.0"
 
 
+#: names that `__getattr__` takes from a module on first use, so that
+#: `import echosense` loads neither `blochsim`, which needs numpy, nor
+#: `harness`, whose config hashing alone pulls in OpenSSL
+_LAZY = {"SimulationTrace": "blochsim", "echo_observable": "blochsim",
+         "evolve": "blochsim", "dd_sensitivity_sweep": "harness"}
+
+
 def __getattr__(name):
-    # the DD sensitivity sweep lives in harness, which `import echosense`
-    # does not load (its config hashing alone pulls in OpenSSL)
-    if name == "dd_sensitivity_sweep":
-        from .harness import dd_sensitivity_sweep
-        return dd_sensitivity_sweep
+    # the submodule itself: `from . import blochsim` here would look the
+    # name up on the package again, and so call back into this function
+    if name == "blochsim":
+        return importlib.import_module(f"{__name__}.blochsim")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"),
+                       name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

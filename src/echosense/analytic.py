@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import CoilCalibration, ConfigError, NumericalError, SpinSystem
 from .rf import _CACHE_SIZE, RFWaveform, _unit_walk, build_split_interval
 from .sequence import FilterFunction
@@ -98,12 +96,13 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gauss_pair():
     """The 32- and 16-point Gauss-Legendre rules on [-1, 1] as one node
     vector (the 32 nodes, then the 16) with the weights of G32 and of
-    G32 - G16 on it.  Built on first use, so that `import echosense` does
-    not load numpy.polynomial.  The arrays are read-only: every call
-    shares them."""
+    G32 - G16 on it, as numpy arrays.  Built on first use, so that
+    `import echosense` loads neither numpy nor numpy.polynomial.  The
+    arrays are read-only: every call shares them."""
+    import numpy as np
     from numpy.polynomial.legendre import leggauss
 
     (x32, w32), (x16, w16) = leggauss(32), leggauss(16)
@@ -129,6 +128,8 @@ def accumulate_phase_quadrature(sys: SpinSystem, cal: CoilCalibration,
     A piece that takes more than _MAX_BISECTIONS bisections raises
     NumericalError.
     """
+    import numpy as np
+
     _check_domain(wave.windows, filt.domain_end)
     gamma_eff = sys.gamma * cal.coupling_eta
     edges = {0.0, filt.domain_end}

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CoilCalibration, ConfigError, NumericalError, SpinSystem,
-                   _StrChoice)
+from .core import (CoilCalibration, ConfigError, EnsembleConfig,
+                   NumericalError, PulseMode, SpinSystem)
 from .rf import RFWaveform, zero_field
 from .sequence import PulseSequence
 
@@ -66,48 +66,6 @@ _MAX_STEPS_PER_PULSE = 20_000_000
 #: while larger blocks run no faster (fig2-fig5 experiments in-process:
 #: 351 ms at this bound, 360 ms at twice it, 355 ms as whole sweeps).
 _BLOCK_PACKET_POINTS = 2048
-
-
-class PulseMode(_StrChoice):
-    IDEAL = "ideal"
-    FINITE = "finite"
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Packet count, detuning distribution, RF amplitude spread, RNG seed.
-
-    detuning_sigma = 0 is the Delta (single-packet-class) distribution.
-    rf_amplitude_spread is the relative std of the per-packet RF
-    amplitude (coil-field inhomogeneity); the drawn factors are clipped
-    at zero.
-    """
-
-    n_packets: int = 1
-    detuning_sigma: float = 0.0
-    rf_amplitude_spread: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_packets < 1:
-            raise ConfigError("n_packets must be >= 1")
-        if not (0 <= self.detuning_sigma < math.inf
-                and 0 <= self.rf_amplitude_spread < math.inf):
-            raise ConfigError("distribution widths must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def draw(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(detunings, rf amplitude factors, weights); deterministic in seed.
-
-        Draw order (detunings then factors) is part of the contract.
-        """
-        rng = np.random.default_rng(self.seed)
-        det = self.detuning_sigma * rng.standard_normal(self.n_packets)
-        fac = 1.0 + self.rf_amplitude_spread * rng.standard_normal(self.n_packets)
-        np.clip(fac, 0.0, None, out=fac)
-        w = np.full(self.n_packets, 1.0 / self.n_packets)
-        return det, fac, w
 
 
 def point_seed(base: int, *idx: int) -> int:

@@ -1,14 +1,17 @@
-"""Physical constants and the static description of the sensor.
+"""Physical constants, the static description of the sensor, and the
+simulation settings a config holds (`PulseMode`, `EnsembleConfig`).
 
 Everything in this package is SI internally: tesla, seconds, radians,
 meters.  Conversions from bench units (mT, MHz, ns, degrees) happen only
 at the CLI / config boundary.  Records hold only what a computation reads;
 config values that only document the bench stay in the hashed raw config.
+Nothing here loads numpy until an ensemble is drawn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,6 +44,18 @@ class _StrChoice(str, Enum):
                           f"of {[m.value for m in cls]}")
 
 
+def _integer(value, name: str, low: int) -> int:
+    """`value` as an int >= `low`; ConfigError for a value of any other
+    type, such as a float, or below `low`."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if n < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return n
+
+
 def gyromagnetic_ratio(g: float) -> float:
     """Electron gyromagnetic ratio g*mu_B/hbar in rad s^-1 T^-1.
 
@@ -61,7 +76,7 @@ class SpinSystem:
     t_m is the phase-memory time of the echo envelope, modeled as a
     stretched exponential exp(-(t/t_m)**stretch_beta).  Inhomogeneous
     broadening is not a property of the spin system here: the simulated
-    detuning spread is the ensemble's (`blochsim.EnsembleConfig`).
+    detuning spread is the ensemble's (`EnsembleConfig`).
     """
 
     g: float = 2.00
@@ -136,3 +151,49 @@ class CoilCalibration:
         if not 0 < self.coupling_eta <= 1:
             raise ConfigError(
                 f"coupling_eta must be in (0, 1], got {self.coupling_eta}")
+
+
+class PulseMode(_StrChoice):
+    """How `blochsim` models a pulse: an instantaneous rotation at its
+    center, or a finite drive across its duration."""
+
+    IDEAL = "ideal"
+    FINITE = "finite"
+
+
+@dataclass(frozen=True)
+class EnsembleConfig:
+    """Packet count, detuning distribution, RF amplitude spread, RNG seed.
+
+    detuning_sigma = 0 is the Delta (single-packet-class) distribution.
+    rf_amplitude_spread is the relative std of the per-packet RF
+    amplitude (coil-field inhomogeneity); the drawn factors are clipped
+    at zero.  n_packets and seed must be integers.
+    """
+
+    n_packets: int = 1
+    detuning_sigma: float = 0.0
+    rf_amplitude_spread: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _integer(self.n_packets, "n_packets", 1)
+        if not (0 <= self.detuning_sigma < math.inf
+                and 0 <= self.rf_amplitude_spread < math.inf):
+            raise ConfigError("distribution widths must be finite and >= 0")
+        _integer(self.seed, "seed", 0)
+
+    def draw(self):
+        """(detunings, rf amplitude factors, weights), numpy arrays of
+        n_packets each; deterministic in seed.
+
+        Draw order (detunings then factors) is part of the contract.
+        """
+        import numpy as np
+
+        rng = np.random.default_rng(self.seed)
+        det = self.detuning_sigma * rng.standard_normal(self.n_packets)
+        fac = 1.0 + self.rf_amplitude_spread * rng.standard_normal(self.n_packets)
+        np.clip(fac, 0.0, None, out=fac)
+        w = np.full(self.n_packets, 1.0 / self.n_packets)
+        return det, fac, w

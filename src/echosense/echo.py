@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ConfigError
 
 
@@ -47,6 +45,8 @@ def noisy_echo(clean: complex, sigma: float, n_averages: int,
         raise ConfigError("n_averages must be >= 1")
     if sigma == 0:
         return clean
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     s = sigma / math.sqrt(n_averages)
     return clean + complex(*(s * rng.standard_normal(2)))

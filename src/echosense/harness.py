@@ -8,8 +8,10 @@ ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
 ensemble seed defaulting to the top-level seed, results are gathered in
 grid order, and the canonical config hash is stamped into every CSV row
 and into the run directory name.  Every simulated grid, those of
-`dd_sensitivity_sweep` included, is seeded by `_point_ensemble`,
-simulated by `_grid_echoes` and unwrapped by `_unwrapped_deg`.
+`dd_sensitivity_sweep` included, is seeded by `_point_ensembles`,
+simulated by `_grid_echoes` and unwrapped by `_unwrapped_deg`; those
+load `blochsim` and numpy on first use, so loading and checking a
+config loads neither.
 `EXPERIMENTS` holds each subcommand's runner, row builder and CSV stem;
 `write_csv` writes every CSV, `dump_trace`'s included.
 """
@@ -25,11 +27,9 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from pathlib import Path
 
-import numpy as np
-
-from . import blochsim
 from .analytic import accumulate_phase
-from .core import CoilCalibration, ConfigError, SampleSpec, SpinSystem
+from .core import (CoilCalibration, ConfigError, EnsembleConfig, PulseMode,
+                   SampleSpec, SpinSystem)
 from .echo import EchoResult, noisy_echo, wrap_phase
 from .rf import (ResetMode, build_split_interval, build_synchronized,
                  pulse_gated)
@@ -96,14 +96,27 @@ def _list(v, where: str, parse, *args) -> tuple:
 
 def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
           bound: str = "") -> tuple[float, ...]:
-    """Sweep spec {start, stop, points} or explicit list -> scaled values."""
+    """Sweep spec {start, stop, points} or explicit list -> scaled values.
+
+    A spec's points are numpy.linspace's, float for float, from the same
+    arithmetic: point k is k * step + start, or (k / (n - 1)) * delta +
+    start when the step rounds to zero, and the last point is stop."""
     if isinstance(spec, list):
         return tuple(x * scale for x in _list(spec, where, _num, bound))
     sp = _section(spec, where, {"start": (REQUIRED, _num, bound),
                                 "stop": (REQUIRED, _num, bound),
                                 "points": (REQUIRED, _count, 1)})
-    return tuple(np.linspace(sp["start"] * scale, sp["stop"] * scale,
-                             sp["points"]).tolist())
+    start, stop, n = sp["start"] * scale, sp["stop"] * scale, sp["points"]
+    delta = stop - start
+    if n == 1:
+        return (0.0 * delta + start,)
+    step = delta / (n - 1)
+    if step == 0:  # linspace's branch for a step that underflows to zero
+        points = [k / (n - 1) * delta + start for k in range(n)]
+    else:
+        points = [k * step + start for k in range(n)]
+    points[-1] = stop
+    return tuple(points)
 
 
 def _increasing(grid) -> bool:
@@ -182,7 +195,7 @@ SCHEMA = {
               "t_relax_ms": (None, _num, "> 0")},
     "measurement": {"phase_resolution_deg": (1.0, _num, "> 0"),
                     "t_meas_s": (0.375, _num, "> 0")},
-    "simulation": {"pulse_mode": ("ideal", _choice, blochsim.PulseMode),
+    "simulation": {"pulse_mode": ("ideal", _choice, PulseMode),
                    "trace_points": (61, _count, 2)},
 }
 
@@ -195,7 +208,7 @@ class ExperimentConfig:
     spin_system: SpinSystem
     sample: SampleSpec
     calibration: CoilCalibration
-    ensemble: blochsim.EnsembleConfig
+    ensemble: EnsembleConfig
     sequence: dict       # kind, tau_ns, t_pi2_ns, t_pi_ns, n_pi
     measurement: dict    # phase_resolution_deg, t_meas_s
     rf_n: int
@@ -213,7 +226,7 @@ class ExperimentConfig:
     dd_reset_mode: ResetMode
     noise_sigma: float
     n_averages: int
-    pulse_mode: blochsim.PulseMode
+    pulse_mode: PulseMode
     trace_points: int
     seed: int
     raw: dict
@@ -233,7 +246,9 @@ class ExperimentConfig:
                                   tau, t_pi2, t_pi)
 
     def point_seed(self, *idx) -> int:
-        return blochsim.point_seed(self.ensemble.seed, *idx)
+        from .blochsim import point_seed
+
+        return point_seed(self.ensemble.seed, *idx)
 
 
 def read_json(path):
@@ -269,7 +284,7 @@ def load_config(source) -> ExperimentConfig:
                 active_spin_count=sm["active_spin_count"],
                 sensing_volume=None if volume is None else volume * 1e-9),
             calibration=CoilCalibration(coupling_eta=cb["coupling_eta"]),
-            ensemble=blochsim.EnsembleConfig(
+            ensemble=EnsembleConfig(
                 n_packets=en["n_packets"],
                 detuning_sigma=en["detuning_sigma_mhz"] * MHZ_TO_RAD,
                 rf_amplitude_spread=en["rf_amplitude_spread"],
@@ -371,18 +386,27 @@ def _map(fn, tasks, workers: int = 1) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _point_ensemble(ens, tag, i: int):
-    """`ens` reseeded for point i of a grid seeded from `tag`."""
-    return replace(ens, seed=blochsim.point_seed(ens.seed, *tag, i))
+def _point_seeds(base: int, tag, n: int) -> list[int]:
+    """The seeds of the n points of a grid seeded from `tag` and `base`."""
+    from .blochsim import point_seed
+
+    return [point_seed(base, *tag, i) for i in range(n)]
+
+
+def _point_ensembles(ens, tag, n: int) -> list:
+    """`ens` reseeded for each of the n points of a grid seeded from `tag`."""
+    return [replace(ens, seed=seed) for seed in _point_seeds(ens.seed, tag, n)]
 
 
 def _grid_echoes(sys: SpinSystem, cal: CoilCalibration, ens, mode,
                  trace_points: int, seq, waves, tag=(),
                  workers: int = 1) -> list[complex]:
-    """The clean echoes of one grid: point i runs
-    _point_ensemble(ens, tag, i), and each worker runs one contiguous
-    slice of the grid through `blochsim.echo_points`."""
-    ensembles = [_point_ensemble(ens, tag, i) for i in range(len(waves))]
+    """The clean echoes of one grid: point i runs the i-th of
+    _point_ensembles(ens, tag, len(waves)), and each worker runs one
+    contiguous slice of the grid through `blochsim.echo_points`."""
+    from . import blochsim
+
+    ensembles = _point_ensembles(ens, tag, len(waves))
     k = max(1, min(workers, len(waves)))
     cuts = [len(waves) * j // k for j in range(k + 1)]
     tasks = [(sys, seq, waves[a:b], ensembles[a:b], mode, cal, trace_points)
@@ -390,8 +414,11 @@ def _grid_echoes(sys: SpinSystem, cal: CoilCalibration, ens, mode,
     return list(chain(*_map(blochsim.echo_points, tasks, workers)))
 
 
-def _unwrapped_deg(zs) -> np.ndarray:
-    """The phases (deg) of one grid's echoes, unwrapped along the grid."""
+def _unwrapped_deg(zs):
+    """The phases (deg) of one grid's echoes, unwrapped along the grid, as
+    a numpy array."""
+    import numpy as np
+
     return np.degrees(np.unwrap(np.angle(np.asarray(zs))))
 
 
@@ -405,7 +432,7 @@ def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
                       workers)
     # finite pulses hold the state with the RF off during each drive, so
     # the closed form they match is that of the pulse-gated field
-    if cfg.pulse_mode is blochsim.PulseMode.FINITE:
+    if cfg.pulse_mode is PulseMode.FINITE:
         waves = [pulse_gated(w, seq) for w in waves]
     analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
                 for w in waves]
@@ -419,9 +446,11 @@ def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
     a run has its own noise tag, so none share noise."""
     zs, analytic = simulated
     sigma, n_avg = cfg.noise_sigma, cfg.n_averages
-    # noise-free sweeps skip the per-point seed derivation
-    noisy = ([noisy_echo(z, sigma, n_avg, cfg.point_seed(7919, *noise_tag, i))
-              for i, z in enumerate(zs)] if sigma > 0 else zs)
+    if sigma > 0:
+        seeds = _point_seeds(cfg.ensemble.seed, (7919, *noise_tag), len(zs))
+        noisy = [noisy_echo(z, sigma, n_avg, s) for z, s in zip(zs, seeds)]
+    else:  # noise-free sweeps skip the per-point seed derivation
+        noisy = zs
     phases = _unwrapped_deg(noisy)
     echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph))
               for z, ph in zip(noisy, phases)]
@@ -450,9 +479,11 @@ def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
     """Write outdir/trace.csv: time_s, mx, my of the echo window of the
     amplitude sweep's point 0, with the sweep's wave and ensemble."""
+    from . import blochsim
+
     seq, waves = _amplitude_sweep(cfg)
     tr = blochsim.evolve(cfg.spin_system, seq, waves[0],
-                         _point_ensemble(cfg.ensemble, (), 0),
+                         _point_ensembles(cfg.ensemble, (), 1)[0],
                          cfg.pulse_mode, cfg.calibration, cfg.trace_points)
     path = outdir / "trace.csv"
     write_csv(path, [{"time_s": t, "mx": m.real, "my": m.imag} for t, m
@@ -551,7 +582,7 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                          t_pi2: float, t_pi: float,
                          phase_resolution: float = 1.0, t_meas: float = 0.375,
                          reset_mode: ResetMode = ResetMode.PER_WINDOW_RESET,
-                         mode: blochsim.PulseMode = blochsim.PulseMode.IDEAL,
+                         mode: PulseMode = PulseMode.IDEAL,
                          trace_points: int = 61,
                          ) -> list[SensitivityReport]:
     """Simulated amplitude sweep -> transduction fit -> report, per pulse

@@ -53,8 +53,6 @@ import warnings
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
-import numpy as np
-
 from .core import ConfigError, _StrChoice
 from .sequence import PulseSequence
 
@@ -69,11 +67,13 @@ class ResetMode(_StrChoice):
 
 
 def synchronized_frequency(tau: float, n: int) -> float:
-    """Frequency n/(2*tau) locking the RF to the free-precession grid."""
+    """Frequency n/(2*tau) locking the RF to the free-precession grid,
+    for a whole-numbered harmonic n >= 1 (1 and 1.0 are one harmonic)."""
     if not tau > 0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    if n < 1:
-        raise ConfigError(f"harmonic index n must be >= 1, got {n}")
+    if not (n >= 1 and n % 1 == 0):
+        raise ConfigError(f"harmonic index n must be a whole number >= 1, "
+                          f"got {n}")
     return n / (2 * tau)
 
 
@@ -150,6 +150,8 @@ class RFWaveform:
 
     def sample(self, t):
         """Field value(s) at time(s) t [T]; zero outside every window."""
+        import numpy as np
+
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros_like(t_arr)
         shape = self._shape

@@ -14,8 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MU0_OVER_4PI, ConfigError, SampleSpec, _StrChoice
 
 #: linear fit residual (deg) above which the max-derivative estimate is used
@@ -113,6 +111,8 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     if use_linear:
         return TransductionFit(slope_lin, intercept, rms,
                                FitMethod.LINEAR_REGRESSION, b_range)
+    import numpy as np
+
     grad = np.gradient(phi, b)
     k = int(np.argmax(np.abs(grad)))
     return TransductionFit(float(grad[k]), float(phi[k] - grad[k] * b[k]), rms,

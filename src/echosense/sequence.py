@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import ConfigError, _StrChoice
+from .core import ConfigError, _integer, _StrChoice
 
 PI = math.pi
 _new = object.__new__
@@ -123,6 +121,8 @@ class FilterFunction:
 
     def sign(self, t):
         """Sign of the filter at time(s) t: (-1)**(#breakpoints < t)."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         count = np.searchsorted(np.asarray(self.breakpoints), t, side="left")
         out = np.where(count % 2 == 0, 1.0, -1.0)
@@ -193,16 +193,14 @@ def build_hahn(tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
 
 def build_pdd(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Periodic DD: pi pulses at tau, 2*tau, ..., N*tau; echo at (N+1)*tau."""
-    if n_pi < 1:
-        raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
+    n_pi = _integer(n_pi, "n_pi", 1)
     return _pulse_train(tau, t_pi2, t_pi, range(1, n_pi + 1),
                         (n_pi + 1) * tau)
 
 
 def build_cp(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     """Carr-Purcell: first delay tau, then pi pulses spaced 2*tau; echo at 2*N*tau."""
-    if n_pi < 1:
-        raise ConfigError(f"n_pi must be >= 1, got {n_pi}")
+    n_pi = _integer(n_pi, "n_pi", 1)
     return _pulse_train(tau, t_pi2, t_pi, range(1, 2 * n_pi, 2),
                         2 * n_pi * tau)
 

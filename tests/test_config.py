@@ -8,8 +8,9 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from echosense import ConfigError, harness
 from echosense.cli import main
@@ -69,6 +70,27 @@ def test_readme_table_lists_every_accepted_key():
                 for section, keys in harness.SCHEMA.items() for key in keys}
     assert documented == accepted
     assert len(accepted) == 41
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite, st.integers(1, 200), st.sampled_from([1.0, 1e-3]))
+@example(0.0, 1.0, 1, 1.0)
+@example(-0.0, -0.0, 1, 1.0)  # linspace's single point is 0.0 * 0.0 + -0.0
+@example(0.0, 1.0, 2, 1.0)
+@example(2.5, 2.5, 7, 1.0)
+@example(0.5, -3.0, 11, 1.0)  # reversed
+@example(0.0, 5e-324, 3, 1.0)  # the step rounds to zero
+@example(-1e-320, 1e-320, 9, 1e-3)
+@example(-1.7e308, 1.7e308, 4, 1.0)  # the span overflows
+@example(0.0, 0.5, 41, 1e-3)  # the dd amplitude default
+def test_grid_spec_matches_linspace_bit_for_bit(start, stop, points, scale):
+    got = harness._grid({"start": start, "stop": stop, "points": points},
+                        scale=scale)
+    with np.errstate(all="ignore"):
+        want = np.linspace(start * scale, stop * scale, points).tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_fallbacks_resolve_once():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echosense import core
-from echosense import (HBAR, MU_B, CoilCalibration, ConfigError, SampleSpec,
-                       SpinSystem, gyromagnetic_ratio)
+from echosense import (HBAR, MU_B, CoilCalibration, ConfigError,
+                       EnsembleConfig, SampleSpec, SpinSystem,
+                       gyromagnetic_ratio)
 
 
 class TestGyromagneticRatio:
@@ -130,3 +131,19 @@ class TestCoilCalibration:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CoilCalibration(**kwargs)
+
+
+class TestEnsembleConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_packets": 1.5}, {"n_packets": 2.0}, {"n_packets": "3"},
+        {"seed": 1.5}, {"seed": 0.0}, {"seed": None},
+    ])
+    def test_non_integer_count_or_seed_rejected(self, kwargs):
+        # each would fail later inside numpy with a bare TypeError
+        with pytest.raises(ConfigError, match="must be an integer"):
+            EnsembleConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"n_packets": 0}, {"seed": -1}])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="must be >="):
+            EnsembleConfig(**kwargs)

@@ -1,5 +1,5 @@
 """Import cost: the package and its CLI stay free of scipy and of the
-process pool."""
+process pool, and loading and validating a config stays free of numpy."""
 
 import json
 import os
@@ -11,24 +11,30 @@ from pathlib import Path
 import echosense
 
 
+def _fresh(code: str):
+    """The JSON that `code` prints, run in a fresh interpreter on this
+    checkout's package."""
+    src = str(Path(echosense.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out)
+
+
 def test_package_and_cli_do_not_import_scipy():
     # scipy is a test dependency only: the package, its CLI and the
     # quadrature oracle run on numpy alone
-    code = ("import json, sys; import echosense, echosense.cli, "
-            "echosense.harness; print(json.dumps(sorted(m for m in "
-            "sys.modules if m.split('.')[0] == 'scipy')))")
-    src = str(Path(echosense.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == []
+    assert _fresh("import json, sys; import echosense, echosense.cli, "
+                  "echosense.harness; print(json.dumps(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy')))") == []
 
 
 def test_oracle_loads_neither_scipy_nor_numpy_polynomial():
     # the quadrature oracle is numpy-only and builds its Gauss-Legendre
     # nodes on first use: the import adds neither scipy nor
     # numpy.polynomial to what numpy loads, and an oracle call adds no scipy
-    code = textwrap.dedent("""
+    at_import, phi, after_call = _fresh("""
         import json, sys
         import numpy
 
@@ -47,11 +53,6 @@ def test_oracle_loads_neither_scipy_nor_numpy_polynomial():
         print(json.dumps([at_import, phi, sorted(
             m for m in sys.modules if m.split('.')[0] == 'scipy')]))
     """)
-    src = str(Path(echosense.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    at_import, phi, after_call = json.loads(out)
     assert at_import == []
     assert phi != 0.0 and after_call == []
 
@@ -59,12 +60,50 @@ def test_oracle_loads_neither_scipy_nor_numpy_polynomial():
 def test_serial_runs_do_not_import_the_process_pool():
     # the pool is imported by the first parallel sweep, so a serial run
     # loads neither its module nor multiprocessing
-    code = ("import json, sys; import echosense, echosense.cli, "
-            "echosense.harness; print(json.dumps(sorted(m for m in "
-            "sys.modules if m == 'concurrent.futures.process' "
-            "or m.split('.')[0] == 'multiprocessing')))")
-    src = str(Path(echosense.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == []
+    assert _fresh("import json, sys; import echosense, echosense.cli, "
+                  "echosense.harness; print(json.dumps(sorted(m for m in "
+                  "sys.modules if m == 'concurrent.futures.process' "
+                  "or m.split('.')[0] == 'multiprocessing')))") == []
+
+
+def test_loading_and_validating_configs_do_not_import_numpy():
+    # only a simulation needs numpy: the import, load_config and validate
+    # of every bundled config run on the closed-form layer alone
+    validated, loaded = _fresh("""
+        import contextlib, io, json, sys
+        from importlib import resources
+        import echosense, echosense.cli, echosense.harness
+
+        configs = sorted(str(p) for p in resources.files(
+            "echosense").joinpath("configs").iterdir()
+            if p.name.endswith(".json"))
+        codes = []
+        for path in configs:
+            echosense.harness.load_config(path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(echosense.cli.main(["validate", path]))
+        print(json.dumps([codes, sorted(
+            m for m in sys.modules if m.split('.')[0] == 'numpy')]))
+    """)
+    assert validated == [0] * 5
+    assert loaded == []
+
+
+def test_simulation_names_resolve_in_a_fresh_interpreter():
+    # blochsim's names, and the module itself, load on first lookup, as
+    # `bench/tracing.py`'s getattr(echosense, "blochsim") needs
+    names, numpy_before = _fresh("""
+        import json, sys
+        import echosense
+
+        numpy_before = "numpy" in sys.modules
+        found = [echosense.evolve.__module__, echosense.EnsembleConfig.__name__,
+                 getattr(echosense, "blochsim").__name__]
+        from echosense import SimulationTrace, echo_observable
+        found += [SimulationTrace.__module__, echo_observable.__module__]
+        print(json.dumps([found, numpy_before]))
+    """)
+    assert names == ["echosense.blochsim", "EnsembleConfig",
+                     "echosense.blochsim", "echosense.blochsim",
+                     "echosense.blochsim"]
+    assert numpy_before is False

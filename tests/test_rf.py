@@ -44,6 +44,23 @@ class TestSynchronizedFrequency:
         with pytest.raises(ConfigError):
             synchronized_frequency(0.0, 1)
 
+    @pytest.mark.parametrize("n", [1.5, 0.5, math.nan, math.inf])
+    def test_fractional_harmonic_rejected(self, n):
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        build_synchronized(seq, 1e-3, 1)  # a warm cache holds n = 1 only
+        with pytest.raises(ConfigError, match="whole number"):
+            synchronized_frequency(seq.tau, n)
+        with pytest.raises(ConfigError, match="whole number"):
+            build_synchronized(seq, 1e-3, n=n)
+
+    def test_whole_float_harmonic_is_that_harmonic(self):
+        # 2 and 2.0 set one frequency, and share a shape cache entry
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        assert synchronized_frequency(seq.tau, 2.0) == synchronized_frequency(
+            seq.tau, 2)
+        assert (build_synchronized(seq, 1e-3, 2.0).frequency
+                == build_synchronized(seq, 1e-3, 2).frequency)
+
 
 class TestSample:
     def test_zero_outside_windows(self):

@@ -79,6 +79,12 @@ class TestBuildPdd:
         with pytest.raises(ConfigError):
             build_pdd(0, 1e-6, T_PI2, T_PI)
 
+    @pytest.mark.parametrize("build", [build_pdd, build_cp])
+    @pytest.mark.parametrize("n_pi", [2.5, 2.0, "2"])
+    def test_non_integer_n_pi_rejected(self, build, n_pi):
+        with pytest.raises(ConfigError, match="n_pi must be an integer"):
+            build(n_pi, 1e-6, T_PI2, T_PI)
+
     @given(n_pis, taus)
     def test_echo_tau_after_last_pulse(self, n, tau):
         seq = build_pdd(n, tau, T_PI2, T_PI)
