@@ -18,6 +18,7 @@ intervals lie and in how a pulse acts:
 * FinitePulse -- each pulse is a fixed-step RK4 of the constant
   Omega = (Rabi*cos(phase), Rabi*sin(phase), detuning) across its drive,
   with the RF gated off; the free intervals run between pulse edges.
+  Each point takes the step count that its own detunings set.
 
 After the last pulse each packet only precesses at its detuning, so
 `evolve` reads its trace out as one matrix product of the per-sample
@@ -28,12 +29,14 @@ all of one packet count, and returns each point's echo divided by its
 zero-RF reference.  It batches the sweep: the points go through in
 blocks, each point's ensemble is drawn once and shared by signal and
 reference, which are stacked in one (2, points, packets) state, and
-each pulse acts once per block.  The readout builds no trace:
+each pulse acts once per block.  Signal and reference start from the
+same state before any RF acts, so the first pulse acts once on the
+unstacked (points, packets) state.  The readout builds no trace:
 the trapezoid mean over the uniform window is the closed-form geometric
-sum of each packet's per-sample factor.  An ideal block holds at most
-`_BLOCK_PACKET_POINTS` packet-points, because its working arrays set the
-sweep's peak memory; a finite block holds one point, whose detunings
-set its RK4 step.  `evolve` keeps the full trace for dumps and tests;
+sum of each packet's per-sample factor.  A block holds at most
+`_BLOCK_PACKET_POINTS` packet-points in either pulse model, because its
+working arrays set the sweep's peak memory; no point's result depends on
+the block it shares.  `evolve` keeps the full trace for dumps and tests;
 both take their echo window from `_trace_window`.  Nothing here writes.
 
 Echo phases are reported in the readout frame that keeps the first free
@@ -170,32 +173,79 @@ def _drive(m: np.ndarray, mz: np.ndarray, det, k: int, p):
     k-th of its sequence) with the constant Omega = (rabi*cos(phase),
     rabi*sin(phase), det), on m = Mx + iMy and Mz:
     dm/dt = i*det*m - i*rabi*u*mz and dMz/dt = rabi*Im(conj(u)*m) with
-    u = exp(i*phase).  The step is at most 1/50 of the pulse and turns
-    no packet by more than `_ANGLE_CAP`; it follows the largest |det| of
-    the packets evolved, so one point's packets are stepped together."""
+    u = exp(i*phase).  Returns the new (m, mz), of the shape that m and
+    mz broadcast to; their last axes, like `det`'s, run over points and
+    the packets of each point.
+
+    A point's step is at most 1/50 of the pulse and turns none of its
+    packets by more than `_ANGLE_CAP`, so it follows that point's largest
+    |det|.  All points are stepped together, in place on one set of
+    buffers, until each has taken its own step count: a point that is
+    done takes zero-length steps, which leave it unchanged, so no point's
+    result depends on the points it is stepped with."""
     rabi = p.nominal_angle / p.duration
-    dmax = float(np.max(np.abs(det)))
+    dmax = np.max(np.abs(det), axis=-1, keepdims=True)
     steps = p.duration * (abs(rabi) + dmax) / _ANGLE_CAP
-    if not steps <= _MAX_STEPS_PER_PULSE:
+    over = ~(steps <= _MAX_STEPS_PER_PULSE)
+    if over.any():
+        i = np.argmax(over)
         raise ConfigError(
-            f"finite pulse {k} ({p.duration:.3e} s) needs {steps:.3g} RK4 "
-            f"steps at max |detuning| {dmax:.3e} rad/s, over the limit of "
+            f"finite pulse {k} ({p.duration:.3e} s) needs "
+            f"{steps.flat[i]:.3g} RK4 steps at max |detuning| "
+            f"{dmax.flat[i]:.3e} rad/s, over the limit of "
             f"{_MAX_STEPS_PER_PULSE}; narrow the detuning distribution")
-    n = max(50, math.ceil(steps))
+    n = np.maximum(50, np.ceil(steps)).astype(int)
     h = p.duration / n
     u = complex(math.cos(p.axis_phase), math.sin(p.axis_phase))
     a, b, c = 1j * det, -1j * rabi * u, rabi * u.conjugate()
+    shape = np.broadcast_shapes(m.shape, mz.shape)
+    m, mz = (np.broadcast_to(x, shape).copy() for x in (m, mz))
+    km, tm, sm, buf = (np.empty_like(m) for _ in range(4))
+    kz, tz, sz = (np.empty_like(mz) for _ in range(3))
 
-    def f(m, mz):
-        return a * m + b * mz, (c * m).imag
+    def f(xm, xz):
+        # (km, kz) = (a*xm + b*xz, Im(c*xm))
+        np.multiply(a, xm, out=km)
+        np.multiply(b, xz, out=buf)
+        np.add(km, buf, out=km)
+        np.multiply(c, xm, out=buf)
+        np.copyto(kz, buf.imag)
 
-    for _ in range(n):
-        k1m, k1z = f(m, mz)
-        k2m, k2z = f(m + (h / 2) * k1m, mz + (h / 2) * k1z)
-        k3m, k3z = f(m + (h / 2) * k2m, mz + (h / 2) * k2z)
-        k4m, k4z = f(m + h * k3m, mz + h * k3z)
-        m = m + (h / 6) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        mz = mz + (h / 6) * (k1z + 2 * k2z + 2 * k3z + k4z)
+    def stage(hk):
+        # (tm, tz) = state + hk*k, the input of the next slope
+        np.multiply(hk, km, out=tm)
+        np.add(tm, m, out=tm)
+        np.multiply(hk, kz, out=tz)
+        np.add(tz, mz, out=tz)
+
+    done = 0
+    for stop in sorted(set(n.flat)):
+        # steps done..stop-1: the points with fewer steps are finished
+        hs = np.where(n >= stop, h, 0.0)
+        half, sixth = hs / 2, hs / 6
+        for _ in range(stop - done):
+            # the slopes k1..k4 pass through (km, kz) in turn, and their
+            # sum accumulates as ((k1 + 2k2) + 2k3) + k4
+            f(m, mz)
+            np.copyto(sm, km)
+            np.copyto(sz, kz)
+            for _ in range(2):
+                stage(half)
+                f(tm, tz)
+                # (tm, tz) is free until the next stage
+                np.multiply(2, km, out=tm)
+                sm += tm
+                np.multiply(2, kz, out=tz)
+                sz += tz
+            stage(hs)
+            f(tm, tz)
+            sm += km
+            sz += kz
+            np.multiply(sixth, sm, out=sm)
+            m += sm
+            np.multiply(sixth, sz, out=sz)
+            mz += sz
+        done = stop
     return m, mz
 
 
@@ -214,12 +264,15 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
                       for v in wave.integrals(edges)[::stride]]
                      if wave.amplitude != 0.0 else [0.0] * len(free)
                      for wave in waves])
-    m = np.zeros(grf.shape, dtype=complex)
-    mz = np.ones(grf.shape)
+    # before any RF acts every row of grf starts from the same state, so
+    # the first pulse acts once, on det's shape, and the first free
+    # interval broadcasts its result to grf's
+    m = np.zeros(det.shape, dtype=complex)
+    mz = np.ones(det.shape)
     for k, p in enumerate(seq.pulses):
         if k:
             a, b = free[k - 1]
-            m *= np.exp(1j * (det * (b - a) + grf * unit[:, k - 1, None]))
+            m = m * np.exp(1j * (det * (b - a) + grf * unit[:, k - 1, None]))
         if mode is PulseMode.IDEAL:
             m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
         else:
@@ -227,7 +280,7 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
     # Readout: detuning keeps evolving across the acquisition window, but
     # the RF phase is referred to the echo time (acquisition happens with
     # the signal field's job done; the filter domain ends at the echo).
-    m *= np.exp(1j * (det * (t0 - free[-1][0]) + grf * unit[:, -1, None]))
+    m = m * np.exp(1j * (det * (t0 - free[-1][0]) + grf * unit[:, -1, None]))
     if not np.isfinite(m).all():
         raise NumericalError("non-finite magnetization after the last pulse")
     return m
@@ -264,11 +317,11 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     observable of `wave` divided by the zero-RF reference, both evolved
     with that point's ensemble and the same trace grid.
 
-    The points run in blocks, each point's ensemble drawn once.  An ideal
-    block holds at most `_BLOCK_PACKET_POINTS` packet-points; a finite
-    block holds one point, because the RK4 step follows the point's own
-    detunings.  There is one ensemble per wave, and all share a packet
-    count.
+    The points run in blocks of at most `_BLOCK_PACKET_POINTS`
+    packet-points, each point's ensemble drawn once; a finite point
+    keeps the RK4 step count of its own detunings, so every result is
+    that of the point run alone.  There is one ensemble per wave, and
+    all share a packet count.
     """
     if len(waves) != len(ensembles):
         raise ConfigError(f"{len(waves)} waves but {len(ensembles)} "
@@ -285,8 +338,7 @@ def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
     out = []
     i = 0
     while i < len(waves):
-        n = (1 if mode is PulseMode.FINITE
-             else max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets))
+        n = max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets)
         z = _block(seq, mode, waves[i:i + n], ensembles[i:i + n], geff,
                    win, trace_points) * scale
         if np.any(z[0] == 0):

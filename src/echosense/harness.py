@@ -125,6 +125,15 @@ def _increasing(grid) -> bool:
     return all(a < b for a, b in zip(grid, grid[1:]))
 
 
+def _phase_grid(spec, where: str) -> tuple[float, ...]:
+    """A phase grid in degrees (spec or list) of finite points: a spec's
+    stop - start can overflow although both ends are finite."""
+    grid = _grid(spec, where)
+    if not all(map(math.isfinite, grid)):
+        raise _bad(where, "a sweep whose stop - start is finite", spec)
+    return grid
+
+
 def _field_grid(spec, where: str) -> tuple[float, ...]:
     """An amplitude grid in mT (spec or list) -> strictly increasing,
     non-negative fields in T."""
@@ -185,7 +194,7 @@ SCHEMA = {
            "reset_mode": ("continuous", _choice, ResetMode),
            "n_list": ([1, 2, 3, 4], _list, _count, 1),
            "amplitude_sweep_mt": (None, _field_grid),
-           "phase_sweep_deg": (None, _grid)},
+           "phase_sweep_deg": (None, _phase_grid)},
     "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_BUILDERS),
            "n_pi_list": ([1, 2, 3, 4, 5], _list, _count),
            "tau_us_list": (None, _list, _num),

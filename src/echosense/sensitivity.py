@@ -71,8 +71,17 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     # calls on arrays this small, and needs no BLAS; list and map passes
     # cost less than generators, and each sum adds the same terms in the
     # same order
-    b = [float(p[0]) for p in pts]
-    phi = [float(p[1]) for p in pts]
+    try:
+        b = [float(p[0]) for p in pts]
+        phi = [float(p[1]) for p in pts]
+    except (TypeError, ValueError, IndexError):
+        for i, p in enumerate(pts):
+            try:
+                float(p[0]), float(p[1])
+            except (TypeError, ValueError, IndexError) as e:
+                raise ConfigError(f"point {i} {p!r} is not a (field, phase) "
+                                  f"pair of numbers: {e}") from None
+        raise
     if not (all(map(math.isfinite, b)) and all(map(math.isfinite, phi))):
         i = next(i for i, pt in enumerate(zip(b, phi))
                  if not all(map(math.isfinite, pt)))

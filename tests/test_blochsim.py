@@ -441,6 +441,25 @@ class TestEchoPoints:
     def test_finite_sweep_straddling_blocks(self):
         self.check_straddling_blocks(PulseMode.FINITE)
 
+    def test_finite_points_independent_of_block_step_counts(self):
+        # one block of six points whose detuning widths set RK4 step
+        # counts from the 50-step floor to hundreds: each point must come
+        # out exactly as when it is simulated alone
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        sigmas = [1e5, 8e7, 3e6, 1e6, 2e7, 3e5]
+        waves = [build_synchronized(seq, b1, 1, 0.35,
+                                    ResetMode.PER_WINDOW_RESET)
+                 for b1 in np.linspace(0.0, 0.5e-3, len(sigmas))]
+        ensembles = [EnsembleConfig(n_packets=300, detuning_sigma=sigma,
+                                    rf_amplitude_spread=0.2, seed=i)
+                     for i, sigma in enumerate(sigmas)]
+        assert len(sigmas) * 300 <= _BLOCK_PACKET_POINTS
+        got = echo_points(SYS, seq, waves, ensembles, PulseMode.FINITE,
+                          self.CAL, 61)
+        assert got == [echo_points(SYS, seq, [wave], [ens], PulseMode.FINITE,
+                                   self.CAL, 61)[0]
+                       for wave, ens in zip(waves, ensembles)]
+
     @pytest.mark.parametrize("mode", list(PulseMode))
     def test_one_trace_point_rejected(self, mode):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)

@@ -49,6 +49,10 @@ BAD_CONFIGS = {
     "density-overflows-in-si": (("sample", "spin_density_per_cm3"), 1e303),
     "g-overflows-in-si": (("spin_system", "g"), 1e308),
     "detuning-overflows-in-si": (("ensemble", "detuning_sigma_mhz"), 1e305),
+    # both ends finite, but stop - start overflows to a NaN grid
+    "phase-span-overflows": (("rf", "phase_sweep_deg"),
+                             {"start": -1.7e308, "stop": 1.7e308,
+                              "points": 4}),
 }
 
 

@@ -1,6 +1,6 @@
-"""`reproduce fig2..fig5`, and the trace that `sweep-amplitude
---dump-trace` writes for the bundled default on a 5-point grid, against
-the committed CSVs in tests/golden/.
+"""`reproduce fig2..fig5`, the trace that `sweep-amplitude --dump-trace`
+writes for the bundled default on a 5-point grid, and a finite-pulse
+fig4 `dd-sweep`, against the committed CSVs in tests/golden/.
 
 File names, headers, and string and integer cells must match exactly.
 A float cell may move by at most 1e-9 times the largest magnitude in its
@@ -8,6 +8,7 @@ golden column, so rounding-level changes pass and physics changes fail.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -83,3 +84,16 @@ def test_dump_trace_matches_golden(tmp_path, capsys):
     written = capsys.readouterr().out.split()
     assert Path(written[-1]).name == "trace.csv"
     _assert_matches("trace.csv", Path(written[-1]))
+
+
+def test_finite_dd_sweep_matches_golden(tmp_path, capsys):
+    # fig4 with finite pulses, n_pi 1 and 3 on three fields: 12 rows
+    fig4 = tmp_path / "fig4.json"
+    fig4.write_text(json.dumps(harness.bundled_config("fig4").raw))
+    assert main(["dd-sweep", "-c", str(fig4), "-o", str(tmp_path),
+                 "--set", 'simulation.pulse_mode="finite"',
+                 "--set", "dd.n_pi_list=[1,3]",
+                 "--set", 'dd.amplitude_sweep_mt='
+                          '{"start":0,"stop":0.5,"points":3}']) == 0
+    written = capsys.readouterr().out.split()
+    _assert_matches("finite_fig4_dd_sweep.csv", Path(written[-1]))

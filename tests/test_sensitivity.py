@@ -119,6 +119,14 @@ class TestFitTransduction:
         with pytest.raises(ConfigError, match=f"point 1 .*{where}"):
             fit_transduction(pts)
 
+    @pytest.mark.parametrize("pts,where", [
+        ([("a", 1), (1, 2), (2, 3)], r"point 0 \('a', 1\)"),
+        ([(0, 0), (1,), (2, 3)], r"point 1 \(1,\)"),
+    ], ids=["string-field", "one-number-point"])
+    def test_non_numeric_point_rejected(self, pts, where):
+        with pytest.raises(ConfigError, match=where):
+            fit_transduction(pts)
+
     def test_wrap_jump_rejected(self):
         pts = [(0.0, 80.0), (1e-4, -85.0), (2e-4, 75.0)]
         with pytest.raises(ConfigError, match="unwrap"):
