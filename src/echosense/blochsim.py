@@ -34,10 +34,15 @@ same state before any RF acts, so the first pulse acts once on the
 unstacked (points, packets) state.  The readout builds no trace:
 the trapezoid mean over the uniform window is the closed-form geometric
 sum of each packet's per-sample factor.  A block holds at most
-`_BLOCK_PACKET_POINTS` packet-points in either pulse model, because its
-working arrays set the sweep's peak memory; no point's result depends on
-the block it shares.  `evolve` keeps the full trace for dumps and tests;
-both take their echo window from `_trace_window`.  Nothing here writes.
+`_BLOCK_PACKET_POINTS` (8192) packet-points in either pulse model,
+because its working arrays set the sweep's peak memory; a bundled-size
+finite simulation fits in one block, and so runs one RK4 loop.  No
+point's result depends on the block it shares, at any block size: every
+operation acts on each point's packets alone, and a product of two
+complex factors that numpy's temporary elision (above 256 KiB) could
+swap is an explicit multiply in a fixed order.  `evolve` keeps the full trace
+for dumps and tests; both take their echo window from `_trace_window`.
+Nothing here writes.
 
 Echo phases are reported in the readout frame that keeps the first free
 interval at positive sign (receiver phase follows the refocusing
@@ -64,11 +69,12 @@ _ANGLE_CAP = 0.05
 _MAX_STEPS_PER_PULSE = 20_000_000
 #: packet-points (points x packets) that `echo_points` evolves together.
 #: Its working arrays scale with the block: fig2's 73-point, 300-packet
-#: phase sweep peaks at 0.41 MB (tracemalloc) with this bound, 0.85 MB
-#: at twice it and 4.6 MB as one block, against 0.48 MB point by point,
-#: while larger blocks run no faster (fig2-fig5 experiments in-process:
-#: 351 ms at this bound, 360 ms at twice it, 355 ms as whole sweeps).
-_BLOCK_PACKET_POINTS = 2048
+#: phase sweep peaks at 1.59 MB (tracemalloc) with this bound, 0.37 MB at
+#: a quarter of it and 4.26 MB as one block.  Each finite block runs one
+#: RK4 loop, so the bound is set to hold every bundled-size finite
+#: simulation (fig4's 21 fields at 200 packets, 5 fields at 1000) in one
+#: block.  No result depends on it: see `_readout_state`.
+_BLOCK_PACKET_POINTS = 8192
 
 
 def point_seed(base: int, *idx: int) -> int:
@@ -96,8 +102,13 @@ def _pulse(m: np.ndarray, mz: np.ndarray, angle: float, axis_phase: float):
     `axis_phase` (generator Omega x M), on m = Mx + iMy and Mz."""
     c, s = math.cos(angle), math.sin(angle)
     u = complex(math.cos(axis_phase), math.sin(axis_phase))
-    m_new = ((0.5 * (1 + c)) * m + (0.5 * (1 - c) * u * u) * np.conj(m)
-             - (1j * s * u) * mz)
+    # coefficient * conj(m) as an explicit multiply, so that its operands
+    # keep their order at any size (see `_readout_state`); the sum then
+    # accumulates in its buffer
+    m_new = np.conj(m)
+    np.multiply(0.5 * (1 - c) * u * u, m_new, out=m_new)
+    m_new += (0.5 * (1 + c)) * m
+    m_new -= (1j * s * u) * mz
     mz_new = c * mz + s * (u.conjugate() * m).imag
     return m_new, mz_new
 
@@ -174,8 +185,9 @@ def _drive(m: np.ndarray, mz: np.ndarray, det, k: int, p):
     rabi*sin(phase), det), on m = Mx + iMy and Mz:
     dm/dt = i*det*m - i*rabi*u*mz and dMz/dt = rabi*Im(conj(u)*m) with
     u = exp(i*phase).  Returns the new (m, mz), of the shape that m and
-    mz broadcast to; their last axes, like `det`'s, run over points and
-    the packets of each point.
+    mz broadcast to, stepping in place an input already of that shape
+    (the caller rebinds both); their last axes, like `det`'s, run over
+    points and the packets of each point.
 
     A point's step is at most 1/50 of the pulse and turns none of its
     packets by more than `_ANGLE_CAP`, so it follows that point's largest
@@ -198,8 +210,12 @@ def _drive(m: np.ndarray, mz: np.ndarray, det, k: int, p):
     h = p.duration / n
     u = complex(math.cos(p.axis_phase), math.sin(p.axis_phase))
     a, b, c = 1j * det, -1j * rabi * u, rabi * u.conjugate()
+    # a state that only broadcasts to the block's shape (Mz while the
+    # signal and reference still share it) is copied; the rest is stepped
+    # in place
     shape = np.broadcast_shapes(m.shape, mz.shape)
-    m, mz = (np.broadcast_to(x, shape).copy() for x in (m, mz))
+    m, mz = (x if x.shape == shape else np.broadcast_to(x, shape).copy()
+             for x in (m, mz))
     km, tm, sm, buf = (np.empty_like(m) for _ in range(4))
     kz, tz, sz = (np.empty_like(mz) for _ in range(3))
 
@@ -266,13 +282,20 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
                      for wave in waves])
     # before any RF acts every row of grf starts from the same state, so
     # the first pulse acts once, on det's shape, and the first free
-    # interval broadcasts its result to grf's
+    # interval broadcasts its result to grf's.  Each free interval's
+    # m * exp(...) is an explicit multiply into the factor's buffer, which
+    # becomes m: numpy may swap the operands of `m * temporary` to reuse
+    # the temporary (its temporary elision, above 256 KiB), and complex
+    # products are not bit-commutative, so m stays on the left at any
+    # block size.
     m = np.zeros(det.shape, dtype=complex)
     mz = np.ones(det.shape)
     for k, p in enumerate(seq.pulses):
         if k:
             a, b = free[k - 1]
-            m = m * np.exp(1j * (det * (b - a) + grf * unit[:, k - 1, None]))
+            e = np.exp(1j * (det * (b - a) + grf * unit[:, k - 1, None]))
+            m = np.multiply(m, e, out=e)
+            del e  # frees the old state once the pulse has replaced m
         if mode is PulseMode.IDEAL:
             m, mz = _pulse(m, mz, p.nominal_angle, p.axis_phase)
         else:
@@ -280,7 +303,8 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
     # Readout: detuning keeps evolving across the acquisition window, but
     # the RF phase is referred to the echo time (acquisition happens with
     # the signal field's job done; the filter domain ends at the echo).
-    m = m * np.exp(1j * (det * (t0 - free[-1][0]) + grf * unit[:, -1, None]))
+    e = np.exp(1j * (det * (t0 - free[-1][0]) + grf * unit[:, -1, None]))
+    m = np.multiply(m, e, out=e)
     if not np.isfinite(m).all():
         raise NumericalError("non-finite magnetization after the last pulse")
     return m

@@ -33,8 +33,8 @@ from .core import (CoilCalibration, ConfigError, EnsembleConfig, PulseMode,
 from .echo import EchoResult, noisy_echo, wrap_phase
 from .rf import (ResetMode, build_split_interval, build_synchronized,
                  pulse_gated)
-from .sensitivity import (SensitivityReport, build_report, fit_transduction,
-                          reports_to_rows)
+from .sensitivity import (SensitivityReport, _centred, build_report,
+                          fit_transduction, reports_to_rows)
 from .sequence import (SequenceKind, build_cp, build_hahn, build_pdd,
                        filter_function)
 
@@ -136,10 +136,15 @@ def _phase_grid(spec, where: str) -> tuple[float, ...]:
 
 def _field_grid(spec, where: str) -> tuple[float, ...]:
     """An amplitude grid in mT (spec or list) -> strictly increasing,
-    non-negative fields in T."""
+    non-negative fields in T, whose spread the transduction fit can
+    divide by: fields of 1e-203 T are increasing, but their centred sum
+    of squares underflows to zero."""
     grid = _grid(spec, where, MT, ">= 0")
     if not _increasing(grid):
         raise _bad(where, "strictly increasing", spec)
+    if len(grid) > 1 and not 0.0 < _centred(grid)[2] < math.inf:
+        raise _bad(where, "a grid whose centred sum of squares in T^2 is "
+                   "positive and finite", spec)
     return grid
 
 

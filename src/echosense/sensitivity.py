@@ -49,6 +49,14 @@ class SensitivityReport:
     tau: float = 0.0
 
 
+def _centred(b: list[float]) -> tuple[float, list[float], float]:
+    """(mean, deviations from it, sum of their squares) of the fields b,
+    as the least-squares slope takes them."""
+    b_mean = sum(b) / len(b)
+    db = [x - b_mean for x in b]
+    return b_mean, db, sum(map(operator.mul, db, db))
+
+
 def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                      residual_threshold: float = RESIDUAL_THRESHOLD_DEG,
                      ) -> TransductionFit:
@@ -58,7 +66,8 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     under the threshold; otherwise the maximum of the centered finite
     differences is reported (nonlinear regime).  A forced method is
     always used.  Every field and phase must be finite, and the fields
-    strictly increasing.  Input phases must already be unwrapped; a wrap
+    strictly increasing, with a centred sum of squares that is positive
+    and finite in T^2.  Input phases must already be unwrapped; a wrap
     flyback (a jump > 90 deg running against the overall trend) is
     rejected.
     """
@@ -107,10 +116,12 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     # least-squares line in centred form:
     # slope = sum((b - <b>)(phi - <phi>)) / sum((b - <b>)**2)
     n = len(b)
-    b_mean, phi_mean = sum(b) / n, sum(phi) / n
-    db = [x - b_mean for x in b]
-    slope_lin = (sum([d * (y - phi_mean) for d, y in zip(db, phi)])
-                 / sum(map(operator.mul, db, db)))
+    b_mean, db, sxx = _centred(b)
+    if not 0.0 < sxx < math.inf:
+        raise ConfigError(f"centred sum of squares of the fields is {sxx} "
+                          "T^2, not a positive finite number")
+    phi_mean = sum(phi) / n
+    slope_lin = sum([d * (y - phi_mean) for d, y in zip(db, phi)]) / sxx
     intercept = phi_mean - slope_lin * b_mean
     rms = math.sqrt(sum([(y - (slope_lin * x + intercept)) ** 2
                          for x, y in zip(b, phi)]) / n)

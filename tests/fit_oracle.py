@@ -43,8 +43,11 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     n = len(b)
     b_mean, phi_mean = sum(b) / n, sum(phi) / n
     db = [x - b_mean for x in b]
-    slope_lin = (sum(d * (y - phi_mean) for d, y in zip(db, phi))
-                 / sum(d * d for d in db))
+    sxx = sum(d * d for d in db)
+    if not (sxx > 0 and math.isfinite(sxx)):
+        raise ConfigError(f"centred sum of squares of the fields is {sxx} "
+                          "T^2, not a positive finite number")
+    slope_lin = sum(d * (y - phi_mean) for d, y in zip(db, phi)) / sxx
     intercept = phi_mean - slope_lin * b_mean
     rms = math.sqrt(sum((y - (slope_lin * x + intercept)) ** 2
                         for x, y in zip(b, phi)) / n)

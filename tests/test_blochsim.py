@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        NumericalError, PulseMode, ResetMode, RFWaveform,
                        SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
                        echo_observable, evolve, filter_function, zero_field)
+from echosense import blochsim
 from echosense.blochsim import (_BLOCK_PACKET_POINTS, _evolve_trace,
                                 _trace_window, echo_points, point_seed)
 
@@ -424,7 +426,9 @@ class TestEchoPoints:
         seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
         base = EnsembleConfig(n_packets=300, detuning_sigma=1e6,
                               rf_amplitude_spread=0.2, seed=3)
-        amps = np.linspace(0.0, 0.5e-3, 10)
+        # one full block and a tail block of three points
+        amps = np.linspace(0.0, 0.5e-3,
+                           _BLOCK_PACKET_POINTS // base.n_packets + 3)
         assert len(amps) * base.n_packets > _BLOCK_PACKET_POINTS
         waves, ensembles = self.sweep(seq, base, amps)
         got = echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 61)
@@ -440,6 +444,23 @@ class TestEchoPoints:
 
     def test_finite_sweep_straddling_blocks(self):
         self.check_straddling_blocks(PulseMode.FINITE)
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_whole_sweep_block_matches_points(self, mode, monkeypatch):
+        # one block whose stacked state is over numpy's 256 KiB threshold
+        # for temporary elision, which may swap a product's operands:
+        # each point must still come out exactly as when run alone
+        seq = build_cp(3, 1.7e-6, T_PI2, T_PI)
+        base = EnsembleConfig(n_packets=300, detuning_sigma=1e6,
+                              rf_amplitude_spread=0.2, seed=3)
+        waves, ensembles = self.sweep(seq, base,
+                                      np.linspace(0.0, 0.5e-3, 30))
+        assert 2 * 30 * 300 * 16 > 256 * 1024  # bytes of the complex state
+        monkeypatch.setattr(blochsim, "_BLOCK_PACKET_POINTS", 30 * 300)
+        got = echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 61)
+        assert got == [echo_points(SYS, seq, [wave], [ens], mode, self.CAL,
+                                   61)[0]
+                       for wave, ens in zip(waves, ensembles)]
 
     def test_finite_points_independent_of_block_step_counts(self):
         # one block of six points whose detuning widths set RK4 step
@@ -483,6 +504,43 @@ class TestEchoPoints:
         ensembles[1] = replace(ensembles[1], n_packets=4)
         with pytest.raises(ConfigError, match="share a packet count"):
             echo_points(SYS, seq, waves, ensembles, mode, self.CAL, 5)
+
+
+class TestTimeScaleInvariance:
+    """The Bloch equations' time-scale identity, which needs no second
+    implementation: scaling tau, the pulse lengths and T_m by k, and the
+    RF amplitude and the detuning spread by 1/k, leaves every phase and
+    rotation angle as it was (the RF frequency follows tau, and a finite
+    pulse's RK4 step count does not depend on the scale).  So every
+    normalised echo must stay the same, to rounding.  The detuning spread
+    is narrow enough that an even PDD train, whose free intervals do not
+    cancel, keeps a reference echo near 1 that does not magnify rounding.
+    """
+
+    CAL = CoilCalibration(coupling_eta=6.682e-3)
+    BUILDERS = {"hahn": lambda n_pi, *times: build_hahn(*times),
+                "pdd": build_pdd, "cp": build_cp}
+
+    def echoes(self, builder, n_pi, mode, seed, k):
+        seq = self.BUILDERS[builder](n_pi, k * 1.7e-6, k * T_PI2, k * T_PI)
+        waves = [build_synchronized(seq, b1 / k, 1, 0.35,
+                                    ResetMode.PER_WINDOW_RESET)
+                 for b1 in (0.0, 0.2e-3, 0.5e-3)]
+        ensembles = [EnsembleConfig(n_packets=50, detuning_sigma=2e5 / k,
+                                    rf_amplitude_spread=0.2,
+                                    seed=point_seed(seed, i))
+                     for i in range(len(waves))]
+        return np.array(echo_points(SpinSystem(g=2.0, t_m=k * 1e-4), seq,
+                                    waves, ensembles, mode, self.CAL, 61))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(builder=st.sampled_from(sorted(BUILDERS)), n_pi=st.integers(1, 5),
+           mode=st.sampled_from(list(PulseMode)),
+           seed=st.integers(0, 2 ** 32 - 1), k=st.floats(0.5, 3.0))
+    def test_normalised_echo_invariant(self, builder, n_pi, mode, seed, k):
+        want = self.echoes(builder, n_pi, mode, seed, 1.0)
+        got = self.echoes(builder, n_pi, mode, seed, k)
+        assert np.max(np.abs(got - want)) <= 4e-15
 
 
 class TestFiniteAgainstOracle:

@@ -53,6 +53,9 @@ BAD_CONFIGS = {
     "phase-span-overflows": (("rf", "phase_sweep_deg"),
                              {"start": -1.7e308, "stop": 1.7e308,
                               "points": 4}),
+    # increasing, but the fit's centred sum of squares underflows to zero
+    "dd-field-spread-underflows": (("dd", "amplitude_sweep_mt"),
+                                   [0, 1e-200, 2e-200, 3e-200]),
 }
 
 

@@ -631,6 +631,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{key}.amplitude_sweep_mt must be strictly increasing" in err
 
+    @pytest.mark.parametrize("key", ["rf", "dd"])
+    def test_unresolvable_field_spread_exit_2(self, tmp_path, capsys, key):
+        # increasing fields whose centred sum of squares underflows: the
+        # transduction fit cannot divide by it, so `validate` and
+        # `sensitivity` both reject the config before any simulation
+        raw = json.loads(json.dumps(harness.bundled_config("fig5").raw))
+        raw["dd"].pop("amplitude_sweep_mt", None)
+        raw[key]["amplitude_sweep_mt"] = [0, 1e-200, 2e-200, 3e-200]
+        path = self._cfg_file(tmp_path, raw)
+        for argv in (["validate", path],
+                     ["sensitivity", "-c", path, "-o", str(tmp_path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+            assert f"{key}.amplitude_sweep_mt must be a grid whose centred" \
+                in err
+
     @pytest.mark.parametrize("figure, sets", [
         ("fig5", ["ensemble.detuning_sigma_mhz=2e301"]),
         ("fig4", ['simulation.pulse_mode="finite"',

@@ -127,6 +127,15 @@ class TestFitTransduction:
         with pytest.raises(ConfigError, match=where):
             fit_transduction(pts)
 
+    @pytest.mark.parametrize("fields, sxx", [
+        ([0.0, 1e-203, 2e-203, 3e-203], "0.0"),
+        ([0.0, 1e160, 2e160], "inf")], ids=["underflows", "overflows"])
+    def test_unresolvable_field_spread_rejected(self, fields, sxx):
+        # increasing fields, but the slope's denominator is not usable
+        with pytest.raises(ConfigError, match=f"squares of the fields is "
+                                              f"{sxx} T"):
+            fit_transduction([(b, 0.1 * i) for i, b in enumerate(fields)])
+
     def test_wrap_jump_rejected(self):
         pts = [(0.0, 80.0), (1e-4, -85.0), (2e-4, 75.0)]
         with pytest.raises(ConfigError, match="unwrap"):
@@ -174,6 +183,11 @@ def _fit_cases(seed):
     out.append(("unordered", unordered))
     out.append(("repeated_field", [(b[0], 0.0)] + list(zip(b, line))))
     out.append(("too_few", list(zip(b, line))[:int(rng.integers(0, 3))]))
+    # increasing fields whose centred sum of squares underflows or
+    # overflows: the slope cannot divide by it
+    for name, scale in (("underflowing_spread", 1e-200),
+                        ("overflowing_spread", 1e160)):
+        out.append((name, [(x * scale, y) for x, y in zip(b, line)]))
     return out
 
 
@@ -207,7 +221,8 @@ class TestFitAgainstOracle:
                 elif not isinstance(kind, type):  # a fit, not an error
                     seen.add(label.value)
         assert seen == {"linear-regression", "max-derivative", "point",
-                        "field", "wrapped-phase", "fit_transduction"}
+                        "field", "wrapped-phase", "fit_transduction",
+                        "centred"}
 
     def test_points_may_be_an_iterator(self):
         points = linear_points(-2.3e6, noise=np.linspace(0, 1, 11))
