@@ -14,7 +14,7 @@ from .rf import (ResetMode, RFWaveform, build_split_interval,
 from .analytic import (PhaseAccumulation, accumulate_phase,
                        accumulate_phase_quadrature, phase_vs_rf_phase,
                        split_interval_decomposition)
-from .echo import EchoResult, wrap_phase
+from .echo import wrap_phase
 from .sensitivity import (FitMethod, SensitivityReport, TransductionFit,
                           concentration_sensitivity, dipole_field,
                           fit_transduction, minimum_detectable_field,

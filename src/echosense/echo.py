@@ -9,20 +9,8 @@ sigma/sqrt(n_averages), which sets the phase scatter a sweep shows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ConfigError
-
-
-@dataclass(frozen=True)
-class EchoResult:
-    amplitude: float
-    phase_wrapped: float    # degrees, (-90, +90]
-    phase_unwrapped: float  # degrees
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be >= 0")
 
 
 def wrap_phase(phi: float) -> float:

@@ -7,13 +7,18 @@ to SI.  Every run is reproducible from (config, seed): per-point
 ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
 ensemble seed defaulting to the top-level seed, results are gathered in
 grid order, and the canonical config hash is stamped into every CSV row
-and into the run directory name.  Every simulated grid, those of
-`dd_sensitivity_sweep` included, is seeded by `_point_ensembles`,
-simulated by `_grid_echoes` and unwrapped by `_unwrapped_deg`; those
-load `blochsim` and numpy on first use, so loading and checking a
-config loads neither.
-`EXPERIMENTS` holds each subcommand's runner, row builder and CSV stem;
-`write_csv` writes every CSV, `dump_trace`'s included.
+and into the run directory name.
+
+Every subcommand is a plan: `EXPERIMENTS` maps it to a planner, which
+returns its `Grid` records (sequence, waves, seed and noise tags, axis,
+metadata), a row builder and a CSV stem.  `run_grids`, the one executor,
+simulates each distinct (sequence, seed tag) once through `_grid_echoes`,
+adds each grid's noise and turns every grid straight into CSV rows; the
+row builder then concatenates, pivots (split-interval) or fits
+(sensitivity) them.  `dd_sensitivity_sweep` seeds and simulates its
+grids through the same `_point_ensembles` and `_grid_echoes`.  Those
+load `blochsim` and numpy on first use, so loading and checking a config
+loads neither.  `write_csv` writes every CSV, `dump_trace`'s included.
 """
 
 from __future__ import annotations
@@ -23,14 +28,15 @@ import hashlib
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from pathlib import Path
 
 from .analytic import accumulate_phase
-from .core import (CoilCalibration, ConfigError, EnsembleConfig, PulseMode,
-                   SampleSpec, SpinSystem)
-from .echo import EchoResult, noisy_echo, wrap_phase
+from .core import (CoilCalibration, ConfigError, EnsembleConfig,
+                   NumericalError, PulseMode, SampleSpec, SpinSystem)
+from .echo import noisy_echo, wrap_phase
 from .rf import (ResetMode, build_split_interval, build_synchronized,
                  pulse_gated)
 from .sensitivity import (SensitivityReport, _centred, build_report,
@@ -259,11 +265,6 @@ class ExperimentConfig:
         return _DD_BUILDERS[kind](n_pi if n_pi is not None else sq["n_pi"],
                                   tau, t_pi2, t_pi)
 
-    def point_seed(self, *idx) -> int:
-        from .blochsim import point_seed
-
-        return point_seed(self.ensemble.seed, *idx)
-
 
 def read_json(path):
     """The JSON document in the file `path`; a file that cannot be read or
@@ -368,18 +369,12 @@ def _check_designs(cfg: ExperimentConfig) -> None:
                 f"ensemble.detuning_sigma_mhz")
 
 
-@dataclass
-class SweepResult:
-    axis_name: str
-    axis_values: list
-    echo_results: list[EchoResult]
-    analytic_phases: list[float]  # rad
-    metadata: dict
-
-    def __post_init__(self) -> None:
-        n = len(self.axis_values)
-        if len(self.echo_results) != n or len(self.analytic_phases) != n:
-            raise ConfigError("SweepResult lists must have equal lengths")
+#: one grid of a plan: point i runs waves[i] on the sequence `seq`, with
+#: the ensemble reseeded from (*seed_tag, i) and noise drawn from (7919,
+#: *noise_tag, i); its CSV row holds axis_values[i] as `axis_name`, and
+#: the metadata
+Grid = namedtuple("Grid", "seq waves seed_tag noise_tag axis_name "
+                  "axis_values metadata")
 
 
 #: the process pool class, imported by the first parallel `_map`, so that
@@ -436,68 +431,68 @@ def _unwrapped_deg(zs):
     return np.degrees(np.unwrap(np.angle(np.asarray(zs))))
 
 
-def _simulate(cfg: ExperimentConfig, seq, waves, workers: int = 1,
-              tag=()) -> tuple[list[complex], list[float]]:
-    """The clean echoes (seeded from tag) and closed-form phases (rad) of
-    one grid."""
-    filt = filter_function(seq)
-    zs = _grid_echoes(cfg.spin_system, cfg.calibration, cfg.ensemble,
-                      cfg.pulse_mode, cfg.trace_points, seq, waves, tag,
-                      workers)
-    # finite pulses hold the state with the RF off during each drive, so
-    # the closed form they match is that of the pulse-gated field
-    if cfg.pulse_mode is PulseMode.FINITE:
-        waves = [pulse_gated(w, seq) for w in waves]
-    analytic = [accumulate_phase(cfg.spin_system, cfg.calibration, filt, w).phi
-                for w in waves]
-    return zs, analytic
+def run_grids(cfg: ExperimentConfig, grids, workers: int = 1) -> list:
+    """Each grid's CSV rows, one per point: its noisy echo's amplitude and
+    phase, unwrapped along the grid, and its closed-form phase.
+
+    Grids that share their sequence, seed tag and waves share one
+    simulation (PDD(1) and CP(1) are the same Hahn train); each still
+    draws its own noise.  Finite pulses hold the state with the RF
+    off during each drive, so their closed form is the pulse-gated one."""
+    simulated, out = {}, []
+    sigma, finite = cfg.noise_sigma, cfg.pulse_mode is PulseMode.FINITE
+    for g in grids:
+        hit = simulated.get((g.seq, g.seed_tag))
+        if hit is None or hit[0] != g.waves:
+            zs = _grid_echoes(cfg.spin_system, cfg.calibration, cfg.ensemble,
+                              cfg.pulse_mode, cfg.trace_points, g.seq,
+                              g.waves, g.seed_tag, workers)
+            filt = filter_function(g.seq)
+            analytic = [accumulate_phase(
+                cfg.spin_system, cfg.calibration, filt,
+                pulse_gated(w, g.seq) if finite else w).phi for w in g.waves]
+            hit = simulated[g.seq, g.seed_tag] = g.waves, zs, analytic
+        _, zs, analytic = hit
+        if sigma > 0:  # noise-free grids skip the per-point seed derivation
+            seeds = _point_seeds(cfg.ensemble.seed, (7919, *g.noise_tag),
+                                 len(zs))
+            zs = [noisy_echo(z, sigma, cfg.n_averages, s)
+                  for z, s in zip(zs, seeds)]
+        md = {"config_hash": cfg.hash, "seed": cfg.seed, **g.metadata}
+        out.append([{"index": i, g.axis_name: float(x),
+                     "amplitude_norm": abs(z),
+                     "phase_wrapped_deg": wrap_phase(ph),
+                     "phase_unwrapped_deg": ph, "analytic_phase_rad": a,
+                     "analytic_phase_deg": math.degrees(a), **md}
+                    for i, (x, z, ph, a) in enumerate(zip(
+                        g.axis_values, zs, _unwrapped_deg(zs).tolist(),
+                        analytic))])
+    return out
 
 
-def _sweep(cfg: ExperimentConfig, simulated, axis_name, axis_values,
-           metadata, noise_tag=()) -> SweepResult:
-    """The SweepResult of a `_simulate` result, with `noisy_echo` noise.
-    Point i's noise is seeded from (7919, *noise_tag, i): every sweep of
-    a run has its own noise tag, so none share noise."""
-    zs, analytic = simulated
-    sigma, n_avg = cfg.noise_sigma, cfg.n_averages
-    if sigma > 0:
-        seeds = _point_seeds(cfg.ensemble.seed, (7919, *noise_tag), len(zs))
-        noisy = [noisy_echo(z, sigma, n_avg, s) for z, s in zip(zs, seeds)]
-    else:  # noise-free sweeps skip the per-point seed derivation
-        noisy = zs
-    phases = _unwrapped_deg(noisy)
-    echoes = [EchoResult(abs(z), wrap_phase(float(ph)), float(ph))
-              for z, ph in zip(noisy, phases)]
-    md = {"config_hash": cfg.hash, "seed": cfg.seed, **metadata}
-    return SweepResult(axis_name, list(axis_values), echoes, list(analytic),
-                       md)
+# ---------------------------------------------------------------------------
+# plans: each subcommand's grids
 
-
-def _amplitude_sweep(cfg: ExperimentConfig):
-    """The amplitude sweep's sequence and the wave of each grid field."""
+def _amplitude_plan(cfg: ExperimentConfig) -> list[Grid]:
+    """Echo vs RF field amplitude at fixed RF phase."""
     if cfg.amplitude_grid is None:
         raise ConfigError("rf.amplitude_sweep_mt required for sweep-amplitude")
     seq = cfg.build_sequence()
-    return seq, [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
-                                    cfg.reset_mode)
-                 for a in cfg.amplitude_grid]
-
-
-def run_sweep_amplitude(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Echo amplitude/phase vs RF field amplitude at fixed RF phase."""
-    seq, waves = _amplitude_sweep(cfg)
-    return _sweep(cfg, _simulate(cfg, seq, waves, workers), "b1_t",
-                  cfg.amplitude_grid, {"experiment": "sweep-amplitude"})
+    return [Grid(seq, [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
+                                          cfg.reset_mode)
+                       for a in cfg.amplitude_grid],
+                 (), (), "b1_t", cfg.amplitude_grid,
+                 {"experiment": "sweep-amplitude"})]
 
 
 def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
-    """Write outdir/trace.csv: time_s, mx, my of the echo window of the
-    amplitude sweep's point 0, with the sweep's wave and ensemble."""
+    """Write outdir/trace.csv: time_s, mx, my of the echo window of point 0
+    of the amplitude plan, with that point's wave and ensemble."""
     from . import blochsim
 
-    seq, waves = _amplitude_sweep(cfg)
-    tr = blochsim.evolve(cfg.spin_system, seq, waves[0],
-                         _point_ensembles(cfg.ensemble, (), 1)[0],
+    [g] = _amplitude_plan(cfg)
+    tr = blochsim.evolve(cfg.spin_system, g.seq, g.waves[0],
+                         _point_ensembles(cfg.ensemble, g.seed_tag, 1)[0],
                          cfg.pulse_mode, cfg.calibration, cfg.trace_points)
     path = outdir / "trace.csv"
     write_csv(path, [{"time_s": t, "mx": m.real, "my": m.imag} for t, m
@@ -505,30 +500,22 @@ def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
     return path
 
 
-def run_sweep_phase(cfg: ExperimentConfig, workers: int = 1,
-                    n: int | None = None) -> SweepResult:
-    """Echo amplitude/phase vs RF phase offset at fixed amplitude."""
+def _phase_plan(cfg: ExperimentConfig, harmonics) -> list[Grid]:
+    """Echo vs RF phase offset at fixed amplitude, a grid per harmonic."""
     if cfg.phase_grid is None:
         raise ConfigError("rf.phase_sweep_deg required for sweep-phase")
     seq = cfg.build_sequence()
-    n = n if n is not None else cfg.rf_n
-    waves = [build_synchronized(seq, cfg.rf_amplitude, n, math.radians(p),
-                                cfg.reset_mode) for p in cfg.phase_grid]
-    return _sweep(cfg, _simulate(cfg, seq, waves, workers, (n,)),
-                  "phi_rf_deg", cfg.phase_grid,
-                  {"experiment": "sweep-phase", "n": n}, (n,))
+    return [Grid(seq, [build_synchronized(seq, cfg.rf_amplitude, n,
+                                          math.radians(p), cfg.reset_mode)
+                       for p in cfg.phase_grid],
+                 (n,), (n,), "phi_rf_deg", cfg.phase_grid,
+                 {"experiment": "sweep-phase", "n": n}) for n in harmonics]
 
 
-def run_symmetry(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
-    """Phase sweeps for a grid of harmonic indices n (odd vs even symmetry)."""
-    return [run_sweep_phase(cfg, workers, n=n) for n in cfg.n_list]
-
-
-def run_split_interval(cfg: ExperimentConfig,
-                       workers: int = 1) -> list[SweepResult]:
+def _split_plan(cfg: ExperimentConfig) -> list[Grid]:
     """Half-period gating on the first, second and both tau intervals of a
     Hahn sequence, and the full synchronized field, each swept over the
-    gated lobe's phase: one sweep per variant."""
+    gated lobe's phase: a grid per variant."""
     phis, amp = cfg.split_grid, cfg.rf_amplitude
     seq = cfg.build_sequence(kind=SequenceKind.HAHN)
     rads = [math.radians(p) for p in phis]
@@ -541,53 +528,79 @@ def run_split_interval(cfg: ExperimentConfig,
         "full": [build_synchronized(seq, amp, 1, r, ResetMode.CONTINUOUS)
                  for r in rads],
     }
-    return [_sweep(cfg, _simulate(cfg, seq, waves, workers, (v,)),
-                   "phi_rf_deg", phis,
-                   {"experiment": "split-interval", "variant": name}, (v,))
+    return [Grid(seq, waves, (v,), (v,), "phi_rf_deg", phis,
+                 {"experiment": "split-interval", "variant": name})
             for v, (name, waves) in enumerate(variants.items(), 1)]
 
 
-def run_dd_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[SweepResult]:
-    """Amplitude sweep per (protocol, n_pi, tau) with refocusing-locked RF.
-
-    The PDD and CP sweeps of one n_pi share their ensembles, and each
-    distinct pulse train is simulated once per n_pi: PDD(1) and CP(1) are
-    the same Hahn train, so they share one simulation (as does a repeated
-    n_pi or tau).  Each sweep still draws its own noise."""
-    out, simulated = [], {}
-    for p, protocol in enumerate(cfg.dd_protocols):
-        for t, tau in enumerate(cfg.dd_taus):
-            for n_pi in cfg.dd_n_pi:
-                seq = cfg.build_sequence(protocol, n_pi, tau)
-                # a simulation depends on the train and its seed tag alone
-                key = (seq, n_pi)
-                if key not in simulated:
-                    waves = [build_synchronized(seq, a, 1, 0.0,
-                                                cfg.dd_reset_mode)
-                             for a in cfg.dd_amplitudes]
-                    simulated[key] = _simulate(cfg, seq, waves, workers,
-                                               (n_pi,))
-                out.append(_sweep(
-                    cfg, simulated[key], "b1_t", cfg.dd_amplitudes,
-                    {"experiment": "dd-sweep", "protocol": protocol.value,
-                     "n_pi": n_pi, "tau_s": tau}, (n_pi, p, t)))
-    return out
+def _dd_plan(cfg: ExperimentConfig) -> list[Grid]:
+    """An amplitude grid per (protocol, tau, n_pi) with refocusing-locked
+    RF; the grids of one n_pi share their ensembles."""
+    grids = []
+    for (p, protocol), (t, tau), n_pi in product(
+            enumerate(cfg.dd_protocols), enumerate(cfg.dd_taus), cfg.dd_n_pi):
+        seq = cfg.build_sequence(protocol, n_pi, tau)
+        grids.append(Grid(
+            seq, [build_synchronized(seq, a, 1, 0.0, cfg.dd_reset_mode)
+                  for a in cfg.dd_amplitudes],
+            (n_pi,), (n_pi, p, t), "b1_t", cfg.dd_amplitudes,
+            {"experiment": "dd-sweep", "protocol": protocol.value,
+             "n_pi": n_pi, "tau_s": tau}))
+    return grids
 
 
-def run_sensitivity(cfg: ExperimentConfig,
-                    workers: int = 1) -> list[SensitivityReport]:
-    """The dd-sweep, then a transduction fit and a sensitivity report per
-    (protocol, n_pi, tau) sweep."""
+def _sensitivity_plan(cfg: ExperimentConfig) -> list[Grid]:
+    """The dd grids, whose fits each need 3 fields: checked unsimulated."""
+    if len(cfg.dd_amplitudes) < 3:
+        raise ConfigError("sensitivity needs at least 3 dd fields, got "
+                          f"{len(cfg.dd_amplitudes)}")
+    return _dd_plan(cfg)
+
+
+# ---------------------------------------------------------------------------
+# rows: each subcommand's CSV rows from its grids' rows
+
+def _concat(cfg: ExperimentConfig, per_grid) -> list[dict]:
+    return list(chain(*per_grid))
+
+
+def _split_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
+    """One row per gated-lobe phase, with the columns of every variant side
+    by side, in plan order."""
+    rows = []
+    for i, points in enumerate(zip(*per_grid)):
+        row = {"index": i, "phi_rf_deg": points[0]["phi_rf_deg"]}
+        for r in points:
+            name = r["variant"]
+            row[f"analytic_{name}_rad"] = r["analytic_phase_rad"]
+            row[f"phase_{name}_deg"] = r["phase_unwrapped_deg"]
+            row[f"amplitude_{name}"] = r["amplitude_norm"]
+        row["analytic_removed_rad"] = (row["analytic_full_rad"]
+                                       - row["analytic_first_rad"])
+        rows.append(row)
+    return rows
+
+
+def _sensitivity_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
+    """A transduction fit and sensitivity report per dd grid.  Its fields
+    were checked before the grid ran, so a fit or report that fails here
+    fails on the simulated phases: a NumericalError naming the sweep."""
     resolution = cfg.measurement["phase_resolution_deg"]
     t_meas = cfg.measurement["t_meas_s"]
     reports = []
-    for res in run_dd_sweep(cfg, workers):
-        md = res.metadata
-        fit = fit_transduction(zip(res.axis_values, (
-            er.phase_unwrapped for er in res.echo_results)))
-        reports.append(build_report(fit, resolution, t_meas, cfg.sample,
-                                    md["protocol"], md["n_pi"], md["tau_s"]))
-    return reports
+    for rows in per_grid:
+        md = rows[0]
+        try:
+            fit = fit_transduction((r["b1_t"], r["phase_unwrapped_deg"])
+                                   for r in rows)
+            reports.append(build_report(fit, resolution, t_meas, cfg.sample,
+                                        md["protocol"], md["n_pi"],
+                                        md["tau_s"]))
+        except ConfigError as e:
+            raise NumericalError(
+                f"the simulated {md['protocol']}({md['n_pi']}) sweep at tau "
+                f"{md['tau_s']:.6g} s has no sensitivity: {e}") from e
+    return reports_to_rows(reports)
 
 
 def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
@@ -603,7 +616,7 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     count of one protocol, without a config.
 
     Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi, i), as
-    in `run_dd_sweep`, so PDD and CP runs of the same n_pi share identical
+    in the dd plan, so PDD and CP runs of the same n_pi share identical
     ensembles.  `trace_points` is the echo-window sampling of every point.
     """
     protocol = SequenceKind(protocol)
@@ -644,62 +657,26 @@ def write_csv(path, rows: list[dict]) -> None:
         wr.writerows(rows)
 
 
-def sweep_rows(res: SweepResult) -> list[dict]:
-    rows = []
-    for i, (x, er, ph) in enumerate(zip(res.axis_values, res.echo_results,
-                                        res.analytic_phases)):
-        rows.append({
-            "index": i,
-            res.axis_name: float(x),
-            "amplitude_norm": er.amplitude,
-            "phase_wrapped_deg": er.phase_wrapped,
-            "phase_unwrapped_deg": er.phase_unwrapped,
-            "analytic_phase_rad": ph,
-            "analytic_phase_deg": math.degrees(ph),
-            **res.metadata,
-        })
-    return rows
-
-
-def split_rows(sweeps: list[SweepResult]) -> list[dict]:
-    """One row per gated-lobe phase, with the columns of every
-    split-interval variant side by side, in the order of `sweeps`."""
-    rows = []
-    for i, phi0 in enumerate(sweeps[0].axis_values):
-        row = {"index": i, "phi_rf_deg": float(phi0)}
-        for res in sweeps:
-            name, er = res.metadata["variant"], res.echo_results[i]
-            row[f"analytic_{name}_rad"] = res.analytic_phases[i]
-            row[f"phase_{name}_deg"] = er.phase_unwrapped
-            row[f"amplitude_{name}"] = er.amplitude
-        row["analytic_removed_rad"] = (row["analytic_full_rad"]
-                                       - row["analytic_first_rad"])
-        rows.append(row)
-    return rows
-
-
-def _sweeps_rows(sweeps: list[SweepResult]) -> list[dict]:
-    return [row for res in sweeps for row in sweep_rows(res)]
-
-
-#: CLI subcommand -> (runner(cfg, workers), CSV rows of the runner's
-#: result, stem of the CSV they go to)
+#: CLI subcommand -> (plan(cfg): its grids, rows(cfg, each grid's
+#: `run_grids` rows): its CSV rows, stem of the CSV they go to)
 EXPERIMENTS = {
-    "sweep-amplitude": (run_sweep_amplitude, sweep_rows, "sweep_amplitude"),
-    "sweep-phase": (run_sweep_phase, sweep_rows, "sweep_phase"),
-    "symmetry": (run_symmetry, _sweeps_rows, "symmetry"),
-    "split-interval": (run_split_interval, split_rows, "split"),
-    "dd-sweep": (run_dd_sweep, _sweeps_rows, "dd_sweep"),
-    "sensitivity": (run_sensitivity, reports_to_rows, "sensitivity"),
+    "sweep-amplitude": (_amplitude_plan, _concat, "sweep_amplitude"),
+    "sweep-phase": (lambda cfg: _phase_plan(cfg, (cfg.rf_n,)), _concat,
+                    "sweep_phase"),
+    "symmetry": (lambda cfg: _phase_plan(cfg, cfg.n_list), _concat,
+                 "symmetry"),
+    "split-interval": (_split_plan, _split_rows, "split"),
+    "dd-sweep": (_dd_plan, _concat, "dd_sweep"),
+    "sensitivity": (_sensitivity_plan, _sensitivity_rows, "sensitivity"),
 }
 
 
 def run_experiment(command: str, cfg: ExperimentConfig,
                    workers: int = 1) -> list[dict]:
     """`command`'s CSV rows on `cfg`, each ending in cfg's hash and seed."""
-    run, rows, _ = EXPERIMENTS[command]
+    plan, rows, _ = EXPERIMENTS[command]
     return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
-            for row in rows(run(cfg, workers))]
+            for row in rows(cfg, run_grids(cfg, plan(cfg), workers))]
 
 
 def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:

@@ -69,7 +69,7 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     strictly increasing, with a centred sum of squares that is positive
     and finite in T^2.  Input phases must already be unwrapped; a wrap
     flyback (a jump > 90 deg running against the overall trend) is
-    rejected.
+    rejected, and so is a line or steepest slope that overflows.
     """
     if method.__class__ is not FitMethod:
         method = FitMethod(method)
@@ -123,8 +123,15 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
     phi_mean = sum(phi) / n
     slope_lin = sum([d * (y - phi_mean) for d, y in zip(db, phi)]) / sxx
     intercept = phi_mean - slope_lin * b_mean
-    rms = math.sqrt(sum([(y - (slope_lin * x + intercept)) ** 2
-                         for x, y in zip(b, phi)]) / n)
+    try:
+        rms = math.sqrt(sum([(y - (slope_lin * x + intercept)) ** 2
+                             for x, y in zip(b, phi)]) / n)
+    except OverflowError:  # a finite residual whose square overflows
+        rms = math.inf
+    if not all(map(math.isfinite, (slope_lin, intercept, rms))):
+        raise ConfigError(f"least-squares line overflows: slope {slope_lin} "
+                          f"deg/T, intercept {intercept} deg, residual rms "
+                          f"{rms} deg")
 
     use_linear = (method is FitMethod.LINEAR_REGRESSION
                   or (method is FitMethod.AUTO and rms < residual_threshold))
@@ -133,9 +140,14 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                                FitMethod.LINEAR_REGRESSION, b_range)
     import numpy as np
 
-    grad = np.gradient(phi, b)
+    with np.errstate(all="ignore"):  # an overflow is rejected below
+        grad = np.gradient(phi, b)
     k = int(np.argmax(np.abs(grad)))
-    return TransductionFit(float(grad[k]), float(phi[k] - grad[k] * b[k]), rms,
+    slope = float(grad[k])
+    if not math.isfinite(slope):
+        raise ConfigError("steepest finite-difference slope overflows: "
+                          f"{slope} deg/T")
+    return TransductionFit(slope, phi[k] - slope * b[k], rms,
                            FitMethod.MAX_DERIVATIVE, b_range)
 
 

@@ -2,7 +2,8 @@
 
 This is the generator-expression form of `sensitivity.fit_transduction`
 that the library replaced with list and map passes.  The library must
-give the same floats, or raise the same exception with the same message.
+give the same floats, or raise the same exception with the same message;
+a least-squares line or steepest slope that overflows is a ConfigError.
 """
 
 import math
@@ -49,15 +50,28 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                           "T^2, not a positive finite number")
     slope_lin = sum(d * (y - phi_mean) for d, y in zip(db, phi)) / sxx
     intercept = phi_mean - slope_lin * b_mean
-    rms = math.sqrt(sum((y - (slope_lin * x + intercept)) ** 2
-                        for x, y in zip(b, phi)) / n)
+    try:
+        rms = math.sqrt(sum((y - (slope_lin * x + intercept)) ** 2
+                            for x, y in zip(b, phi)) / n)
+    except OverflowError:
+        rms = math.inf
+    if not (math.isfinite(slope_lin) and math.isfinite(intercept)
+            and math.isfinite(rms)):
+        raise ConfigError(f"least-squares line overflows: slope {slope_lin} "
+                          f"deg/T, intercept {intercept} deg, residual rms "
+                          f"{rms} deg")
 
     use_linear = (method is FitMethod.LINEAR_REGRESSION
                   or (method is FitMethod.AUTO and rms < residual_threshold))
     if use_linear:
         return TransductionFit(slope_lin, intercept, rms,
                                FitMethod.LINEAR_REGRESSION, b_range)
-    grad = np.gradient(phi, b)
-    k = int(np.argmax(np.abs(grad)))
-    return TransductionFit(float(grad[k]), float(phi[k] - grad[k] * b[k]), rms,
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grad = np.gradient(phi, b)
+        k = int(np.argmax(np.abs(grad)))
+        intercept = float(phi[k] - grad[k] * b[k])
+    if not np.isfinite(grad[k]):
+        raise ConfigError("steepest finite-difference slope overflows: "
+                          f"{float(grad[k])} deg/T")
+    return TransductionFit(float(grad[k]), intercept, rms,
                            FitMethod.MAX_DERIVATIVE, b_range)

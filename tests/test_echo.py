@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from echosense import ConfigError, EchoResult, wrap_phase
+from echosense import ConfigError, wrap_phase
 from echosense.echo import noisy_echo
 
 
@@ -43,14 +43,6 @@ class TestWrapPhase:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ConfigError):
             wrap_phase(bad)
-
-
-class TestFromComplex:
-    """The EchoResult that a sweep builds from each complex echo."""
-
-    def test_negative_amplitude_impossible(self):
-        with pytest.raises(ConfigError):
-            EchoResult(-0.1, 0.0, 0.0)
 
 
 class TestMeasurementNoise:

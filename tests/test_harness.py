@@ -17,6 +17,7 @@ from echosense import (ConfigError, ResetMode, SequenceKind, blochsim,
 from echosense import harness
 from echosense.cli import _apply_overrides, main
 from echosense.echo import noisy_echo, wrap_phase
+from echosense.sensitivity import reports_to_rows
 
 FAST_RAW = {
     "spin_system": {"g": 2.0, "t_m_us": 100.0,
@@ -122,8 +123,11 @@ class TestLoadConfig:
         assert h1 == h2 and len(h1) == 12
 
     def test_point_seed_deterministic(self, fast_cfg):
-        assert fast_cfg.point_seed(1, 2) == fast_cfg.point_seed(1, 2)
-        assert fast_cfg.point_seed(1, 2) != fast_cfg.point_seed(2, 1)
+        def seed(*idx):
+            return blochsim.point_seed(fast_cfg.ensemble.seed, *idx)
+
+        assert seed(1, 2) == seed(1, 2)
+        assert seed(1, 2) != seed(2, 1)
 
     def test_loads_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -155,62 +159,69 @@ class TestGrid:
             harness._grid("nope")
 
 
+def _by_grid(cfg, command, workers=1):
+    """The rows of each grid of `command`'s plan on cfg."""
+    plan, _, _ = harness.EXPERIMENTS[command]
+    return harness.run_grids(cfg, plan(cfg), workers)
+
+
+def _column(rows, key) -> list:
+    return [r[key] for r in rows]
+
+
 class TestSweeps:
     def test_amplitude_sweep_monotone_phase(self, fast_cfg):
-        res = harness.run_sweep_amplitude(fast_cfg)
-        assert res.axis_name == "b1_t"
-        assert len(res.echo_results) == 5
-        phases = [r.phase_unwrapped for r in res.echo_results]
+        rows = harness.run_experiment("sweep-amplitude", fast_cfg)
+        assert len(rows) == 5 and "b1_t" in rows[0]
+        phases = _column(rows, "phase_unwrapped_deg")
         assert all(b >= a - 1e-9 for a, b in zip(phases, phases[1:]))
         # analytic phases track the simulated ones
         sim = np.radians(phases)
-        assert np.allclose(sim, res.analytic_phases, atol=0.05)
+        assert np.allclose(sim, _column(rows, "analytic_phase_rad"),
+                           atol=0.05)
 
     def test_amplitude_sweep_requires_spec(self, fast_cfg):
         raw = dict(FAST_RAW, rf={"n": 1})
         cfg = harness.load_config(raw)
         with pytest.raises(ConfigError):
-            harness.run_sweep_amplitude(cfg)
+            harness.run_experiment("sweep-amplitude", cfg)
 
     def test_phase_sweep_cosine_nodes(self, fast_cfg):
-        res = harness.run_sweep_phase(fast_cfg)
+        rows = harness.run_experiment("sweep-phase", fast_cfg)
         # 7 points over 360 deg: index 0 is phi_rf = 0 (max), analytic
         # phase follows cos
-        a = np.asarray(res.analytic_phases)
+        a = np.asarray(_column(rows, "analytic_phase_rad"))
         assert a[0] == pytest.approx(max(abs(a)), rel=1e-9)
         assert a[3] == pytest.approx(-a[0], rel=1e-9)  # phi_rf = 180
 
     def test_symmetry_returns_one_sweep_per_harmonic(self, fast_cfg):
-        out = harness.run_symmetry(fast_cfg)
-        assert [r.metadata["n"] for r in out] == [1, 2, 3, 4]
-        even = [r for r in out if r.metadata["n"] % 2 == 0]
-        for r in even:
-            assert np.allclose(r.analytic_phases, 0.0, atol=1e-12)
+        out = _by_grid(fast_cfg, "symmetry")
+        assert [rows[0]["n"] for rows in out] == [1, 2, 3, 4]
+        even = [rows for rows in out if rows[0]["n"] % 2 == 0]
+        for rows in even:
+            assert np.allclose(_column(rows, "analytic_phase_rad"), 0.0,
+                               atol=1e-12)
 
     def test_split_interval_variants_and_additivity(self, fast_cfg):
-        sweeps = harness.run_split_interval(fast_cfg)
-        assert [r.metadata["variant"] for r in sweeps] == [
+        grids = harness.EXPERIMENTS["split-interval"][0](fast_cfg)
+        assert [g.metadata["variant"] for g in grids] == [
             "first", "second", "both", "full"]
-        first, second, both, _ = (np.asarray(r.analytic_phases)
-                                  for r in sweeps)
+        rows = harness.run_experiment("split-interval", fast_cfg)
+        first, second, both = (np.asarray(_column(rows, f"analytic_{v}_rad"))
+                               for v in ("first", "second", "both"))
         # the harness sweeps the first lobe's phase with the second fixed
         assert np.allclose(first + second[0], both, atol=1e-12)
 
     def test_every_metadata_value_is_scalar(self, fast_cfg):
-        # sweep_rows copies a sweep's metadata into each of its CSV rows
+        # the executor copies a grid's metadata into each of its CSV rows
         def scalar(v):
             return isinstance(v, (int, float, str))
 
-        for name, (run, rows, _) in harness.EXPERIMENTS.items():
-            result = run(fast_cfg)
-            sweeps = [r for r in (result if isinstance(result, list)
-                                  else [result])
-                      if isinstance(r, harness.SweepResult)]
-            assert sweeps or name == "sensitivity"
-            for res in sweeps:
-                assert all(map(scalar, res.metadata.values())), (
-                    name, res.metadata)
-            for row in rows(result):
+        for name, (plan, _, _) in harness.EXPERIMENTS.items():
+            for grid in plan(fast_cfg):
+                assert all(map(scalar, grid.metadata.values())), (
+                    name, grid.metadata)
+            for row in harness.run_experiment(name, fast_cfg):
                 assert all(map(scalar, row.values())), (name, row)
 
     def test_dd_sweep_per_protocol_results(self, fast_cfg):
@@ -220,29 +231,28 @@ class TestSweeps:
                      "amplitude_sweep_mt": {"start": 0, "stop": 0.3,
                                             "points": 4}}
         cfg = harness.load_config(raw)
-        out = harness.run_dd_sweep(cfg)
+        out = _by_grid(cfg, "dd-sweep")
         assert len(out) == 2
-        assert {r.metadata["n_pi"] for r in out} == {1, 2}
-        for r in out:
-            assert len(r.echo_results) == 4
+        assert {rows[0]["n_pi"] for rows in out} == {1, 2}
+        for rows in out:
+            assert len(rows) == 4
 
     def test_noise_snr_matches_add_measurement_noise(self):
         raw = json.loads(json.dumps(FAST_RAW))
         raw["noise"] = {"sigma": 0.05, "n_averages": 4}
         cfg = harness.load_config(raw)
-        res = harness.run_sweep_amplitude(cfg)
-        seq = cfg.build_sequence()
-        for i, (amp, er) in enumerate(zip(res.axis_values,
-                                          res.echo_results)):
-            ens = replace(cfg.ensemble, seed=cfg.point_seed(i))
+        rows = harness.run_experiment("sweep-amplitude", cfg)
+        seq, base = cfg.build_sequence(), cfg.ensemble.seed
+        for i, (amp, row) in enumerate(zip(cfg.amplitude_grid, rows)):
+            ens = replace(cfg.ensemble, seed=blochsim.point_seed(base, i))
             wave = build_synchronized(seq, amp, 1, 0.0)
             [clean] = blochsim.echo_points(
                 cfg.spin_system, seq, [wave], [ens], cfg.pulse_mode,
                 cfg.calibration, cfg.trace_points)
-            z = noisy_echo(clean, 0.05, 4, cfg.point_seed(7919, i))
+            z = noisy_echo(clean, 0.05, 4, blochsim.point_seed(base, 7919, i))
             assert z != clean
-            assert er.amplitude == abs(z)
-            assert er.phase_wrapped == wrap_phase(
+            assert row["amplitude_norm"] == abs(z)
+            assert row["phase_wrapped_deg"] == wrap_phase(
                 float(np.degrees(np.angle(z))))
 
     def test_noise_differs_between_sweeps(self):
@@ -251,9 +261,9 @@ class TestSweeps:
 
         def echoes(sigma):
             raw["noise"]["sigma"] = sigma
-            return [np.array([er.amplitude * np.exp(1j * np.radians(
-                er.phase_unwrapped)) for er in res.echo_results])
-                for res in harness.run_dd_sweep(harness.load_config(raw))]
+            return [np.array([r["amplitude_norm"] * np.exp(1j * np.radians(
+                r["phase_unwrapped_deg"])) for r in rows])
+                for rows in _by_grid(harness.load_config(raw), "dd-sweep")]
 
         noise = [noisy - clean
                  for noisy, clean in zip(echoes(0.05), echoes(0.0))]
@@ -267,10 +277,11 @@ class TestSweeps:
         raw = json.loads(json.dumps(FAST_RAW))
         raw["simulation"]["pulse_mode"] = "finite"
         for cfg in (fast_cfg, harness.load_config(raw)):
-            serial = harness.run_sweep_amplitude(cfg, workers=1)
-            parallel = harness.run_sweep_amplitude(cfg, workers=2)
-            assert [r.phase_unwrapped for r in serial.echo_results] == \
-                   [r.phase_unwrapped for r in parallel.echo_results]
+            serial = harness.run_experiment("sweep-amplitude", cfg, workers=1)
+            parallel = harness.run_experiment("sweep-amplitude", cfg,
+                                              workers=2)
+            assert _column(serial, "phase_unwrapped_deg") == \
+                   _column(parallel, "phase_unwrapped_deg")
 
     def test_finite_analytic_phase_is_pulse_gated(self, tmp_path, capsys):
         # finite pulses see no RF during their drives, so the CSV's closed
@@ -303,16 +314,17 @@ class TestSweeps:
                 return fn(*args, **kwargs)
             return spy
 
-        serial = harness.run_sweep_amplitude(fast_cfg)
+        serial = harness.run_experiment("sweep-amplitude", fast_cfg)
         with monkeypatch.context() as mp:
             mp.setattr(blochsim.EnsembleConfig, "draw", counting("draw", draw))
             mp.setattr(blochsim, "evolve", counting("evolve", evolve))
-            counted = harness.run_sweep_amplitude(fast_cfg)
+            counted = harness.run_experiment("sweep-amplitude", fast_cfg)
         assert len(fast_cfg.amplitude_grid) == 5
         assert calls == {"draw": 5, "evolve": 0}
-        parallel = harness.run_sweep_amplitude(fast_cfg, workers=2)
-        assert counted.echo_results == serial.echo_results
-        assert parallel.echo_results == serial.echo_results
+        parallel = harness.run_experiment("sweep-amplitude", fast_cfg,
+                                          workers=2)
+        assert counted == serial
+        assert parallel == serial
 
     def test_sensitivity_uses_configured_trace_points(self, fast_cfg,
                                                       monkeypatch):
@@ -328,8 +340,32 @@ class TestSweeps:
             "protocols": ["cp"], "n_pi_list": [1], "tau_us_list": [1.2],
             "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}}})
         assert cfg.trace_points == 21
-        harness.run_sensitivity(cfg)
+        harness.run_experiment("sensitivity", cfg)
         assert seen and set(seen) == {21}
+
+
+class TestPlans:
+    @pytest.mark.parametrize("name", ("default",) + harness.FIGURES)
+    def test_shared_seed_tag_means_shared_waves(self, name):
+        # run_grids simulates each (sequence, seed tag) once: grids that
+        # share both must hold equal waves, and no two grids of a plan may
+        # share noise
+        cfg = harness.bundled_config(name)
+        planned = 0
+        for command, (plan, _, _) in harness.EXPERIMENTS.items():
+            try:
+                grids = plan(cfg)
+            except ConfigError:  # the config lacks this command's grid
+                continue
+            planned += 1
+            first = {}
+            for g in grids:
+                assert len(g.waves) == len(g.axis_values), command
+                waves = first.setdefault((g.seq, g.seed_tag), g.waves)
+                assert waves == g.waves, (command, g.metadata)
+            noise_tags = [g.noise_tag for g in grids]
+            assert len(set(noise_tags)) == len(noise_tags), command
+        assert planned >= 3  # split-interval, dd-sweep and sensitivity
 
 
 class TestSensitivityPipeline:
@@ -351,20 +387,22 @@ class TestSensitivityPipeline:
                     cfg.ensemble, 80 * harness.NS, 160 * harness.NS,
                     reset_mode=ResetMode.PER_WINDOW_RESET,
                     trace_points=cfg.trace_points)]
-        assert harness.run_sensitivity(cfg) == want
+        assert harness.run_experiment("sensitivity", cfg) == [
+            {**row, "config_hash": cfg.hash, "seed": cfg.seed}
+            for row in reports_to_rows(want)]
 
     def test_workers_reach_the_pool(self, monkeypatch):
         pools = _serial_pools(monkeypatch)
         cfg = self.cfg()
-        assert harness.run_sensitivity(cfg, workers=2) == \
-            harness.run_sensitivity(cfg)
+        assert harness.run_experiment("sensitivity", cfg, workers=2) == \
+            harness.run_experiment("sensitivity", cfg)
         assert pools and set(pools) == {2}
 
     def test_pool_has_at_most_one_process_per_slice(self, monkeypatch):
         pools = _serial_pools(monkeypatch)
         cfg = self.cfg()
-        assert harness.run_sensitivity(cfg, workers=64) == \
-            harness.run_sensitivity(cfg)
+        assert harness.run_experiment("sensitivity", cfg, workers=64) == \
+            harness.run_experiment("sensitivity", cfg)
         assert pools and set(pools) == {5}  # five amplitudes per sweep
         pools.clear()
         assert harness._map(abs, [(-3,)], workers=4) == [3]
@@ -375,11 +413,12 @@ class TestSensitivityPipeline:
         b = self.cfg(seed=5)
 
         def phases(cfg):
-            return [[er.phase_unwrapped for er in res.echo_results]
-                    for res in harness.run_dd_sweep(cfg)]
+            return _column(harness.run_experiment("dd-sweep", cfg),
+                           "phase_unwrapped_deg")
 
         def slopes(cfg):
-            return [r.fit.slope for r in harness.run_sensitivity(cfg)]
+            return _column(harness.run_experiment("sensitivity", cfg),
+                           "slope_deg_per_t")
 
         assert phases(a) == phases(b)
         assert slopes(a) == slopes(b)
@@ -396,12 +435,12 @@ class TestSharedSimulation:
             "sigma": sigma, "n_averages": 1}})
 
     @staticmethod
-    def by_design(results):
-        return {(r.metadata["protocol"], r.metadata["n_pi"]): r
-                for r in results}
+    def by_design(cfg):
+        return {(rows[0]["protocol"], rows[0]["n_pi"]): rows
+                for rows in _by_grid(cfg, "dd-sweep")}
 
-    @pytest.mark.parametrize("run", ["run_dd_sweep", "run_sensitivity"])
-    def test_each_pulse_train_simulated_once(self, monkeypatch, run):
+    @pytest.mark.parametrize("command", ["dd-sweep", "sensitivity"])
+    def test_each_pulse_train_simulated_once(self, monkeypatch, command):
         calls = []
         echo_points = blochsim.echo_points
 
@@ -410,34 +449,34 @@ class TestSharedSimulation:
             return echo_points(*args)
 
         monkeypatch.setattr(blochsim, "echo_points", spy)
-        getattr(harness, run)(self.cfg())
+        harness.run_experiment(command, self.cfg())
         # PDD(1), PDD(2), CP(2): CP(1) reuses PDD(1)
         assert len(calls) == 3
         assert [s.n_pi for s in calls] == [1, 2, 2]
 
     def test_cp1_equals_pdd1(self):
-        got = self.by_design(harness.run_dd_sweep(self.cfg()))
+        got = self.by_design(self.cfg())
         pdd, cp = got["pdd", 1], got["cp", 1]
-        assert cp.echo_results == pdd.echo_results
-        assert cp.analytic_phases == pdd.analytic_phases
-        assert cp.metadata["protocol"] == "cp"
-        # each sweep owns its lists
-        assert cp.echo_results is not pdd.echo_results
-        assert cp.analytic_phases is not pdd.analytic_phases
-        assert got["cp", 2].analytic_phases != got["pdd", 2].analytic_phases
+        assert [{**r, "protocol": "pdd"} for r in cp] == pdd
+        assert cp[0]["protocol"] == "cp"
+        # each sweep owns its rows
+        assert all(c is not p for c, p in zip(cp, pdd))
+        assert (_column(got["cp", 2], "analytic_phase_rad")
+                != _column(got["pdd", 2], "analytic_phase_rad"))
 
     def test_shared_simulation_keeps_its_own_noise(self):
-        got = self.by_design(harness.run_dd_sweep(self.cfg(sigma=0.05)))
+        got = self.by_design(self.cfg(sigma=0.05))
         pdd, cp = got["pdd", 1], got["cp", 1]
-        assert cp.analytic_phases == pdd.analytic_phases
-        assert ([er.phase_unwrapped for er in cp.echo_results]
-                != [er.phase_unwrapped for er in pdd.echo_results])
+        assert (_column(cp, "analytic_phase_rad")
+                == _column(pdd, "analytic_phase_rad"))
+        assert (_column(cp, "phase_unwrapped_deg")
+                != _column(pdd, "phase_unwrapped_deg"))
 
     def test_workers_match_serial(self, monkeypatch):
         cfg = self.cfg()
-        serial = harness.run_dd_sweep(cfg)
+        serial = harness.run_experiment("dd-sweep", cfg)
         pools = _serial_pools(monkeypatch)
-        assert harness.run_dd_sweep(cfg, workers=2) == serial
+        assert harness.run_experiment("dd-sweep", cfg, workers=2) == serial
         assert pools == [2, 2, 2]  # one pool per simulated pulse train
 
 
@@ -454,14 +493,15 @@ class TestEmission:
             harness.write_csv(tmp_path / "e.csv", [])
 
     def test_sweep_rows_columns(self, fast_cfg):
-        rows = harness.sweep_rows(harness.run_sweep_amplitude(fast_cfg))
+        rows = harness.run_experiment("sweep-amplitude", fast_cfg)
+        assert list(rows[0]) == [
+            "index", "b1_t", "amplitude_norm", "phase_wrapped_deg",
+            "phase_unwrapped_deg", "analytic_phase_rad", "analytic_phase_deg",
+            "config_hash", "seed", "experiment"]
         assert rows[0]["config_hash"] == fast_cfg.hash
-        for key in ("index", "b1_t", "amplitude_norm", "phase_wrapped_deg",
-                    "phase_unwrapped_deg", "analytic_phase_rad"):
-            assert key in rows[0]
 
     def test_split_rows_include_removed_lobe(self, fast_cfg):
-        rows = harness.split_rows(harness.run_split_interval(fast_cfg))
+        rows = harness.run_experiment("split-interval", fast_cfg)
         r0 = rows[0]
         assert r0["analytic_removed_rad"] == pytest.approx(
             r0["analytic_full_rad"] - r0["analytic_first_rad"], abs=1e-15)
@@ -694,6 +734,31 @@ class TestCli:
         rows = _read_csv(out[0])
         assert rows[0]["protocol"] == "cp"
 
+    def test_sensitivity_fit_failure_is_numerical_error(self, tmp_path,
+                                                        capsys):
+        # bundled fig3 validates, but its simulated PDD(4) phases jump by
+        # 113 deg at one field: the run, not the config, is at fault
+        fig3 = Path(harness.__file__).parent / "configs" / "fig3.json"
+        assert main(["sensitivity", "-c", str(fig3),
+                     "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+        assert "pdd(4)" in err and "wrapped-phase" in err
+
+    def test_sensitivity_needs_three_fields_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blochsim, "echo_points",
+                            lambda *a: calls.append(a))
+        raw = json.loads(json.dumps(FAST_RAW))
+        raw["dd"] = {"protocols": ["cp"], "n_pi_list": [1],
+                     "amplitude_sweep_mt": [0.0, 0.3]}
+        assert main(["sensitivity", "-c", self._cfg_file(tmp_path, raw),
+                     "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "at least 3 dd fields" in err
+        assert calls == []
+
     def test_sensitivity_with_bundled_default(self, tmp_path, capsys):
         assert main(["sensitivity", "-o", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -713,7 +778,8 @@ class TestCli:
         cfg = harness.load_config(raw)
         seq = cfg.build_sequence()
         wave = build_synchronized(seq, 0.1e-3, 1, 0.0)
-        ens = replace(cfg.ensemble, seed=cfg.point_seed(0))
+        ens = replace(cfg.ensemble,
+                      seed=blochsim.point_seed(cfg.ensemble.seed, 0))
         tr = blochsim.evolve(cfg.spin_system, seq, wave, ens,
                              cfg.pulse_mode, cfg.calibration,
                              trace_points=21)

@@ -222,7 +222,26 @@ class TestFitAgainstOracle:
                     seen.add(label.value)
         assert seen == {"linear-regression", "max-derivative", "point",
                         "field", "wrapped-phase", "fit_transduction",
-                        "centred"}
+                        "centred", "least-squares"}
+
+    @pytest.mark.parametrize("points, label", [
+        ([(0, 0), (1e-4, 1e200), (2e-4, 3e200)], "least-squares"),
+        ([(0, -1e308), (1e-4, -1e308), (2e-4, 1e308)], "least-squares"),
+        ([(0, 0), (1e-4, 1.7e308), (2e-4, 1.75e308)], "least-squares"),
+        ([(0.0, 0.0), (1e-300, 1e10), (1.0, 1e10)], "steepest")],
+        ids=["squared-residual", "phase-sum", "phase-jump", "steepest-slope"])
+    @pytest.mark.parametrize("method", list(FitMethod))
+    def test_overflow_is_config_error(self, points, label, method):
+        # finite phases whose least-squares sums or finite differences
+        # overflow: rejected before a bare OverflowError or a numpy warning
+        # (an error under this suite's filterwarnings) can escape
+        if label == "steepest" and method is FitMethod.LINEAR_REGRESSION:
+            label = "fit"  # the forced line never takes differences
+        want = _fit_outcome(fit_oracle.fit_transduction, points, method)
+        assert _fit_outcome(fit_transduction, points, method) == want
+        kind, message = want
+        assert (kind is ConfigError and message.startswith(label)
+                or label == "fit" and not isinstance(kind, type))
 
     def test_points_may_be_an_iterator(self):
         points = linear_points(-2.3e6, noise=np.linspace(0, 1, 11))
