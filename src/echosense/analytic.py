@@ -18,17 +18,20 @@ Gauss-Kronrod rule (scipy's `quad`) on seeded designs.
 Neither the filter-domain check nor the signs depend on the amplitude, so
 both are folded into one checked, signed walk: `_signed_walk(shape,
 edges)` checks the waveform's windows against the filter domain, reads
-the unit-amplitude walk of `rf._unit_walk` and negates every odd
-interval.  It sits in a bounded LRU cache of `rf._CACHE_SIZE` entries,
-keyed like `_unit_walk` on the waveform's checked shape record (hashed by
-identity) and the filter's edges.  The per-amplitude waveforms of a
-synchronized sweep share their unit waveform's record, so such a sweep
-checks, signs and walks each shape once, and `accumulate_phase` forms
-each interval's phase as gamma_eff * (amplitude * signed unit integral).
-IEEE products are exactly sign-symmetric, so that is the float that
-sign * gamma_eff * (amplitude * unit integral) gave, signed zeros
-included.  A cache stores no exceptions: a window outside the domain
-raises on every call.
+the unit-amplitude walk of `rf._unit_walk` (an LRU cache keyed on the
+record and the edges) and negates every odd interval.  It keeps the
+result on the waveform's checked shape record: the record's `walk` slot
+holds one immutable (edges, signed walk) pair, rebound in one
+assignment.  `accumulate_phase` reuses the pair, hashing nothing, when
+the filter's edges are the very tuple it holds, and calls
+`_signed_walk` otherwise.  The per-amplitude waveforms of a
+synchronized sweep share their unit waveform's record, and a sweep's
+fields share one filter, so such a sweep checks, signs and walks each
+shape once, and `accumulate_phase` forms each interval's phase as
+gamma_eff * (amplitude * signed unit integral).  IEEE products are
+exactly sign-symmetric, so that is the float that sign * gamma_eff *
+(amplitude * unit integral) gave, signed zeros included.  A failed
+check fills no slot: a window outside the domain raises on every call.
 """
 
 from __future__ import annotations
@@ -70,14 +73,16 @@ def _check_domain(windows, domain_end: float) -> None:
             f"[0, {domain_end:.3e}]")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _signed_walk(shape, edges) -> tuple[float, ...]:
     """The unit-amplitude walk of `shape` over the filter `edges`, checked
     against the filter domain [0, edges[-1]], with every odd interval
-    negated: the sign starts at +1 and toggles at every breakpoint."""
+    negated: the sign starts at +1 and toggles at every breakpoint.  The
+    record's `walk` slot keeps it with its edges."""
     _check_domain(shape.windows, edges[-1])
-    return tuple([-u if k % 2 else u
-                  for k, u in enumerate(_unit_walk(shape, edges))])
+    signed = tuple([-u if k % 2 else u
+                    for k, u in enumerate(_unit_walk(shape, edges))])
+    shape.walk = (edges, signed)
+    return signed
 
 
 def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
@@ -85,8 +90,12 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
     """Closed-form signed phase accumulated over the whole sequence."""
     gamma_eff = sys.gamma * cal.coupling_eta
     amp = wave.amplitude
-    per = tuple([gamma_eff * (amp * s)
-                 for s in _signed_walk(wave._shape, filt.edges)])
+    shape = wave._shape
+    edges = filt.edges
+    held_edges, signed = shape.walk
+    if held_edges is not edges:
+        signed = _signed_walk(shape, edges)
+    per = tuple([gamma_eff * (amp * s) for s in signed])
     # the fields a construction would set, without its frozen-setattr calls
     acc = object.__new__(PhaseAccumulation)
     fields = acc.__dict__

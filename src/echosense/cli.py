@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{harness.OUTPUT_ROOT_ENV} or ./runs)")
         sp.add_argument("--workers", type=_workers, default=1,
                         help="worker processes (>= 1)")
-        sp.add_argument("--plot", action="store_true",
-                        help="also write SVG plots")
 
     for name in harness.EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
@@ -89,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output-root")
     sp.add_argument("--workers", type=_workers, default=1,
                     help="worker processes (>= 1)")
-    sp.add_argument("--plot", action="store_true")
 
     sp = sub.add_parser("validate", help="validate a config file")
     sp.add_argument("config")
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "reproduce":
             written = harness.reproduce(args.figure, args.output_root,
-                                        args.workers, args.plot)
+                                        args.workers)
             for p in written:
                 print(p)
             return 0
@@ -115,7 +112,7 @@ def main(argv=None) -> int:
         _, _, stem = harness.EXPERIMENTS[args.command]
         rows = harness.run_experiment(args.command, cfg, args.workers)
         outdir = harness.run_directory(args.command, cfg, root)
-        written = harness.emit(outdir, {stem: rows}, args.plot)
+        written = harness.emit(outdir, {stem: rows})
         if getattr(args, "dump_trace", False):
             written.append(harness.dump_trace(cfg, outdir))
         for p in written:

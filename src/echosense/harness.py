@@ -581,25 +581,33 @@ def _split_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
     return rows
 
 
+def _sweep_report(points, resolution: float, t_meas: float,
+                  sample: SampleSpec, protocol: str, n_pi: int,
+                  tau: float) -> SensitivityReport:
+    """The transduction fit and sensitivity report of one simulated dd
+    sweep of (field, unwrapped phase) points.  Its fields and measurement
+    were checked before it ran, so a fit or report that fails here fails
+    on the simulated phases: a NumericalError naming the sweep."""
+    try:
+        return build_report(fit_transduction(points), resolution, t_meas,
+                            sample, protocol, n_pi, tau)
+    except ConfigError as e:
+        raise NumericalError(
+            f"the simulated {protocol}({n_pi}) sweep at tau {tau:.6g} s has "
+            f"no sensitivity: {e}") from e
+
+
 def _sensitivity_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
-    """A transduction fit and sensitivity report per dd grid.  Its fields
-    were checked before the grid ran, so a fit or report that fails here
-    fails on the simulated phases: a NumericalError naming the sweep."""
+    """A transduction fit and sensitivity report per dd grid."""
     resolution = cfg.measurement["phase_resolution_deg"]
     t_meas = cfg.measurement["t_meas_s"]
     reports = []
     for rows in per_grid:
         md = rows[0]
-        try:
-            fit = fit_transduction((r["b1_t"], r["phase_unwrapped_deg"])
-                                   for r in rows)
-            reports.append(build_report(fit, resolution, t_meas, cfg.sample,
-                                        md["protocol"], md["n_pi"],
-                                        md["tau_s"]))
-        except ConfigError as e:
-            raise NumericalError(
-                f"the simulated {md['protocol']}({md['n_pi']}) sweep at tau "
-                f"{md['tau_s']:.6g} s has no sensitivity: {e}") from e
+        reports.append(_sweep_report(
+            ((r["b1_t"], r["phase_unwrapped_deg"]) for r in rows),
+            resolution, t_meas, cfg.sample, md["protocol"], md["n_pi"],
+            md["tau_s"]))
     return reports_to_rows(reports)
 
 
@@ -618,6 +626,11 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi, i), as
     in the dd plan, so PDD and CP runs of the same n_pi share identical
     ensembles.  `trace_points` is the echo-window sampling of every point.
+
+    The amplitudes, resolution and measurement time are checked before
+    any simulation, much as `load_config` checks them, and a bad one is
+    a ConfigError.  A sweep whose simulated phases defeat the fit is a
+    NumericalError naming it, as in the `sensitivity` command.
     """
     protocol = SequenceKind(protocol)
     if protocol not in _DD_BUILDERS:
@@ -628,6 +641,16 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
         raise ConfigError("need at least 3 amplitude grid points")
     if not _increasing(amplitudes):
         raise ConfigError("amplitudes must be strictly increasing")
+    # fields so large that the sum overflows overflow the simulation
+    # first, a NumericalError, so only its underflow is checked here
+    if not _centred(amplitudes)[2] > 0.0:
+        raise ConfigError("amplitudes need a positive centred sum of "
+                          "squares in T^2")
+    for name, value in (("phase_resolution", phase_resolution),
+                        ("t_meas", t_meas)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got "
+                              f"{value}")
 
     reports = []
     for n_pi in n_pi_list:
@@ -636,9 +659,9 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                  for a in amplitudes]
         zs = _grid_echoes(sys, cal, ens_base, mode, trace_points, seq, waves,
                           (int(n_pi),))
-        fit = fit_transduction(zip(amplitudes, _unwrapped_deg(zs)))
-        reports.append(build_report(fit, phase_resolution, t_meas, sample,
-                                    protocol.value, int(n_pi), tau))
+        reports.append(_sweep_report(
+            zip(amplitudes, _unwrapped_deg(zs)), phase_resolution, t_meas,
+            sample, protocol.value, int(n_pi), tau))
     return reports
 
 
@@ -679,20 +702,14 @@ def run_experiment(command: str, cfg: ExperimentConfig,
             for row in rows(cfg, run_grids(cfg, plan(cfg), workers))]
 
 
-def emit(outdir: Path, tables: dict, plot: bool = False) -> list[Path]:
-    """Write each {stem: rows} table to outdir/<stem>.csv, plus an SVG of
-    each when `plot`; return the written paths, CSVs first."""
+def emit(outdir: Path, tables: dict) -> list[Path]:
+    """Write each {stem: rows} table to outdir/<stem>.csv; return the
+    written paths."""
     written = []
     for stem, rows in tables.items():
         path = outdir / f"{stem}.csv"
         write_csv(path, rows)
         written.append(path)
-    if plot:
-        from .svgplot import plot_csv
-
-        for path in list(written):
-            plot_csv(path, path.with_suffix(".svg"))
-            written.append(path.with_suffix(".svg"))
     return written
 
 
@@ -724,8 +741,7 @@ def bundled_config(name: str) -> ExperimentConfig:
 FIGURES = ("fig2", "fig3", "fig4", "fig5")
 
 
-def reproduce(figure: str, outroot=None, workers: int = 1,
-              plot: bool = False) -> list[Path]:
+def reproduce(figure: str, outroot=None, workers: int = 1) -> list[Path]:
     """Regenerate a figure's CSV bundle from its bundled default config."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
@@ -758,4 +774,4 @@ def reproduce(figure: str, outroot=None, workers: int = 1,
     else:
         tables = {"sensitivity": rows("sensitivity")}
     return emit(run_directory(figure, cfg, outroot),
-                {f"{figure}_{stem}": r for stem, r in tables.items()}, plot)
+                {f"{figure}_{stem}": r for stem, r in tables.items()})

@@ -18,32 +18,40 @@ checked `_Shape` record of everything else (frequency, windows, window
 phases, reset mode), which its read-only properties of those names read.
 The constructor checks and converts its inputs into a new record; a
 copy at another amplitude writes the three slots and shares the record,
-checking only the amplitude.  Two private LRU caches of `_CACHE_SIZE`
-entries each let a grid walk each shape once:
+checking only the amplitude.  Three memos let a grid build and walk
+each shape once:
 
-* `_unit_walk`, keyed on (shape record, edges), is the `integrals` walk
-  at unit amplitude.  A record hashes by identity, so a lookup hashes
-  the edges but not the windows, and only waveforms that share a record
-  share an entry.
-* `_synchronized`, keyed on (tau, echo_time, pi_centers, n, phase, reset
-  mode), is the shape record of `build_synchronized`.  It checks the
-  scalars and builds the record straight from the windows and phases it
-  generates, which are valid by construction; each call wraps it in a
-  new waveform of the caller's amplitude and phase.
-
-The package holds one more cache of the same size, keyed the same way as
-`_unit_walk`: `analytic._signed_walk`, the unit walk checked against the
-filter domain and signed by the filter, which `accumulate_phase` reads.
+* `_unit_walk`, an LRU cache of `_CACHE_SIZE` entries keyed on (shape
+  record, edges), is the `integrals` walk at unit amplitude.  A record
+  hashes by identity, so a lookup hashes the edges but not the windows,
+  and only waveforms that share a record share an entry.
+* `_synchronized`, an LRU cache of the same size keyed on (tau,
+  echo_time, pi_centers, n, phase, reset mode), is the shape record of
+  `build_synchronized`.  It checks the scalars and builds the record
+  straight from the windows and phases it generates, which are valid by
+  construction.  In front of it, `build_synchronized` keeps its last
+  result, (sequence, n, phase, reset mode, record), as one module-level
+  tuple rebound in one assignment, so a threaded caller never reads a
+  torn entry.  The next call reuses that record, without hashing, when
+  its sequence is the same object and its other three arguments compare
+  equal; each call wraps the record in a new waveform of the caller's
+  amplitude and phase.
+* Each record has one `walk` slot, which `analytic.accumulate_phase`
+  fills with an immutable (edges, signed walk) pair: the unit walk over
+  a filter's edges, checked against the filter domain and signed by the
+  filter.  A later call reuses the pair when its filter's edges are that
+  very tuple, so the fields of a sweep look nothing up; any other edges
+  replace the pair.  The slot holds one pair per live record.
 
 This is exact: the walk always summed each interval at unit amplitude
 and scaled it by the amplitude once, so `amplitude * unit_total` is the
 same float, and a copy holds the fields that a fresh construction would
-have checked and converted.  A cache stores no exceptions, so an invalid
+have checked and converted.  A memo stores no exceptions, so an invalid
 input raises on every call; the amplitude is checked on every call.
-`_synchronized` keys compare by value: 1 and 1.0, 0.0 and -0.0, or
-"continuous" and `ResetMode.CONTINUOUS` share an entry.  Every integral
-is the same for either, since an entry is built from the checked,
-coerced values.
+The `_synchronized` keys and the last-call test compare by value: 1 and
+1.0, 0.0 and -0.0, or "continuous" and `ResetMode.CONTINUOUS` share a
+record.  Every integral is the same for either, since a record is built
+from the checked, coerced values.
 """
 
 from __future__ import annotations
@@ -209,11 +217,13 @@ class _Shape:
     or else the global phase for every window.  A record compares and
     hashes by identity; each construction checks and builds its own, and
     the waveforms that `build_synchronized` makes from one cache entry
-    share it.
+    share it.  `walk` holds the (edges, signed walk) pair that
+    `analytic.accumulate_phase` last made of the record, or (None, ())
+    before its first call.
     """
 
     __slots__ = ("frequency", "windows", "window_phases", "phases",
-                 "reset_mode")
+                 "reset_mode", "walk")
 
     def __init__(self, frequency, windows, window_phases, phases, reset_mode):
         self.frequency = frequency
@@ -221,6 +231,7 @@ class _Shape:
         self.window_phases = window_phases
         self.phases = phases
         self.reset_mode = reset_mode
+        self.walk = (None, ())
 
 
 def _checked_shape(frequency, phase, windows, window_phases,
@@ -403,6 +414,11 @@ def pulse_gated(wave: RFWaveform, seq: PulseSequence) -> RFWaveform:
     return exclude_intervals(wave, blocked)
 
 
+#: the last (seq, n, phase, reset_mode, shape record) of
+#: `build_synchronized`; rebound whole, never mutated
+_last_synchronized = (None, None, None, None, None)
+
+
 def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
                        phase: float = 0.0,
                        reset_mode: ResetMode = ResetMode.CONTINUOUS) -> RFWaveform:
@@ -419,9 +435,14 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     2*tau gaps of a CP train), which is what "synchronized with every
     spin refocusing" buys.
     """
+    global _last_synchronized
     _check_amplitude(amplitude)
-    shape = _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n, phase,
-                          reset_mode)
+    last_seq, last_n, last_phase, last_mode, shape = _last_synchronized
+    if not (last_seq is seq and last_n == n and last_phase == phase
+            and last_mode == reset_mode):
+        shape = _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n,
+                              phase, reset_mode)
+        _last_synchronized = (seq, n, phase, reset_mode, shape)
     # the shape was checked with a phase equal to this one; the slot keeps
     # the phase as given, so a -0.0 stays -0.0
     wave = _new(RFWaveform)

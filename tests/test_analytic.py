@@ -1,8 +1,11 @@
 """Closed-form phase accumulation against the quadrature oracle."""
 
 import dataclasses
+import itertools
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,11 +18,11 @@ from echosense import (CoilCalibration, ConfigError, FilterFunction,
                        build_cp, build_hahn, build_pdd, build_split_interval,
                        build_synchronized, filter_function,
                        gyromagnetic_ratio, phase_vs_rf_phase, pulse_gated,
-                       split_interval_decomposition)
+                       split_interval_decomposition, synchronized_frequency)
 from echosense import analytic, rf
 from echosense.analytic import PhaseAccumulation
 
-from rf_oracle import integral_loop
+from rf_oracle import build_synchronized_count, integral_loop
 
 T_PI2 = 80e-9
 T_PI = 160e-9
@@ -347,37 +350,137 @@ def _design(kind):
     return (build_pdd if kind == "pdd" else build_cp)(5, 1.3e-6, T_PI2, T_PI)
 
 
+def _spy(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _fresh(seq, amp, n, phase, mode):
+    """The waveform of `build_synchronized(seq, amp, n, phase, mode)`,
+    constructed afresh through `RFWaveform(...)`: its own checked shape
+    record, whose walk slot is empty."""
+    if ResetMode(mode) is ResetMode.PER_WINDOW_RESET:
+        return build_synchronized_count(seq, amp, n, phase)
+    return RFWaveform(amp, synchronized_frequency(seq.tau, n), phase,
+                      ((0.0, seq.echo_time),), mode)
+
+
 class TestSignedWalk:
-    """The checked, signed walk is memoised per shape and edges; the phases
-    built from it are the floats of the per-interval sign formula."""
-
-    CACHES = (analytic._signed_walk, rf._synchronized, rf._unit_walk)
-
-    def clear(self):
-        for cache in self.CACHES:
-            cache.cache_clear()
+    """The checked, signed walk is kept on the shape record with its
+    edges; the phases built from it are the floats of the per-interval
+    sign formula."""
 
     @pytest.mark.parametrize("kind", ["hahn", "pdd", "cp"])
     @pytest.mark.parametrize("mode", list(ResetMode))
-    def test_one_design_checks_and_signs_once(self, kind, mode):
+    def test_one_design_checks_and_signs_once(self, kind, mode,
+                                              monkeypatch):
         seq = _design(kind)
         filt = filter_function(seq)
-        self.clear()
+        checks = _spy(monkeypatch, analytic, "_check_domain")
+        walks = _spy(monkeypatch, analytic, "_unit_walk")
+        builds = _spy(monkeypatch, rf, "_synchronized")
+        shapes = []
         for amp in np.linspace(0.0, 0.5e-3, 21):
             wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
             accumulate_phase(SYS, CAL, filt, wave)
-        signed = analytic._signed_walk.cache_info()
-        assert (signed.misses, signed.hits) == (1, 20)
-        assert [c.cache_info().misses for c in self.CACHES[1:]] == [1, 1]
+            shapes.append(wave._shape)
+        assert (len(checks), len(walks), len(builds)) == (1, 1, 1)
+        assert all(shape is shapes[0] for shape in shapes)
+        assert wave._shape.walk[0] is filt.edges
 
-    def test_domain_violation_raises_on_every_call(self):
+    def test_domain_violation_raises_on_every_call(self, monkeypatch):
         filt = filter_function(build_hahn(1.2e-6, T_PI2, T_PI))
         too_long = build_split_interval(1.5e-6, 1e-6, 0.0, 0.0)
-        self.clear()
+        checks = _spy(monkeypatch, analytic, "_check_domain")
         for _ in range(3):
             with pytest.raises(ConfigError, match="exceed the filter domain"):
                 accumulate_phase(SYS, CAL, filt, too_long)
-        assert analytic._signed_walk.cache_info().currsize == 0
+        assert len(checks) == 3
+        assert too_long._shape.walk == (None, ())  # a failure fills no slot
+
+    @pytest.mark.parametrize("designs_first", [True, False])
+    def test_interleaved_calls_match_fresh_waveforms(self, designs_first):
+        # two designs of equal keys, two filters of one domain with other
+        # edges, and arguments that compare equal across types and signs:
+        # a record or walk reused for anything but the same sequence and
+        # the same edges tuple gives other floats or a domain error
+        designs = [build_pdd(3, 1.3e-6, T_PI2, T_PI),
+                   build_cp(2, 1.1e-6, T_PI2, T_PI)]
+        filters = [(filter_function(seq),
+                    FilterFunction(seq.pi_centers[1:], seq.echo_time))
+                   for seq in designs]
+        keys = list(itertools.product(
+            (1, 1.0), (0.0, -0.0),
+            (*ResetMode, *(m.value for m in ResetMode))))
+        pairs = (itertools.product(zip(designs, filters), keys)
+                 if designs_first else
+                 ((d, k) for k in keys for d in zip(designs, filters)))
+        amps = itertools.cycle((0.0, 0.21e-3, 0.5e-3))
+        calls = 0
+        for (seq, filts), (n, phase, mode) in pairs:
+            for filt in filts:
+                amp = next(amps)
+                got = accumulate_phase(
+                    SYS, CAL, filt, build_synchronized(seq, amp, n, phase,
+                                                       mode))
+                want = accumulate_phase(SYS, CAL, filt,
+                                        _fresh(seq, amp, n, phase, mode))
+                assert _bits(got.per_interval) == _bits(want.per_interval)
+                assert _bits([got.phi]) == _bits([want.phi])
+                calls += 1
+        assert calls == 2 * 2 * len(keys)
+
+    def test_threads_share_the_memos_without_torn_reads(self):
+        # more threads than cores, switching every microsecond, each
+        # cycling designs and filters through both memos: every phase
+        # must be the one computed alone before the threads start
+        designs = [build_pdd(3, 1.3e-6, T_PI2, T_PI),
+                   build_cp(2, 1.1e-6, T_PI2, T_PI),
+                   build_hahn(1.2e-6, T_PI2, T_PI)]
+        cases = [(seq, filt, mode)
+                 for seq in designs
+                 for filt in (filter_function(seq),
+                              FilterFunction(seq.pi_centers[1:],
+                                             seq.echo_time))
+                 for mode in ResetMode]
+        want = [_bits(accumulate_phase(SYS, CAL, filt,
+                                       _fresh(seq, 0.3e-3, 1, 0.0,
+                                              mode)).per_interval)
+                for seq, filt, mode in cases]
+        bad = []
+
+        def work(offset):
+            for i in range(3000):
+                k = (offset + i) % len(cases)
+                seq, filt, mode = cases[k]
+                wave = build_synchronized(seq, 0.3e-3, 1, 0.0, mode)
+                got = _bits(accumulate_phase(SYS, CAL, filt,
+                                             wave).per_interval)
+                if got != want[k]:
+                    bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     @pytest.mark.parametrize("kind", ["hahn", "pdd", "cp"])
     @pytest.mark.parametrize("mode", list(ResetMode))

@@ -543,6 +543,46 @@ class TestTimeScaleInvariance:
         assert np.max(np.abs(got - want)) <= 4e-15
 
 
+class TestRefocusingIdentity:
+    """With ideal pulses, no RF and the T2 envelope divided out, the echo
+    at the echo time is the pi/2 pulse's -i times sum_k w_k exp(i Delta_k
+    t_net), whatever the detunings: t_net is the filter's signed sum of
+    the free intervals.  It is 0 for Hahn, CP and odd PDD, whose echo is
+    refocused, and tau for even PDD, whose pi pulses at tau, 2 tau, ...,
+    N tau leave one tau unrefocused before the echo at (N + 1) tau.  Both
+    values are pinned, so a change to either is deliberate."""
+
+    BUILDERS = {"hahn": lambda n_pi, *times: build_hahn(*times),
+                "pdd": build_pdd, "cp": build_cp}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(builder=st.sampled_from(sorted(BUILDERS)), n_pi=st.integers(1, 5),
+           tau=st.floats(0.5e-6, 3e-6), sigma=st.floats(0.0, 2e7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_middle_sample_is_the_net_free_precession(self, builder, n_pi,
+                                                       tau, sigma, seed):
+        seq = self.BUILDERS[builder](n_pi, tau, T_PI2, T_PI)
+        unrefocused = builder == "pdd" and n_pi % 2 == 0
+        t_net = tau if unrefocused else 0.0
+        edges = filter_function(seq).edges
+        signed = sum((-1) ** k * (b - a)
+                     for k, (a, b) in enumerate(zip(edges, edges[1:])))
+        assert abs(signed - t_net) <= 1e-14 * seq.echo_time
+        ens = EnsembleConfig(n_packets=40, detuning_sigma=sigma,
+                             rf_amplitude_spread=0.2, seed=seed)
+        tr = evolve(SYS, seq, None, ens, PulseMode.IDEAL, None,
+                    trace_points=61)
+        assert tr.times[30] == seq.echo_time
+        envelope = math.exp(-((seq.echo_time / SYS.t_m)
+                              ** SYS.stretch_beta))
+        det, _, w = ens.draw()
+        want = -1j * np.sum(w * np.exp(1j * det * t_net))
+        # each free interval's phase rounds at about eps * |Delta| * its
+        # length, and the pulses' cos(pi) and sin(pi) at eps
+        scale = 1.0 + np.max(np.abs(det), initial=0.0) * seq.echo_time
+        assert abs(tr.ensemble_mxy[30] / envelope - want) <= 1e-15 * scale
+
+
 class TestFiniteAgainstOracle:
     """Finite `echo_points` (exact free evolution, RK4 across the drive)
     against the Cartesian RK4 of the whole timeline in `bloch_oracle`."""

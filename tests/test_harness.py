@@ -786,11 +786,3 @@ class TestCli:
         assert [float(r["time_s"]) for r in rows] == tr.times.tolist()
         assert [float(r["mx"]) for r in rows] == tr.ensemble_mxy.real.tolist()
         assert [float(r["my"]) for r in rows] == tr.ensemble_mxy.imag.tolist()
-
-    def test_plot_flag_writes_svg(self, tmp_path, capsys):
-        rc = main(["sweep-amplitude", "-c", self._cfg_file(tmp_path),
-                   "-o", str(tmp_path / "out"), "--plot"])
-        assert rc == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        svgs = [line for line in out if line.endswith(".svg")]
-        assert svgs and "<svg" in Path(svgs[0]).read_text()

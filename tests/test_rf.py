@@ -12,11 +12,11 @@ import pytest
 from scipy.integrate import quad
 from hypothesis import given, settings, strategies as st
 
-from echosense import (CoilCalibration, ConfigError, ResetMode, RFWaveform,
-                       SpinSystem, accumulate_phase, build_hahn, build_cp,
-                       build_pdd, build_split_interval, build_synchronized,
-                       filter_function, pulse_gated, synchronized_frequency,
-                       zero_field)
+from echosense import (CoilCalibration, ConfigError, FilterFunction,
+                       ResetMode, RFWaveform, SpinSystem, accumulate_phase,
+                       build_hahn, build_cp, build_pdd, build_split_interval,
+                       build_synchronized, filter_function, pulse_gated,
+                       synchronized_frequency, zero_field)
 import echosense
 from echosense import rf
 
@@ -521,7 +521,8 @@ class TestGeometryCaches:
         assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
 
     def test_every_package_cache_is_bounded(self):
-        # module-level functions and class attributes of every module
+        # the LRU caches: module-level functions and class attributes of
+        # every module
         caches = {}
         for info in pkgutil.iter_modules(echosense.__path__):
             module = importlib.import_module(f"echosense.{info.name}")
@@ -532,26 +533,48 @@ class TestGeometryCaches:
                     obj = getattr(obj, "__func__", obj)  # static/class methods
                     if hasattr(obj, "cache_info"):
                         caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
-        assert {"rf._unit_walk", "rf._synchronized",
-                "analytic._signed_walk"} <= caches.keys()
+        assert {"rf._unit_walk", "rf._synchronized"} <= caches.keys()
+        assert "analytic._signed_walk" not in caches
         assert {k: v for k, v in caches.items()
                 if v != rf._CACHE_SIZE} == {}
+        # the other memos hold one entry each: build_synchronized's last
+        # result, and one (edges, signed walk) pair per live shape record
+        seq = build_cp(4, 1.3e-6, T_PI2, T_PI)
+        wave = build_synchronized(seq, 1e-3, 1, 0.0,
+                                  ResetMode.PER_WINDOW_RESET)
+        last = rf._last_synchronized
+        assert len(last) == 5 and last[0] is seq and last[4] is wave._shape
+        for k in range(1, 5):
+            filt = FilterFunction(seq.pi_centers[:k], seq.echo_time)
+            accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
+            assert wave._shape.walk[0] is filt.edges
+            assert len(wave._shape.walk[1]) == k + 1
 
     @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
     @pytest.mark.parametrize("mode", list(ResetMode))
-    def test_one_design_checks_builds_and_walks_once(self, build, mode):
+    def test_one_design_checks_builds_and_walks_once(self, build, mode,
+                                                     monkeypatch):
         seq = (build(1.3e-6, T_PI2, T_PI) if build is build_hahn
                else build(5, 1.3e-6, T_PI2, T_PI))
         filt = filter_function(seq)
-        caches = (rf._synchronized, rf._unit_walk)
-        for cache in caches:
-            cache.cache_clear()
+        builds = []
+
+        def synchronized(*args):
+            builds.append(args)
+            return real(*args)
+
+        real = rf._synchronized
+        monkeypatch.setattr(rf, "_synchronized", synchronized)
+        rf._unit_walk.cache_clear()
+        shapes = []
         for amp in np.linspace(0.0, 0.5e-3, 21):
             wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
             accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
             wave.integrals(filt.edges)  # the same edge set: no new walk
-        assert [c.cache_info().misses for c in caches] == [1, 1]
-        assert rf._synchronized.cache_info().hits == 20
+            shapes.append(wave._shape)
+        assert len(builds) == 1
+        assert all(shape is shapes[0] for shape in shapes)
+        assert rf._unit_walk.cache_info().misses == 1
 
     def test_copies_share_the_shape_and_pickle(self):
         seq = build_cp(3, 1.3e-6, T_PI2, T_PI)

@@ -7,7 +7,7 @@ import pytest
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        FitMethod, NumericalError, SampleSpec, SpinSystem,
-                       blochsim, concentration_sensitivity,
+                       blochsim, concentration_sensitivity, harness,
                        dd_sensitivity_sweep, dipole_field, fit_transduction,
                        minimum_detectable_field, spectral_sensitivity)
 from echosense.core import MU_B
@@ -360,3 +360,31 @@ class TestDdSensitivitySweep:
             dd_sensitivity_sweep(
                 SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
                 self.SAMPLE, [0.0, 1e302, 2e302], self.ENS, 80e-9, 160e-9)
+
+    def test_fit_failure_on_simulated_phases_is_numerical_error(self):
+        # bundled fig3's PDD(4) phases jump by more than 90 deg at one
+        # field: the simulation, not the input, defeats the fit, as in
+        # the sensitivity command
+        cfg = harness.bundled_config("fig3")
+        ms = cfg.measurement
+        with pytest.raises(NumericalError, match=r"pdd\(4\).*wrapped-phase"):
+            dd_sensitivity_sweep(
+                "pdd", [4], cfg.dd_taus[0], cfg.spin_system, cfg.calibration,
+                cfg.sample, cfg.dd_amplitudes, cfg.ensemble, 80e-9, 160e-9,
+                ms["phase_resolution_deg"], ms["t_meas_s"], cfg.dd_reset_mode,
+                cfg.pulse_mode, cfg.trace_points)
+
+    @pytest.mark.parametrize("amps, kwargs", [
+        ([0.0, 1e-200, 2e-200], {}),  # increasing, no centred spread
+        ([0.0, 1e-4, 2e-4], {"phase_resolution": 0.0}),
+        ([0.0, 1e-4, 2e-4], {"t_meas": math.inf})])
+    def test_bad_input_is_config_error_unsimulated(self, monkeypatch, amps,
+                                                   kwargs):
+        calls = []
+        monkeypatch.setattr(blochsim, "echo_points",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ConfigError):
+            dd_sensitivity_sweep(
+                SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
+                self.SAMPLE, amps, self.ENS, 80e-9, 160e-9, **kwargs)
+        assert calls == []
