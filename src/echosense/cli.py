@@ -97,7 +97,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            harness.load_config(args.config)
+            harness._validate(harness.load_config(args.config))
             print(f"OK: {args.config} is a valid configuration")
             return 0
         if args.command == "reproduce":

@@ -1,24 +1,21 @@
 """Config-driven experiment catalog and result emission.
 
 Configs are JSON with bench units (mT, MHz, ns, degrees).  `load_config`
-is the only code that knows that format: it parses every section once
-against `SCHEMA`, which holds each key's default and check, and converts
-to SI.  Every run is reproducible from (config, seed): per-point
-ensemble seeds derive from (ensemble seed, sweep tag, grid index), the
-ensemble seed defaulting to the top-level seed, results are gathered in
-grid order, and the canonical config hash is stamped into every CSV row
-and into the run directory name.
+alone knows that format: it parses each section against `SCHEMA` (each
+key's default and check) into SI units, and builds no design.  A run is
+reproducible from (config, seed): point seeds derive from (ensemble
+seed, sweep tag, grid index), results keep grid order, and the config
+hash is stamped into every CSV row and into the run directory name.
 
-Every subcommand is a plan: `EXPERIMENTS` maps it to a planner, which
-returns its `Grid` records (sequence, waves, seed and noise tags, axis,
-metadata), a row builder and a CSV stem.  `run_grids`, the one executor,
-simulates each distinct (sequence, seed tag) once through `_grid_echoes`,
-adds each grid's noise and turns every grid straight into CSV rows; the
-row builder then concatenates, pivots (split-interval) or fits
-(sensitivity) them.  `dd_sensitivity_sweep` seeds and simulates its
-grids through the same `_point_ensembles` and `_grid_echoes`.  Those
-load `blochsim` and numpy on first use, so loading and checking a config
-loads neither.  `write_csv` writes every CSV, `dump_trace`'s included.
+`EXPERIMENTS` maps each subcommand to a plan, which returns its `Grid`
+records (sequence, waves, seed and noise tags, axis, metadata), a row
+builder and a CSV stem.  `run_grids`, the one executor, checks every
+grid's closed-form phases (`_closed_forms`) before it simulates each
+distinct (sequence, seed tag) once through `_grid_echoes`, and turns
+every grid into noisy CSV rows for the row builder; `validate` runs the
+same check on every command whose grids the config gives.
+`_grid_echoes` loads `blochsim` and numpy on first use, so loading and
+checking a config loads neither.  `write_csv` writes every CSV.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from pathlib import Path
@@ -52,8 +50,9 @@ MT = 1e-3
 MHZ_TO_RAD = 2 * math.pi * 1e6
 #: a key with no default, which every config must give
 REQUIRED = object()
-#: the largest float spacing (rad) of a configured design's closed-form
-#: phase; the bundled configs peak near 16 rad, spaced 3.6e-15 rad
+#: the largest float spacing (rad) of a planned closed-form phase and of
+#: a 10-sigma detuning drift; the bundled configs peak near 16 rad,
+#: spaced 3.6e-15 rad
 _PHASE_ULP_MAX = 1e-6
 
 
@@ -125,28 +124,13 @@ def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
     return tuple(points)
 
 
-def _increasing(grid) -> bool:
-    """Whether the field grid is strictly increasing, as the transduction
-    fit needs it."""
-    return all(a < b for a, b in zip(grid, grid[1:]))
-
-
-def _phase_grid(spec, where: str) -> tuple[float, ...]:
-    """A phase grid in degrees (spec or list) of finite points: a spec's
-    stop - start can overflow although both ends are finite."""
-    grid = _grid(spec, where)
-    if not all(map(math.isfinite, grid)):
-        raise _bad(where, "a sweep whose stop - start is finite", spec)
-    return grid
-
-
 def _field_grid(spec, where: str) -> tuple[float, ...]:
     """An amplitude grid in mT (spec or list) -> strictly increasing,
     non-negative fields in T, whose spread the transduction fit can
     divide by: fields of 1e-203 T are increasing, but their centred sum
     of squares underflows to zero."""
     grid = _grid(spec, where, MT, ">= 0")
-    if not _increasing(grid):
+    if not all(a < b for a, b in zip(grid, grid[1:])):
         raise _bad(where, "strictly increasing", spec)
     if len(grid) > 1 and not 0.0 < _centred(grid)[2] < math.inf:
         raise _bad(where, "a grid whose centred sum of squares in T^2 is "
@@ -205,7 +189,7 @@ SCHEMA = {
            "reset_mode": ("continuous", _choice, ResetMode),
            "n_list": ([1, 2, 3, 4], _list, _count, 1),
            "amplitude_sweep_mt": (None, _field_grid),
-           "phase_sweep_deg": (None, _phase_grid)},
+           "phase_sweep_deg": (None, _grid)},
     "dd": {"protocols": (["pdd", "cp"], _list, _choice, _DD_BUILDERS),
            "n_pi_list": ([1, 2, 3, 4, 5], _list, _count),
            "tau_us_list": (None, _list, _num),
@@ -276,11 +260,21 @@ def read_json(path):
         raise ConfigError(f"cannot read {path}: {e}") from e
 
 
-def load_config(source) -> ExperimentConfig:
-    """Parse and check a config dict or JSON file (fail-fast): a config
-    that loads fails later only on what one experiment alone needs (a
-    sweep grid, three points for a fit) or on numerical trouble."""
+@contextmanager
+def _bad_values():
+    """Report the errors that a bad config value raises as a ConfigError."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"invalid config: {e}") from e
+
+
+def load_config(source) -> ExperimentConfig:
+    """Parse a config dict or JSON file against `SCHEMA` (fail-fast).  It
+    builds no design: each run checks its own plan, `validate` them all."""
+    with _bad_values():
         if isinstance(source, (str, Path)):
             source = read_json(source)
         top = _section(source, "", {**SCHEMA[""], **{
@@ -290,7 +284,7 @@ def load_config(source) -> ExperimentConfig:
             "rf", "dd"))
         rho, volume = sm["spin_density_per_cm3"], sm["sensing_volume_mm3"]
         dd_taus = dd["tau_us_list"] or (sq["tau_ns"] * NS / US,)
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             spin_system=SpinSystem(
                 g=ss["g"], t_m=ss["t_m_us"] * US,
                 stretch_beta=ss["stretch_beta"]),
@@ -323,50 +317,6 @@ def load_config(source) -> ExperimentConfig:
             pulse_mode=top["simulation"]["pulse_mode"],
             trace_points=top["simulation"]["trace_points"],
             seed=top["seed"], raw=dict(source))
-        _check_designs(cfg)
-        return cfg
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"invalid config: {e}") from e
-
-
-def _check_designs(cfg: ExperimentConfig) -> None:
-    """Every design a run can build must build, and its closed-form phase
-    at the largest field a command gives it must be finite and resolved
-    to `_PHASE_ULP_MAX`: each DD design at the top dd field, and the
-    configured sequence at each harmonic of rf.n and rf.n_list and
-    split-interval's Hahn train at the top rf field.  The phase is
-    sinusoidal in the RF phase, so its largest magnitude is
-    hypot(phase at 0, phase at pi/2).  So must the phase by which a
-    packet 10 detuning sigmas out precesses over the design's echo time."""
-    top_rf = max((cfg.rf_amplitude, *(cfg.amplitude_grid or ())))
-    seq = cfg.build_sequence()
-    designs = [(f"sequence at harmonic {n}", seq, n, cfg.reset_mode, top_rf)
-               for n in sorted({cfg.rf_n, *cfg.n_list})]
-    designs.append(("split-interval Hahn train",
-                    cfg.build_sequence(SequenceKind.HAHN), 1,
-                    ResetMode.CONTINUOUS, top_rf))
-    designs += [(f"{kind.value}({n_pi}) at tau {tau:.6g} s",
-                 cfg.build_sequence(kind, n_pi, tau), 1, cfg.dd_reset_mode,
-                 cfg.dd_amplitudes[-1])
-                for kind, tau, n_pi in product(cfg.dd_protocols, cfg.dd_taus,
-                                               cfg.dd_n_pi)]
-    for name, seq, n, reset, amp in designs:
-        filt = filter_function(seq)
-        phi = math.hypot(*[accumulate_phase(
-            cfg.spin_system, cfg.calibration, filt,
-            build_synchronized(seq, amp, n, rf_phase, reset)).phi
-            for rf_phase in (0.0, math.pi / 2)])
-        drift = 10 * cfg.ensemble.detuning_sigma * seq.echo_time
-        if not all(math.isfinite(p) and math.ulp(p) <= _PHASE_ULP_MAX
-                   for p in (phi, drift)):
-            raise ConfigError(
-                f"the {name} accumulates a closed-form phase of {phi:.3g} "
-                f"rad at {amp:.3g} T, and a packet 10 detuning sigmas out "
-                f"precesses by {drift:.3g} rad; float spacing must resolve "
-                f"both to {_PHASE_ULP_MAX} rad: lower the field or "
-                f"ensemble.detuning_sigma_mhz")
 
 
 #: one grid of a plan: point i runs waves[i] on the sequence `seq`, with
@@ -431,28 +381,52 @@ def _unwrapped_deg(zs):
     return np.degrees(np.unwrap(np.angle(np.asarray(zs))))
 
 
+def _closed_forms(cfg: ExperimentConfig, grids) -> list[list[float]]:
+    """Each grid's closed-form phases (rad), pulse-gated for finite pulses,
+    which hold the state with the RF off during each drive.  Each phase,
+    and the drift of a packet 10 detuning sigmas out over the echo time,
+    must be finite and resolved to `_PHASE_ULP_MAX` by float spacing."""
+    finite, out = cfg.pulse_mode is PulseMode.FINITE, []
+    with _bad_values():
+        for g in grids:
+            filt = filter_function(g.seq)
+            phis = [accumulate_phase(
+                cfg.spin_system, cfg.calibration, filt,
+                pulse_gated(w, g.seq) if finite else w).phi for w in g.waves]
+            drift = 10 * cfg.ensemble.detuning_sigma * g.seq.echo_time
+            ok = math.isfinite(drift) and math.ulp(drift) <= _PHASE_ULP_MAX
+            for x, phi in zip(g.axis_values, phis):
+                if not (ok and math.isfinite(phi)
+                        and math.ulp(phi) <= _PHASE_ULP_MAX):
+                    where = " ".join(
+                        f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in {**g.metadata, g.axis_name: x}.items())
+                    raise ConfigError(
+                        f"{where}: closed-form phase {phi:.3g} rad, 10-sigma "
+                        f"detuning drift {drift:.3g} rad; float spacing must "
+                        f"resolve both to {_PHASE_ULP_MAX} rad: lower the "
+                        "field or ensemble.detuning_sigma_mhz")
+            out.append(phis)
+    return out
+
+
 def run_grids(cfg: ExperimentConfig, grids, workers: int = 1) -> list:
     """Each grid's CSV rows, one per point: its noisy echo's amplitude and
     phase, unwrapped along the grid, and its closed-form phase.
 
-    Grids that share their sequence, seed tag and waves share one
-    simulation (PDD(1) and CP(1) are the same Hahn train); each still
-    draws its own noise.  Finite pulses hold the state with the RF
-    off during each drive, so their closed form is the pulse-gated one."""
-    simulated, out = {}, []
-    sigma, finite = cfg.noise_sigma, cfg.pulse_mode is PulseMode.FINITE
-    for g in grids:
+    Every grid's closed forms are computed and checked by `_closed_forms`
+    before the first simulation.  Grids that share their sequence, seed
+    tag and waves share one simulation (PDD(1) and CP(1) are the same
+    Hahn train); each still draws its own noise."""
+    simulated, out, sigma = {}, [], cfg.noise_sigma
+    for g, analytic in zip(grids, _closed_forms(cfg, grids)):
         hit = simulated.get((g.seq, g.seed_tag))
         if hit is None or hit[0] != g.waves:
             zs = _grid_echoes(cfg.spin_system, cfg.calibration, cfg.ensemble,
                               cfg.pulse_mode, cfg.trace_points, g.seq,
                               g.waves, g.seed_tag, workers)
-            filt = filter_function(g.seq)
-            analytic = [accumulate_phase(
-                cfg.spin_system, cfg.calibration, filt,
-                pulse_gated(w, g.seq) if finite else w).phi for w in g.waves]
-            hit = simulated[g.seq, g.seed_tag] = g.waves, zs, analytic
-        _, zs, analytic = hit
+            hit = simulated[g.seq, g.seed_tag] = g.waves, zs
+        zs = hit[1]
         if sigma > 0:  # noise-free grids skip the per-point seed derivation
             seeds = _point_seeds(cfg.ensemble.seed, (7919, *g.noise_tag),
                                  len(zs))
@@ -473,10 +447,14 @@ def run_grids(cfg: ExperimentConfig, grids, workers: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # plans: each subcommand's grids
 
+class _MissingGrid(ConfigError):
+    """The config gives no grid for a command: `validate` skips it."""
+
+
 def _amplitude_plan(cfg: ExperimentConfig) -> list[Grid]:
     """Echo vs RF field amplitude at fixed RF phase."""
     if cfg.amplitude_grid is None:
-        raise ConfigError("rf.amplitude_sweep_mt required for sweep-amplitude")
+        raise _MissingGrid("sweep-amplitude needs rf.amplitude_sweep_mt")
     seq = cfg.build_sequence()
     return [Grid(seq, [build_synchronized(seq, a, cfg.rf_n, cfg.rf_phase,
                                           cfg.reset_mode)
@@ -503,7 +481,7 @@ def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
 def _phase_plan(cfg: ExperimentConfig, harmonics) -> list[Grid]:
     """Echo vs RF phase offset at fixed amplitude, a grid per harmonic."""
     if cfg.phase_grid is None:
-        raise ConfigError("rf.phase_sweep_deg required for sweep-phase")
+        raise _MissingGrid("sweep-phase and symmetry need rf.phase_sweep_deg")
     seq = cfg.build_sequence()
     return [Grid(seq, [build_synchronized(seq, cfg.rf_amplitude, n,
                                           math.radians(p), cfg.reset_mode)
@@ -533,7 +511,8 @@ def _split_plan(cfg: ExperimentConfig) -> list[Grid]:
             for v, (name, waves) in enumerate(variants.items(), 1)]
 
 
-def _dd_plan(cfg: ExperimentConfig) -> list[Grid]:
+def _dd_plan(cfg: ExperimentConfig,
+             experiment: str = "dd-sweep") -> list[Grid]:
     """An amplitude grid per (protocol, tau, n_pi) with refocusing-locked
     RF; the grids of one n_pi share their ensembles."""
     grids = []
@@ -544,7 +523,7 @@ def _dd_plan(cfg: ExperimentConfig) -> list[Grid]:
             seq, [build_synchronized(seq, a, 1, 0.0, cfg.dd_reset_mode)
                   for a in cfg.dd_amplitudes],
             (n_pi,), (n_pi, p, t), "b1_t", cfg.dd_amplitudes,
-            {"experiment": "dd-sweep", "protocol": protocol.value,
+            {"experiment": experiment, "protocol": protocol.value,
              "n_pi": n_pi, "tau_s": tau}))
     return grids
 
@@ -552,9 +531,9 @@ def _dd_plan(cfg: ExperimentConfig) -> list[Grid]:
 def _sensitivity_plan(cfg: ExperimentConfig) -> list[Grid]:
     """The dd grids, whose fits each need 3 fields: checked unsimulated."""
     if len(cfg.dd_amplitudes) < 3:
-        raise ConfigError("sensitivity needs at least 3 dd fields, got "
-                          f"{len(cfg.dd_amplitudes)}")
-    return _dd_plan(cfg)
+        raise _MissingGrid("sensitivity needs at least 3 dd fields, got "
+                           f"{len(cfg.dd_amplitudes)}")
+    return _dd_plan(cfg, "sensitivity")
 
 
 # ---------------------------------------------------------------------------
@@ -582,32 +561,42 @@ def _split_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
 
 
 def _sweep_report(points, resolution: float, t_meas: float,
-                  sample: SampleSpec, protocol: str, n_pi: int,
-                  tau: float) -> SensitivityReport:
-    """The transduction fit and sensitivity report of one simulated dd
-    sweep of (field, unwrapped phase) points.  Its fields and measurement
-    were checked before it ran, so a fit or report that fails here fails
-    on the simulated phases: a NumericalError naming the sweep."""
+                  sample: SampleSpec, protocol: str, seq,
+                  ens) -> SensitivityReport:
+    """The fit and report of one dd sweep of (field, unwrapped phase)
+    points, simulated on `seq` with `ens`.  Its inputs were checked before
+    it ran, so a fit that fails here fails on the simulated phases: a
+    NumericalError naming the sweep, with a note if the train leaves a
+    net free time t_net (the filter's signed sum of intervals)."""
+    n_pi, tau = seq.n_pi, seq.tau
     try:
         return build_report(fit_transduction(points), resolution, t_meas,
                             sample, protocol, n_pi, tau)
-    except ConfigError as e:
+    except ConfigError as err:
+        e = filter_function(seq).edges
+        t_net = sum((-1) ** k * (e[k + 1] - e[k]) for k in range(len(e) - 1))
+        note = (f"; the train is unrefocused, with a net free time of "
+                f"{t_net:.3g} s: its predicted zero-field reference "
+                f"exp(-(sigma_Delta * t_net)^2 / 2) = "
+                f"{math.exp(-(ens.detuning_sigma * t_net) ** 2 / 2):.3g}, "
+                f"against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}"
+                ) if abs(t_net) > 1e-12 * seq.echo_time else ""
         raise NumericalError(
             f"the simulated {protocol}({n_pi}) sweep at tau {tau:.6g} s has "
-            f"no sensitivity: {e}") from e
+            f"no sensitivity: {err}{note}") from err
 
 
 def _sensitivity_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
     """A transduction fit and sensitivity report per dd grid."""
-    resolution = cfg.measurement["phase_resolution_deg"]
-    t_meas = cfg.measurement["t_meas_s"]
-    reports = []
+    ms, reports = cfg.measurement, []
     for rows in per_grid:
         md = rows[0]
         reports.append(_sweep_report(
             ((r["b1_t"], r["phase_unwrapped_deg"]) for r in rows),
-            resolution, t_meas, cfg.sample, md["protocol"], md["n_pi"],
-            md["tau_s"]))
+            ms["phase_resolution_deg"], ms["t_meas_s"], cfg.sample,
+            md["protocol"],
+            cfg.build_sequence(md["protocol"], md["n_pi"], md["tau_s"]),
+            cfg.ensemble))
     return reports_to_rows(reports)
 
 
@@ -628,9 +617,9 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     ensembles.  `trace_points` is the echo-window sampling of every point.
 
     The amplitudes, resolution and measurement time are checked before
-    any simulation, much as `load_config` checks them, and a bad one is
-    a ConfigError.  A sweep whose simulated phases defeat the fit is a
-    NumericalError naming it, as in the `sensitivity` command.
+    any simulation, as a config's are: a bad one is a ConfigError.  A
+    sweep whose simulated phases defeat the fit is a NumericalError
+    naming it, as in the `sensitivity` command.
     """
     protocol = SequenceKind(protocol)
     if protocol not in _DD_BUILDERS:
@@ -639,7 +628,7 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
     amplitudes = [float(a) for a in amplitudes]
     if len(amplitudes) < 3:
         raise ConfigError("need at least 3 amplitude grid points")
-    if not _increasing(amplitudes):
+    if not all(a < b for a, b in zip(amplitudes, amplitudes[1:])):
         raise ConfigError("amplitudes must be strictly increasing")
     # fields so large that the sum overflows overflow the simulation
     # first, a NumericalError, so only its underflow is checked here
@@ -661,7 +650,7 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                           (int(n_pi),))
         reports.append(_sweep_report(
             zip(amplitudes, _unwrapped_deg(zs)), phase_resolution, t_meas,
-            sample, protocol.value, int(n_pi), tau))
+            sample, protocol.value, seq, ens_base))
     return reports
 
 
@@ -698,8 +687,21 @@ def run_experiment(command: str, cfg: ExperimentConfig,
                    workers: int = 1) -> list[dict]:
     """`command`'s CSV rows on `cfg`, each ending in cfg's hash and seed."""
     plan, rows, _ = EXPERIMENTS[command]
+    with _bad_values():
+        grids = plan(cfg)
     return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
-            for row in rows(cfg, run_grids(cfg, plan(cfg), workers))]
+            for row in rows(cfg, run_grids(cfg, grids, workers))]
+
+
+def _validate(cfg: ExperimentConfig) -> None:
+    """Check every command whose grids cfg gives, as its run would."""
+    for plan, _, _ in EXPERIMENTS.values():
+        try:
+            with _bad_values():
+                grids = plan(cfg)
+        except _MissingGrid:
+            continue
+        _closed_forms(cfg, grids)
 
 
 def emit(outdir: Path, tables: dict) -> list[Path]:

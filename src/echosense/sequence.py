@@ -42,10 +42,9 @@ class Pulse:
     axis_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:
-            raise ConfigError(f"pulse duration must be positive, got {self.duration}")
-        if self.start < 0:
-            raise ConfigError(f"pulse start must be >= 0, got {self.start}")
+        if not (0 < self.duration < math.inf and 0 <= self.start < math.inf):
+            raise ConfigError(f"pulse duration must be finite and > 0 and its "
+                              f"start finite and >= 0, got {self}")
 
     @property
     def end(self) -> float:
@@ -84,11 +83,14 @@ class PulseSequence:
                 raise ConfigError(
                     f"overlapping pulses at t={a.end:.3e}..{b.start:.3e}")
         origin = self.pulses[0].center
+        centers = tuple(p.center - origin for p in self.pulses[1:])
+        # disjoint pulses can still round onto one center, or onto origin
+        if not all(a < b for a, b in zip((0.0, *centers),
+                                         (*centers, self.echo_time))):
+            raise ConfigError(f"pi centers must increase strictly from 0 to "
+                              f"the echo at {self.echo_time}, got {centers}")
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "pi_centers",
-                           tuple(p.center - origin for p in self.pulses[1:]))
-        if self.echo_time <= self.pi_centers[-1]:
-            raise ConfigError("echo must come after the last pulse")
+        object.__setattr__(self, "pi_centers", centers)
 
     @property
     def n_pi(self) -> int:
@@ -109,15 +111,15 @@ class FilterFunction:
     edges: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bps = self.breakpoints
-        if not 0.0 < self.domain_end < math.inf:
-            raise ConfigError(f"domain_end must be finite and positive, "
-                              f"got {self.domain_end}")
-        if any(b <= a for a, b in zip(bps, bps[1:])):
-            raise ConfigError("breakpoints must be strictly increasing")
-        if bps and (bps[0] <= 0 or bps[-1] >= self.domain_end):
-            raise ConfigError("breakpoints must lie inside (0, domain_end)")
-        object.__setattr__(self, "edges", (0.0, *bps, self.domain_end))
+        edges = (0.0, *self.breakpoints, self.domain_end)
+        # 0 < breakpoints < domain_end < inf, each written as `not a < b`,
+        # so that a NaN fails too
+        if not all(a < b for a, b in zip(edges, (*edges[1:], math.inf))):
+            raise ConfigError(
+                f"breakpoints must increase strictly inside (0, domain_end) "
+                f"and domain_end must be finite, got {self.breakpoints} and "
+                f"domain_end {self.domain_end}")
+        object.__setattr__(self, "edges", edges)
 
     def sign(self, t):
         """Sign of the filter at time(s) t: (-1)**(#breakpoints < t)."""
@@ -153,8 +155,9 @@ def _pulse_train(tau: float, t_pi2: float, t_pi: float, steps,
     overlap test stays: `_check_timings` sums the gap in another float
     order, and can pass pulses that overlap by a rounding error.  So does
     the echo test, one comparison that holds unless the pulse starts
-    overflow.  Every value is the float, from the same expression, that
-    `PulseSequence(tuple(Pulse(...)))` stores.
+    overflow; the pi centers, within rounding of distinct whole multiples
+    of tau, pass the order test.  Every value is the float, from the same
+    expression, that `PulseSequence(tuple(Pulse(...)))` stores.
     """
     _check_timings(tau, t_pi2, t_pi, tau)
     _check_echo_time(echo_time)

@@ -1,5 +1,7 @@
-"""The config contract: one parse in `load_config` rejects every value a
-run would reject, and any config that loads runs to CSV or exits 2 or 3."""
+"""The config contract: `load_config` parses, each run checks its own
+plan before simulating, and `validate` runs those checks for every
+command whose grid the config gives; any config that loads runs to CSV
+or exits 2 or 3."""
 
 import copy
 import json

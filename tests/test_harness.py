@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from echosense import (ConfigError, ResetMode, SequenceKind, blochsim,
-                       build_synchronized, dd_sensitivity_sweep)
+import harness_oracle
+from echosense import (ConfigError, NumericalError, ResetMode, SequenceKind,
+                       blochsim, build_synchronized, dd_sensitivity_sweep)
 from echosense import harness
 from echosense.cli import _apply_overrides, main
 from echosense.echo import noisy_echo, wrap_phase
@@ -95,11 +97,25 @@ class TestLoadConfig:
             "fig3": "14ab2ea563cc", "fig4": "2fc67d25f916",
             "fig5": "f53022eb8ee3"}
 
-    def test_invalid_sequence_fails_fast(self):
+    def test_invalid_sequence_fails_fast(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a tau shorter than the pi pulse parses, but every command plans
+        # a sequence on it: validate and every run exit 2, unsimulated
+        calls = []
+        monkeypatch.setattr(blochsim, "echo_points",
+                            lambda *a: calls.append(a))
         raw = json.loads(json.dumps(FAST_RAW))
-        raw["sequence"]["tau_ns"] = 10  # shorter than the pi pulse
-        with pytest.raises(ConfigError):
-            harness.load_config(raw)
+        raw["sequence"]["tau_ns"] = 10
+        harness.load_config(raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["validate", str(path)],
+                     *([c, "-c", str(path), "-o", str(tmp_path / "out")]
+                       for c in harness.EXPERIMENTS)):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "must exceed t_pi" in err, argv
+        assert calls == []
 
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_build_sequence_kind_value_equals_member(self, fast_cfg, kind):
@@ -620,13 +636,17 @@ class TestCli:
         "one-trace-point": ["simulation.trace_points=1"],
         "zero-field-per-volt": ["calibration.field_per_volt_mt=0"],
         "zero-max-voltage": ["calibration.max_voltage_v=0"],
-        # closed-form phases of 2.5e300 rad (float spacing 2e284 rad) and
-        # of an overflow: no run can resolve them
+        # dd closed-form phases up to 8.98e9 rad (CP(5), float spacing
+        # 1.9e-6 rad), and with g = 1e297 dd phases that overflow: no dd
+        # run can resolve them, so the commands that plan dd grids
+        # (`DD_COMMANDS`) exit 2 before simulating
         "unresolved-dd-phase": [
-            'dd.amplitude_sweep_mt={"start":0,"stop":1e300,"points":3}'],
+            'dd.amplitude_sweep_mt={"start":0,"stop":1e9,"points":3}'],
         "overflowing-dd-phase": [
-            'dd.amplitude_sweep_mt={"start":0,"stop":1.7e308,"points":3}'],
+            "spin_system.g=1e297",
+            'dd.amplitude_sweep_mt={"start":0,"stop":1e100,"points":3}'],
     }
+    DD_COMMANDS = ("dd-sweep", "sensitivity")
 
     #: inputs that fail before there is a config to check, as (config
     #: file text, or None for no file, and --set values)
@@ -637,17 +657,46 @@ class TestCli:
     }
 
     @pytest.mark.parametrize("case", [*BAD_VALUES, *BAD_INPUTS])
-    def test_bad_value_exit_2(self, tmp_path, case, capsys):
+    def test_bad_value_exit_2(self, tmp_path, case, capsys, monkeypatch):
+        calls = []
+        echo_points = blochsim.echo_points
+
+        def spy(*args):
+            calls.append(args)
+            return echo_points(*args)
+
+        monkeypatch.setattr(blochsim, "echo_points", spy)
         text, values = self.BAD_INPUTS.get(
             case, (json.dumps(FAST_RAW), self.BAD_VALUES.get(case)))
         path = tmp_path / "cfg.json"
         if text is not None:
             path.write_text(text)
         sets = [a for kv in values for a in ("--set", kv)]
-        rc = main(["sweep-amplitude", "-c", str(path), *sets,
-                   "-o", str(tmp_path / "out")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        for command in (self.DD_COMMANDS if case.endswith("-dd-phase")
+                        else ["sweep-amplitude"]):
+            rc = main([command, "-c", str(path), *sets,
+                       "-o", str(tmp_path / "out")])
+            assert rc == 2, command
+            assert "config error" in capsys.readouterr().err
+        assert calls == []
+
+    def test_run_checks_only_its_own_grids(self, tmp_path, capsys):
+        # the unresolved dd phase fails validate and the dd runs, but
+        # not a run that plans no dd grid
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_apply_overrides(
+            json.loads(json.dumps(FAST_RAW)),
+            self.BAD_VALUES["unresolved-dd-phase"])))
+        out = str(tmp_path / "out")
+        assert main(["sweep-amplitude", "-c", str(path), "-o", out]) == 0
+        for argv in (["validate", str(path)],
+                     ["dd-sweep", "-c", str(path), "-o", out]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert ("experiment=dd-sweep protocol=cp n_pi=5 tau_s=1.2e-06 "
+                    "b1_t=1e+06: closed-form phase 8.98e+09 rad") in err
+            assert "lower the field or ensemble.detuning_sigma_mhz" in err
 
     @pytest.mark.parametrize("case", list(BAD_VALUES))
     def test_validate_rejects_bad_value(self, tmp_path, case):
@@ -786,3 +835,90 @@ class TestCli:
         assert [float(r["time_s"]) for r in rows] == tr.times.tolist()
         assert [float(r["mx"]) for r in rows] == tr.ensemble_mxy.real.tolist()
         assert [float(r["my"]) for r in rows] == tr.ensemble_mxy.imag.tolist()
+
+
+# ---------------------------------------------------------------------------
+# differential: every subcommand's rows against a point-by-point rebuild
+
+#: a float cell may differ from the oracle's by this, relative to the
+#: oracle's value, or absolute in a phase column (deg, rad), where values
+#: sit at zero at zero field; the largest difference seen, so measured,
+#: is 1.4e-14
+ORACLE_TOL = 1e-9
+
+
+def _close(key: str, got: float, want: float) -> bool:
+    abs_tol = ORACLE_TOL if key.endswith(("_deg", "_rad")) else 0.0
+    return math.isclose(got, want, rel_tol=ORACLE_TOL, abs_tol=abs_tol)
+
+
+@st.composite
+def _perturbed_configs(draw):
+    """A bundled config with small grids and ensembles, and perturbed
+    sequences, harmonics, noise and pulse model."""
+    raw = json.loads(json.dumps(harness.bundled_config(draw(
+        st.sampled_from(("default",) + harness.FIGURES))).raw))
+    finite = draw(st.booleans())
+    fields = st.integers(3, 4) if finite else st.integers(3, 6)
+
+    def spec(stop, points):
+        return {"start": 0.0, "stop": stop, "points": points}
+
+    raw["sequence"].update(kind=draw(st.sampled_from(["hahn", "pdd", "cp"])),
+                           n_pi=draw(st.integers(1, 3)),
+                           tau_ns=draw(st.sampled_from([1200, 1700, 2500])))
+    raw["rf"].update(
+        n=draw(st.integers(1, 3)),
+        n_list=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                             unique=True)),
+        amplitude_sweep_mt=spec(draw(st.sampled_from([0.2, 0.5])),
+                                draw(st.integers(2, 6))),
+        phase_sweep_deg=spec(360.0, draw(st.integers(2, 6))))
+    raw["dd"] = {
+        **raw.get("dd", {}),
+        "protocols": draw(st.lists(st.sampled_from(["pdd", "cp"]),
+                                   min_size=1, max_size=2, unique=True)),
+        "n_pi_list": draw(st.lists(st.integers(1, 4), min_size=1,
+                                   max_size=2 if finite else 3, unique=True)),
+        "tau_us_list": draw(st.lists(st.sampled_from([1.2, 1.7, 2.5]),
+                                     min_size=1, max_size=2, unique=True)),
+        "amplitude_sweep_mt": spec(draw(st.sampled_from([0.1, 0.3])),
+                                   draw(fields))}
+    noisy = draw(st.booleans())
+    raw["noise"] = {"sigma": 0.05 if noisy else 0.0,
+                    "n_averages": draw(st.integers(1, 4))}
+    raw["ensemble"].update(n_packets=draw(st.integers(20, 60)),
+                           seed=draw(st.integers(0, 2**16)))
+    raw["simulation"] = {"pulse_mode": "finite" if finite else "ideal",
+                         "trace_points": draw(st.sampled_from([2, 5, 21,
+                                                               61]))}
+    return raw
+
+
+def _outcome(fn):
+    """fn()'s rows, or the type of the config or numerical error it raises."""
+    try:
+        return fn()
+    except (ConfigError, NumericalError) as e:
+        return type(e)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_perturbed_configs(),
+           command=st.sampled_from(list(harness.EXPERIMENTS)))
+    def test_rows_match_point_by_point_oracle(self, raw, command):
+        cfg = harness.load_config(raw)
+        got = _outcome(lambda: harness.run_experiment(command, cfg))
+        want = _outcome(lambda: harness_oracle.experiment_rows(command, cfg))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            return
+        assert [list(r) for r in got] == [list(r) for r in want]
+        for g, w in zip(got, want):
+            for key, value in w.items():
+                if isinstance(value, float):
+                    assert _close(key, g[key], value), (key, g[key], value)
+                else:
+                    assert g[key] == value, key

@@ -374,6 +374,33 @@ class TestDdSensitivitySweep:
                 ms["phase_resolution_deg"], ms["t_meas_s"], cfg.dd_reset_mode,
                 cfg.pulse_mode, cfg.trace_points)
 
+    @pytest.mark.parametrize("figure, protocol, n_pi, unrefocused", [
+        ("fig3", "pdd", 4, True), ("fig2", "cp", 3, False)])
+    def test_fit_failure_says_whether_the_train_is_unrefocused(
+            self, figure, protocol, n_pi, unrefocused):
+        # both fits fail on the simulated phases; PDD(4)'s pi pulses at
+        # tau .. 4 tau leave tau unrefocused before the echo at 5 tau, so
+        # its zero-field reference is predicted at exp(-(sigma tau)^2 / 2),
+        # while CP(3) refocuses (net free time 0) and gets no note
+        cfg = harness.bundled_config(figure)
+        ms, tau, ens = cfg.measurement, cfg.dd_taus[0], cfg.ensemble
+        with pytest.raises(NumericalError) as err:
+            dd_sensitivity_sweep(
+                protocol, [n_pi], tau, cfg.spin_system, cfg.calibration,
+                cfg.sample, cfg.dd_amplitudes, ens, 80e-9, 160e-9,
+                ms["phase_resolution_deg"], ms["t_meas_s"], cfg.dd_reset_mode,
+                cfg.pulse_mode, cfg.trace_points)
+        msg = str(err.value)
+        assert f"{protocol}({n_pi})" in msg
+        if not unrefocused:
+            assert "unrefocused" not in msg
+            return
+        reference = math.exp(-(ens.detuning_sigma * tau) ** 2 / 2)
+        assert (f"the train is unrefocused, with a net free time of "
+                f"{tau:.3g} s: its predicted zero-field reference "
+                f"exp(-(sigma_Delta * t_net)^2 / 2) = {reference:.3g}, "
+                f"against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}") in msg
+
     @pytest.mark.parametrize("amps, kwargs", [
         ([0.0, 1e-200, 2e-200], {}),  # increasing, no centred spread
         ([0.0, 1e-4, 2e-4], {"phase_resolution": 0.0}),

@@ -32,6 +32,13 @@ class TestPulse:
         with pytest.raises(ConfigError):
             Pulse(**kwargs)
 
+    @pytest.mark.parametrize("start, duration", [
+        (math.nan, 1e-9), (math.inf, 1e-9), (0.0, math.inf),
+        (0.0, math.nan)])
+    def test_non_finite_rejected(self, start, duration):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Pulse(start, duration, 1.0)
+
 
 class TestBuildHahn:
     def test_reference_timing(self):
@@ -211,6 +218,12 @@ class TestFilterFunction:
         counts = np.searchsorted(np.asarray(bps), t)
         assert np.array_equal(f.sign(t), (-1.0) ** counts)
 
+    @pytest.mark.parametrize("bps", [(math.nan,), (5e-7, math.nan),
+                                     (math.nan, 5e-7)])
+    def test_nan_breakpoint_rejected(self, bps):
+        with pytest.raises(ConfigError, match="breakpoints"):
+            FilterFunction(bps, 1e-6)
+
     def test_bad_breakpoints_rejected(self):
         with pytest.raises(ConfigError):
             FilterFunction((2e-6,), 1e-6)      # outside domain
@@ -224,6 +237,16 @@ class TestPulseSequenceValidation:
     def test_needs_two_pulses(self):
         with pytest.raises(ConfigError):
             PulseSequence((Pulse(0.0, T_PI2, math.pi / 2),), 1e-6, 2e-6)
+
+    @pytest.mark.parametrize("starts", [(1.0, 1.0), (1.0, 1.0, 1.0)],
+                             ids=["center-on-origin", "tied-centers"])
+    def test_pi_centers_rounding_together_rejected(self, starts):
+        # 1e-17 s pulses at 1 s are disjoint, but their centers round onto
+        # 1.0: pi centers of 0.0, which the filter could not take
+        pulses = tuple(Pulse(t, 1e-17, math.pi / 2 if k == 0 else math.pi)
+                       for k, t in enumerate(starts))
+        with pytest.raises(ConfigError, match="pi centers must increase strictly"):
+            PulseSequence(pulses, 1.0, 2.0)
 
     def test_nonpositive_tau_rejected(self):
         pulses = (Pulse(0.0, T_PI2, math.pi / 2), Pulse(1e-6, T_PI, math.pi))
