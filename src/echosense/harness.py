@@ -9,12 +9,15 @@ hash is stamped into every CSV row and into the run directory name.
 
 `EXPERIMENTS` maps each subcommand to a plan, which returns its `Grid`
 records (sequence, waves, seed and noise tags, axis, metadata), a row
-builder and a CSV stem.  `run_grids`, the one executor, checks every
-grid's closed-form phases (`_closed_forms`) before it simulates each
-distinct (sequence, seed tag) once through `_grid_echoes`, and turns
-every grid into noisy CSV rows for the row builder; `validate` runs the
-same check on every command whose grids the config gives.
-`_grid_echoes` loads `blochsim` and numpy on first use, so loading and
+builder, which turns the grids and their rows into CSV rows, and a CSV
+stem.  `run_grids`, the one executor, checks every grid's closed-form
+phases (`_closed_forms`) before it simulates each distinct (sequence,
+seed tag) once, and turns every grid into noisy rows stamped with the
+caller's config hash and seed; `validate` runs the same check on every
+command whose grids the config gives.  The library's
+`dd_sensitivity_sweep` is the `sensitivity` command without a config:
+the same dd grids (`_dd_grids`), executor and fit (`_dd_reports`).
+`run_grids` loads `blochsim` and numpy on first use, so loading and
 checking a config loads neither.  `write_csv` writes every CSV.
 """
 
@@ -125,17 +128,21 @@ def _grid(spec, where: str = "sweep spec", scale: float = 1.0,
 
 
 def _field_grid(spec, where: str) -> tuple[float, ...]:
-    """An amplitude grid in mT (spec or list) -> strictly increasing,
-    non-negative fields in T, whose spread the transduction fit can
-    divide by: fields of 1e-203 T are increasing, but their centred sum
-    of squares underflows to zero."""
+    """An amplitude grid in mT (spec or list) -> `_check_fields` fields."""
     grid = _grid(spec, where, MT, ">= 0")
-    if not all(a < b for a, b in zip(grid, grid[1:])):
-        raise _bad(where, "strictly increasing", spec)
-    if len(grid) > 1 and not 0.0 < _centred(grid)[2] < math.inf:
-        raise _bad(where, "a grid whose centred sum of squares in T^2 is "
-                   "positive and finite", spec)
+    _check_fields(grid, where, spec)
     return grid
+
+
+def _check_fields(fields, where: str, shown) -> None:
+    """Strictly increasing fields (T) whose spread the transduction fit
+    can divide by: fields of 1e-203 T increase, but their centred sum of
+    squares underflows to zero."""
+    if not all(a < b for a, b in zip(fields, fields[1:])):
+        raise _bad(where, "strictly increasing", shown)
+    if len(fields) > 1 and not 0.0 < _centred(fields)[2] < math.inf:
+        raise _bad(where, "a grid whose centred sum of squares in T^2 is "
+                   "positive and finite", shown)
 
 
 def _section(sec, where: str, schema: dict) -> dict:
@@ -357,43 +364,19 @@ def _point_ensembles(ens, tag, n: int) -> list:
     return [replace(ens, seed=seed) for seed in _point_seeds(ens.seed, tag, n)]
 
 
-def _grid_echoes(sys: SpinSystem, cal: CoilCalibration, ens, mode,
-                 trace_points: int, seq, waves, tag=(),
-                 workers: int = 1) -> list[complex]:
-    """The clean echoes of one grid: point i runs the i-th of
-    _point_ensembles(ens, tag, len(waves)), and each worker runs one
-    contiguous slice of the grid through `blochsim.echo_points`."""
-    from . import blochsim
-
-    ensembles = _point_ensembles(ens, tag, len(waves))
-    k = max(1, min(workers, len(waves)))
-    cuts = [len(waves) * j // k for j in range(k + 1)]
-    tasks = [(sys, seq, waves[a:b], ensembles[a:b], mode, cal, trace_points)
-             for a, b in zip(cuts, cuts[1:])]
-    return list(chain(*_map(blochsim.echo_points, tasks, workers)))
-
-
-def _unwrapped_deg(zs):
-    """The phases (deg) of one grid's echoes, unwrapped along the grid, as
-    a numpy array."""
-    import numpy as np
-
-    return np.degrees(np.unwrap(np.angle(np.asarray(zs))))
-
-
-def _closed_forms(cfg: ExperimentConfig, grids) -> list[list[float]]:
+def _closed_forms(sim, grids) -> list[list[float]]:
     """Each grid's closed-form phases (rad), pulse-gated for finite pulses,
     which hold the state with the RF off during each drive.  Each phase,
     and the drift of a packet 10 detuning sigmas out over the echo time,
     must be finite and resolved to `_PHASE_ULP_MAX` by float spacing."""
-    finite, out = cfg.pulse_mode is PulseMode.FINITE, []
+    finite, out = sim.pulse_mode is PulseMode.FINITE, []
     with _bad_values():
         for g in grids:
             filt = filter_function(g.seq)
             phis = [accumulate_phase(
-                cfg.spin_system, cfg.calibration, filt,
+                sim.spin_system, sim.calibration, filt,
                 pulse_gated(w, g.seq) if finite else w).phi for w in g.waves]
-            drift = 10 * cfg.ensemble.detuning_sigma * g.seq.echo_time
+            drift = 10 * sim.ensemble.detuning_sigma * g.seq.echo_time
             ok = math.isfinite(drift) and math.ulp(drift) <= _PHASE_ULP_MAX
             for x, phi in zip(g.axis_values, phis):
                 if not (ok and math.isfinite(phi)
@@ -410,37 +393,48 @@ def _closed_forms(cfg: ExperimentConfig, grids) -> list[list[float]]:
     return out
 
 
-def run_grids(cfg: ExperimentConfig, grids, workers: int = 1) -> list:
-    """Each grid's CSV rows, one per point: its noisy echo's amplitude and
-    phase, unwrapped along the grid, and its closed-form phase.
+def run_grids(sim, grids, stamp: dict, workers: int = 1) -> list:
+    """Each grid's rows, one per point: its noisy echo's amplitude and
+    phase, unwrapped along the grid, its closed-form phase, `stamp` and
+    the grid's metadata.  `sim` is a config or a `_Sim`.
 
-    Every grid's closed forms are computed and checked by `_closed_forms`
-    before the first simulation.  Grids that share their sequence, seed
-    tag and waves share one simulation (PDD(1) and CP(1) are the same
-    Hahn train); each still draws its own noise."""
-    simulated, out, sigma = {}, [], cfg.noise_sigma
-    for g, analytic in zip(grids, _closed_forms(cfg, grids)):
+    Every grid's closed forms are checked (`_closed_forms`) before the
+    first simulation.  Each worker runs one slice of a grid through
+    `blochsim.echo_points`.  Grids that share their sequence, seed tag
+    and waves share one simulation (PDD(1) and CP(1) are the same Hahn
+    train); each still draws its own noise."""
+    import numpy as np
+
+    from . import blochsim
+
+    simulated, out, sigma = {}, [], sim.noise_sigma
+    for g, phis in zip(grids, _closed_forms(sim, grids)):
         hit = simulated.get((g.seq, g.seed_tag))
         if hit is None or hit[0] != g.waves:
-            zs = _grid_echoes(cfg.spin_system, cfg.calibration, cfg.ensemble,
-                              cfg.pulse_mode, cfg.trace_points, g.seq,
-                              g.waves, g.seed_tag, workers)
+            n = len(g.waves)
+            ensembles = _point_ensembles(sim.ensemble, g.seed_tag, n)
+            k = max(1, min(workers, n))
+            cuts = [n * j // k for j in range(k + 1)]
+            tasks = [(sim.spin_system, g.seq, g.waves[a:b], ensembles[a:b],
+                      sim.pulse_mode, sim.calibration, sim.trace_points)
+                     for a, b in zip(cuts, cuts[1:])]
+            zs = list(chain(*_map(blochsim.echo_points, tasks, workers)))
             hit = simulated[g.seq, g.seed_tag] = g.waves, zs
         zs = hit[1]
         if sigma > 0:  # noise-free grids skip the per-point seed derivation
-            seeds = _point_seeds(cfg.ensemble.seed, (7919, *g.noise_tag),
+            seeds = _point_seeds(sim.ensemble.seed, (7919, *g.noise_tag),
                                  len(zs))
-            zs = [noisy_echo(z, sigma, cfg.n_averages, s)
+            zs = [noisy_echo(z, sigma, sim.n_averages, s)
                   for z, s in zip(zs, seeds)]
-        md = {"config_hash": cfg.hash, "seed": cfg.seed, **g.metadata}
+        unwrapped = np.degrees(np.unwrap(np.angle(np.asarray(zs)))).tolist()
+        md = {**stamp, **g.metadata}
         out.append([{"index": i, g.axis_name: float(x),
                      "amplitude_norm": abs(z),
                      "phase_wrapped_deg": wrap_phase(ph),
                      "phase_unwrapped_deg": ph, "analytic_phase_rad": a,
                      "analytic_phase_deg": math.degrees(a), **md}
                     for i, (x, z, ph, a) in enumerate(zip(
-                        g.axis_values, zs, _unwrapped_deg(zs).tolist(),
-                        analytic))])
+                        g.axis_values, zs, unwrapped, phis))])
     return out
 
 
@@ -478,7 +472,8 @@ def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
     return path
 
 
-def _phase_plan(cfg: ExperimentConfig, harmonics) -> list[Grid]:
+def _phase_plan(cfg: ExperimentConfig, experiment: str,
+                harmonics) -> list[Grid]:
     """Echo vs RF phase offset at fixed amplitude, a grid per harmonic."""
     if cfg.phase_grid is None:
         raise _MissingGrid("sweep-phase and symmetry need rf.phase_sweep_deg")
@@ -487,7 +482,7 @@ def _phase_plan(cfg: ExperimentConfig, harmonics) -> list[Grid]:
                                           math.radians(p), cfg.reset_mode)
                        for p in cfg.phase_grid],
                  (n,), (n,), "phi_rf_deg", cfg.phase_grid,
-                 {"experiment": "sweep-phase", "n": n}) for n in harmonics]
+                 {"experiment": experiment, "n": n}) for n in harmonics]
 
 
 def _split_plan(cfg: ExperimentConfig) -> list[Grid]:
@@ -511,21 +506,32 @@ def _split_plan(cfg: ExperimentConfig) -> list[Grid]:
             for v, (name, waves) in enumerate(variants.items(), 1)]
 
 
-def _dd_plan(cfg: ExperimentConfig,
-             experiment: str = "dd-sweep") -> list[Grid]:
+def _dd_grids(protocols, taus, n_pi_list, amplitudes, t_pi2: float,
+              t_pi: float, reset_mode: ResetMode, md: dict) -> list[Grid]:
     """An amplitude grid per (protocol, tau, n_pi) with refocusing-locked
-    RF; the grids of one n_pi share their ensembles."""
+    RF, tagged with `md` and its protocol, n_pi and tau; the grids of one
+    n_pi share their ensembles."""
     grids = []
     for (p, protocol), (t, tau), n_pi in product(
-            enumerate(cfg.dd_protocols), enumerate(cfg.dd_taus), cfg.dd_n_pi):
-        seq = cfg.build_sequence(protocol, n_pi, tau)
+            enumerate(protocols), enumerate(taus), n_pi_list):
+        seq = _DD_BUILDERS[protocol](n_pi, tau, t_pi2, t_pi)
+        n_pi = seq.n_pi  # an int, whatever integer type the caller gave
         grids.append(Grid(
-            seq, [build_synchronized(seq, a, 1, 0.0, cfg.dd_reset_mode)
-                  for a in cfg.dd_amplitudes],
-            (n_pi,), (n_pi, p, t), "b1_t", cfg.dd_amplitudes,
-            {"experiment": experiment, "protocol": protocol.value,
-             "n_pi": n_pi, "tau_s": tau}))
+            seq, [build_synchronized(seq, a, 1, 0.0, reset_mode)
+                  for a in amplitudes],
+            (n_pi,), (n_pi, p, t), "b1_t", amplitudes,
+            {**md, "protocol": protocol.value, "n_pi": n_pi, "tau_s": tau}))
     return grids
+
+
+def _dd_plan(cfg: ExperimentConfig,
+             experiment: str = "dd-sweep") -> list[Grid]:
+    """The dd grids of the config's protocols, taus and pulse counts."""
+    sq = cfg.sequence
+    return _dd_grids(cfg.dd_protocols, cfg.dd_taus, cfg.dd_n_pi,
+                     cfg.dd_amplitudes, sq["t_pi2_ns"] * NS,
+                     sq["t_pi_ns"] * NS, cfg.dd_reset_mode,
+                     {"experiment": experiment})
 
 
 def _sensitivity_plan(cfg: ExperimentConfig) -> list[Grid]:
@@ -537,13 +543,13 @@ def _sensitivity_plan(cfg: ExperimentConfig) -> list[Grid]:
 
 
 # ---------------------------------------------------------------------------
-# rows: each subcommand's CSV rows from its grids' rows
+# rows: each subcommand's CSV rows from its grids and their rows
 
-def _concat(cfg: ExperimentConfig, per_grid) -> list[dict]:
+def _concat(cfg: ExperimentConfig, grids, per_grid) -> list[dict]:
     return list(chain(*per_grid))
 
 
-def _split_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
+def _split_rows(cfg: ExperimentConfig, grids, per_grid) -> list[dict]:
     """One row per gated-lobe phase, with the columns of every variant side
     by side, in plan order."""
     rows = []
@@ -560,44 +566,49 @@ def _split_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
     return rows
 
 
-def _sweep_report(points, resolution: float, t_meas: float,
-                  sample: SampleSpec, protocol: str, seq,
-                  ens) -> SensitivityReport:
-    """The fit and report of one dd sweep of (field, unwrapped phase)
-    points, simulated on `seq` with `ens`.  Its inputs were checked before
-    it ran, so a fit that fails here fails on the simulated phases: a
-    NumericalError naming the sweep, with a note if the train leaves a
-    net free time t_net (the filter's signed sum of intervals)."""
-    n_pi, tau = seq.n_pi, seq.tau
-    try:
-        return build_report(fit_transduction(points), resolution, t_meas,
-                            sample, protocol, n_pi, tau)
-    except ConfigError as err:
-        e = filter_function(seq).edges
-        t_net = sum((-1) ** k * (e[k + 1] - e[k]) for k in range(len(e) - 1))
-        note = (f"; the train is unrefocused, with a net free time of "
-                f"{t_net:.3g} s: its predicted zero-field reference "
-                f"exp(-(sigma_Delta * t_net)^2 / 2) = "
-                f"{math.exp(-(ens.detuning_sigma * t_net) ** 2 / 2):.3g}, "
-                f"against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}"
-                ) if abs(t_net) > 1e-12 * seq.echo_time else ""
-        raise NumericalError(
-            f"the simulated {protocol}({n_pi}) sweep at tau {tau:.6g} s has "
-            f"no sensitivity: {err}{note}") from err
+def _dd_reports(grids, per_grid, resolution: float, t_meas: float,
+               sample: SampleSpec, ens) -> list[SensitivityReport]:
+    """The transduction fit and report of each dd grid from its rows,
+    simulated with `ens`.  Its inputs were checked before it ran, so a
+    failed fit is a NumericalError naming the sweep, with a note if the
+    train leaves a net free time t_net (the filter's signed sum of
+    intervals)."""
+    reports = []
+    for g, rows in zip(grids, per_grid):
+        seq, protocol = g.seq, g.metadata["protocol"]
+        n_pi, tau = seq.n_pi, seq.tau
+        try:
+            reports.append(build_report(
+                fit_transduction((r["b1_t"], r["phase_unwrapped_deg"])
+                                 for r in rows),
+                resolution, t_meas, sample, protocol, n_pi, tau))
+        except ConfigError as err:
+            e = filter_function(seq).edges
+            t_net = sum((-1) ** k * (e[k + 1] - e[k])
+                        for k in range(len(e) - 1))
+            note = (f"; the train is unrefocused, with a net free time of "
+                    f"{t_net:.3g} s: its predicted zero-field reference "
+                    f"exp(-(sigma_Delta * t_net)^2 / 2) = "
+                    f"{math.exp(-(ens.detuning_sigma * t_net) ** 2 / 2):.3g}"
+                    f", against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}"
+                    ) if abs(t_net) > 1e-12 * seq.echo_time else ""
+            raise NumericalError(
+                f"the simulated {protocol}({n_pi}) sweep at tau {tau:.6g} s "
+                f"has no sensitivity: {err}{note}") from err
+    return reports
 
 
-def _sensitivity_rows(cfg: ExperimentConfig, per_grid) -> list[dict]:
+def _sensitivity_rows(cfg: ExperimentConfig, grids, per_grid) -> list[dict]:
     """A transduction fit and sensitivity report per dd grid."""
-    ms, reports = cfg.measurement, []
-    for rows in per_grid:
-        md = rows[0]
-        reports.append(_sweep_report(
-            ((r["b1_t"], r["phase_unwrapped_deg"]) for r in rows),
-            ms["phase_resolution_deg"], ms["t_meas_s"], cfg.sample,
-            md["protocol"],
-            cfg.build_sequence(md["protocol"], md["n_pi"], md["tau_s"]),
-            cfg.ensemble))
-    return reports_to_rows(reports)
+    ms = cfg.measurement
+    return reports_to_rows(_dd_reports(
+        grids, per_grid, ms["phase_resolution_deg"], ms["t_meas_s"],
+        cfg.sample, cfg.ensemble))
+
+
+#: what `run_grids` reads of an `ExperimentConfig`, for a run without one
+_Sim = namedtuple("_Sim", "spin_system calibration ensemble pulse_mode "
+                  "trace_points noise_sigma n_averages")
 
 
 def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
@@ -610,48 +621,30 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                          trace_points: int = 61,
                          ) -> list[SensitivityReport]:
     """Simulated amplitude sweep -> transduction fit -> report, per pulse
-    count of one protocol, without a config.
+    count of one protocol: the `sensitivity` command without a config or
+    noise.  Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi,
+    i), so PDD and CP runs of the same n_pi share identical ensembles.
 
-    Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi, i), as
-    in the dd plan, so PDD and CP runs of the same n_pi share identical
-    ensembles.  `trace_points` is the echo-window sampling of every point.
-
-    The amplitudes, resolution and measurement time are checked before
-    any simulation, as a config's are: a bad one is a ConfigError.  A
-    sweep whose simulated phases defeat the fit is a NumericalError
-    naming it, as in the `sensitivity` command.
+    The inputs and closed-form phases are checked before any simulation,
+    as a config's are: a bad one is a ConfigError.  A sweep whose
+    simulated phases defeat the fit is a NumericalError naming it.
     """
-    protocol = SequenceKind(protocol)
-    if protocol not in _DD_BUILDERS:
-        raise ConfigError(f"protocol must be PDD or CP, got {protocol}")
-    build = _DD_BUILDERS[protocol]
-    amplitudes = [float(a) for a in amplitudes]
-    if len(amplitudes) < 3:
-        raise ConfigError("need at least 3 amplitude grid points")
-    if not all(a < b for a, b in zip(amplitudes, amplitudes[1:])):
-        raise ConfigError("amplitudes must be strictly increasing")
-    # fields so large that the sum overflows overflow the simulation
-    # first, a NumericalError, so only its underflow is checked here
-    if not _centred(amplitudes)[2] > 0.0:
-        raise ConfigError("amplitudes need a positive centred sum of "
-                          "squares in T^2")
-    for name, value in (("phase_resolution", phase_resolution),
-                        ("t_meas", t_meas)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and positive, got "
-                              f"{value}")
-
-    reports = []
-    for n_pi in n_pi_list:
-        seq = build(n_pi, tau, t_pi2, t_pi)
-        waves = [build_synchronized(seq, a, 1, 0.0, reset_mode)
-                 for a in amplitudes]
-        zs = _grid_echoes(sys, cal, ens_base, mode, trace_points, seq, waves,
-                          (int(n_pi),))
-        reports.append(_sweep_report(
-            zip(amplitudes, _unwrapped_deg(zs)), phase_resolution, t_meas,
-            sample, protocol.value, seq, ens_base))
-    return reports
+    with _bad_values():
+        protocol = SequenceKind(protocol)
+        if protocol not in _DD_BUILDERS:
+            raise ConfigError(f"protocol must be PDD or CP, got {protocol}")
+        amplitudes = [float(a) for a in amplitudes]
+        if len(amplitudes) < 3:
+            raise ConfigError("need at least 3 amplitude grid points")
+        _check_fields(amplitudes, "amplitudes", amplitudes)
+        _num(float(phase_resolution), "phase_resolution", "> 0")
+        _num(float(t_meas), "t_meas", "> 0")
+        grids = _dd_grids((protocol,), (tau,), n_pi_list, amplitudes, t_pi2,
+                          t_pi, reset_mode, {})
+    per_grid = run_grids(_Sim(sys, cal, ens_base, mode, trace_points, 0.0, 1),
+                         grids, {})
+    return _dd_reports(grids, per_grid, phase_resolution, t_meas, sample,
+                       ens_base)
 
 
 # ---------------------------------------------------------------------------
@@ -669,14 +662,14 @@ def write_csv(path, rows: list[dict]) -> None:
         wr.writerows(rows)
 
 
-#: CLI subcommand -> (plan(cfg): its grids, rows(cfg, each grid's
+#: CLI subcommand -> (plan(cfg): its grids, rows(cfg, grids, each grid's
 #: `run_grids` rows): its CSV rows, stem of the CSV they go to)
 EXPERIMENTS = {
     "sweep-amplitude": (_amplitude_plan, _concat, "sweep_amplitude"),
-    "sweep-phase": (lambda cfg: _phase_plan(cfg, (cfg.rf_n,)), _concat,
-                    "sweep_phase"),
-    "symmetry": (lambda cfg: _phase_plan(cfg, cfg.n_list), _concat,
-                 "symmetry"),
+    "sweep-phase": (lambda cfg: _phase_plan(cfg, "sweep-phase", (cfg.rf_n,)),
+                    _concat, "sweep_phase"),
+    "symmetry": (lambda cfg: _phase_plan(cfg, "symmetry", cfg.n_list),
+                 _concat, "symmetry"),
     "split-interval": (_split_plan, _split_rows, "split"),
     "dd-sweep": (_dd_plan, _concat, "dd_sweep"),
     "sensitivity": (_sensitivity_plan, _sensitivity_rows, "sensitivity"),
@@ -689,8 +682,9 @@ def run_experiment(command: str, cfg: ExperimentConfig,
     plan, rows, _ = EXPERIMENTS[command]
     with _bad_values():
         grids = plan(cfg)
-    return [{**row, "config_hash": cfg.hash, "seed": cfg.seed}
-            for row in rows(cfg, run_grids(cfg, grids, workers))]
+    stamp = {"config_hash": cfg.hash, "seed": cfg.seed}
+    return [{**row, **stamp}
+            for row in rows(cfg, grids, run_grids(cfg, grids, stamp, workers))]
 
 
 def _validate(cfg: ExperimentConfig) -> None:

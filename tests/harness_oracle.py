@@ -49,14 +49,14 @@ def sweep(cfg, seq, waves, tag, noise_tag, axis, values, md) -> list[dict]:
                                                  phis))]
 
 
-def _phase_sweeps(cfg, harmonics) -> list[dict]:
+def _phase_sweeps(cfg, command, harmonics) -> list[dict]:
     seq = cfg.build_sequence()
     return [row for n in harmonics for row in sweep(
         cfg, seq, [build_synchronized(seq, cfg.rf_amplitude, n,
                                       math.radians(p), cfg.reset_mode)
                    for p in cfg.phase_grid],
         (n,), (n,), "phi_rf_deg", cfg.phase_grid,
-        {"experiment": "sweep-phase", "n": n})]
+        {"experiment": command, "n": n})]
 
 
 def _split(cfg) -> list[dict]:
@@ -129,8 +129,8 @@ def experiment_rows(command: str, cfg) -> list[dict]:
                      (), (), "b1_t", cfg.amplitude_grid,
                      {"experiment": "sweep-amplitude"})
     if command in ("sweep-phase", "symmetry"):
-        return _phase_sweeps(cfg, (cfg.rf_n,) if command == "sweep-phase"
-                             else cfg.n_list)
+        return _phase_sweeps(cfg, command, (cfg.rf_n,)
+                             if command == "sweep-phase" else cfg.n_list)
     if command == "split-interval":
         return _split(cfg)
     if command == "dd-sweep":

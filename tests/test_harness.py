@@ -178,7 +178,8 @@ class TestGrid:
 def _by_grid(cfg, command, workers=1):
     """The rows of each grid of `command`'s plan on cfg."""
     plan, _, _ = harness.EXPERIMENTS[command]
-    return harness.run_grids(cfg, plan(cfg), workers)
+    return harness.run_grids(cfg, plan(cfg), {"config_hash": cfg.hash,
+                                              "seed": cfg.seed}, workers)
 
 
 def _column(rows, key) -> list:
@@ -217,6 +218,21 @@ class TestSweeps:
         for rows in even:
             assert np.allclose(_column(rows, "analytic_phase_rad"), 0.0,
                                atol=1e-12)
+
+    def test_rows_and_phase_errors_name_their_command(self, fast_cfg):
+        # sweep-phase and symmetry share one plan; each labels its own rows
+        concat = [name for name, (_, rows, _) in harness.EXPERIMENTS.items()
+                  if rows is harness._concat]
+        assert concat == ["sweep-amplitude", "sweep-phase", "symmetry",
+                          "dd-sweep"]
+        for name in concat:
+            rows = harness.run_experiment(name, fast_cfg)
+            assert {r["experiment"] for r in rows} == {name}
+        cfg = harness.load_config(
+            dict(FAST_RAW, rf={**FAST_RAW["rf"], "amplitude_mt": 1e12}))
+        with pytest.raises(ConfigError, match=r"^experiment=symmetry n=1 "
+                           r"phi_rf_deg=0: closed-form phase"):
+            harness.run_experiment("symmetry", cfg)
 
     def test_split_interval_variants_and_additivity(self, fast_cfg):
         grids = harness.EXPERIMENTS["split-interval"][0](fast_cfg)

@@ -1,12 +1,16 @@
 """Transduction fitting and the sensitivity arithmetic chain."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
-                       FitMethod, NumericalError, SampleSpec, SpinSystem,
+                       FitMethod, NumericalError, SampleSpec,
+                       SensitivityReport, SpinSystem,
                        blochsim, concentration_sensitivity, harness,
                        dd_sensitivity_sweep, dipole_field, fit_transduction,
                        minimum_detectable_field, spectral_sensitivity)
@@ -353,14 +357,6 @@ class TestDdSensitivitySweep:
                 self.SAMPLE, amps, self.ENS, 80e-9, 160e-9)
         assert calls == []
 
-    def test_overflow_is_numerical_error(self):
-        # 1e302 T overflows the RF coupling; numpy's warning about it is an
-        # error under this suite's filterwarnings, and must not escape
-        with pytest.raises(NumericalError, match="non-finite.*overflow"):
-            dd_sensitivity_sweep(
-                SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
-                self.SAMPLE, [0.0, 1e302, 2e302], self.ENS, 80e-9, 160e-9)
-
     def test_fit_failure_on_simulated_phases_is_numerical_error(self):
         # bundled fig3's PDD(4) phases jump by more than 90 deg at one
         # field: the simulation, not the input, defeats the fit, as in
@@ -404,7 +400,15 @@ class TestDdSensitivitySweep:
     @pytest.mark.parametrize("amps, kwargs", [
         ([0.0, 1e-200, 2e-200], {}),  # increasing, no centred spread
         ([0.0, 1e-4, 2e-4], {"phase_resolution": 0.0}),
-        ([0.0, 1e-4, 2e-4], {"t_meas": math.inf})])
+        ([0.0, 1e-4, 2e-4], {"t_meas": math.inf}),
+        # centred sums of squares that overflow, as `validate` rejects a
+        # config's grid; the overflow of a simulation itself stays a
+        # NumericalError (test_blochsim's overflow tests)
+        ([0.0, 1e302, 2e302], {}),
+        ([0.0, 1e160, 2e160], {}),
+        # a finite spread, but a CP(1) closed-form phase that float
+        # spacing cannot resolve
+        ([0.0, 1e100, 2e100], {})])
     def test_bad_input_is_config_error_unsimulated(self, monkeypatch, amps,
                                                    kwargs):
         calls = []
@@ -415,3 +419,57 @@ class TestDdSensitivitySweep:
                 SequenceKind.CP, [1], 1.7e-6, self.SYS, self.CAL,
                 self.SAMPLE, amps, self.ENS, 80e-9, 160e-9, **kwargs)
         assert calls == []
+
+    #: amplitudes (T): the bundled range, and edge values
+    AMPLITUDE = st.one_of(
+        st.floats(0.0, 1e-3),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, -1e-4, 5e-324, 1e160, math.nan,
+                         math.inf, -math.inf]))
+    #: factors that take a sorted grid in the bundled range (up to 0.4
+    #: mT) to every check: unresolved closed forms (1e10, 1e100), centred
+    #: sums that overflow (1e160, 1e302) or underflow (1e-200, 5e-324),
+    #: negative and non-finite fields
+    SCALE = st.sampled_from([1.0, 1e5, 1e10, 1e100, 1e160, 1e302, 1e-200,
+                             5e-324, -1.0, math.inf, math.nan])
+    #: phase resolutions (deg) and measurement times (s) at their edges
+    POSITIVE = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300,
+                                math.inf, -math.inf, math.nan])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(amps=st.one_of(
+               st.builds(lambda grid, k: [4e-6 * a * k for a in grid],
+                         st.lists(st.integers(0, 100), min_size=3,
+                                  max_size=6, unique=True).map(sorted),
+                         SCALE),
+               st.lists(AMPLITUDE, min_size=2, max_size=6)),  # ties, unsorted
+           resolution=st.one_of(POSITIVE, st.floats(0.01, 10.0)),
+           t_meas=st.one_of(POSITIVE, st.floats(0.01, 10.0)),
+           packets=st.integers(20, 40),
+           protocol=st.sampled_from(["pdd", "cp"]),
+           n_pi_list=st.sampled_from([[1], [2], [3, 1]]))
+    def test_every_input_ends_in_reports_or_a_contract_error(
+            self, amps, resolution, t_meas, packets, protocol, n_pi_list):
+        # the suite turns every warning into an error, so no numpy
+        # warning may escape either
+        calls = []
+        echo_points = blochsim.echo_points
+
+        def spy(*args):
+            calls.append(args)
+            return echo_points(*args)
+
+        with mock.patch.object(blochsim, "echo_points", spy):
+            try:
+                reports = dd_sensitivity_sweep(
+                    protocol, n_pi_list, 1.7e-6, self.SYS, self.CAL,
+                    self.SAMPLE, amps, replace(self.ENS, n_packets=packets),
+                    80e-9, 160e-9, resolution, t_meas)
+            except ConfigError:
+                assert calls == []
+                return
+            except NumericalError:
+                return
+        assert [(r.protocol, r.n_pi) for r in reports] == [
+            (protocol, n) for n in n_pi_list]
+        assert all(isinstance(r, SensitivityReport) for r in reports)
