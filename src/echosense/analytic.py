@@ -15,23 +15,23 @@ all pieces in one vectorized call.  A piece that does not converge raises
 `NumericalError`.  The tests pin the oracle to QUADPACK's adaptive
 Gauss-Kronrod rule (scipy's `quad`) on seeded designs.
 
-Neither the filter-domain check nor the signs depend on the amplitude, so
-both are folded into one checked, signed walk: `_signed_walk(shape,
-edges)` checks the waveform's windows against the filter domain, reads
-the unit-amplitude walk of `rf._unit_walk` (an LRU cache keyed on the
-record and the edges) and negates every odd interval.  It keeps the
-result on the waveform's checked shape record: the record's `walk` slot
-holds one immutable (edges, signed walk) pair, rebound in one
-assignment.  `accumulate_phase` reuses the pair, hashing nothing, when
-the filter's edges are the very tuple it holds, and calls
-`_signed_walk` otherwise.  The per-amplitude waveforms of a
-synchronized sweep share their unit waveform's record, and a sweep's
-fields share one filter, so such a sweep checks, signs and walks each
-shape once, and `accumulate_phase` forms each interval's phase as
-gamma_eff * (amplitude * signed unit integral).  IEEE products are
-exactly sign-symmetric, so that is the float that sign * gamma_eff *
-(amplitude * unit integral) gave, signed zeros included.  A failed
-check fills no slot: a window outside the domain raises on every call.
+Neither the filter-domain check nor the signs depend on the amplitude,
+so both are folded into one checked, signed walk: `_signed_walk(shape,
+edges)` checks the waveform's windows against the filter domain, takes
+the unit-amplitude walk `rf._unit_walk` of the record over the edges and
+negates every odd interval.  It keeps the result on the waveform's
+checked shape record: the record's `walk` slot holds one immutable
+(edges, signed walk) pair, rebound in one assignment.
+`accumulate_phase` reuses the pair, hashing nothing, when the filter's
+edges are the very tuple it holds, and calls `_signed_walk` otherwise.
+The per-amplitude waveforms of a synchronized sweep share one record,
+through `rf.build_synchronized`'s last-call record, and a sweep's fields
+share one filter, so such a sweep checks, signs and walks each shape
+once, and `accumulate_phase` forms each interval's phase as gamma_eff *
+(amplitude * signed unit integral).  IEEE products are exactly
+sign-symmetric, so that is the float that sign * gamma_eff * (amplitude
+* unit integral) gave, signed zeros included.  A failed check fills no
+slot: a window outside the domain raises on every call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import CoilCalibration, ConfigError, NumericalError, SpinSystem
-from .rf import _CACHE_SIZE, RFWaveform, _unit_walk, build_split_interval
+from .rf import RFWaveform, _unit_walk, build_split_interval
 from .sequence import FilterFunction
 
 #: slack for windows touching the filter-domain edge (pure rounding)
@@ -104,7 +104,7 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
     return acc
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _gauss_pair():
     """The 32- and 16-point Gauss-Legendre rules on [-1, 1] as one node
     vector (the 32 nodes, then the 16) with the weights of G32 and of

@@ -246,15 +246,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hash", config_hash(self.raw))
 
-    def build_sequence(self, kind=None, n_pi=None, tau=None):
+    def build_sequence(self, kind=None):
         sq = self.sequence
         kind = SequenceKind(kind or sq["kind"])
-        tau = tau if tau is not None else sq["tau_ns"] * NS
-        t_pi2, t_pi = sq["t_pi2_ns"] * NS, sq["t_pi_ns"] * NS
+        tau, t_pi2, t_pi = (sq[k] * NS for k in ("tau_ns", "t_pi2_ns",
+                                                  "t_pi_ns"))
         if kind is SequenceKind.HAHN:
             return build_hahn(tau, t_pi2, t_pi)
-        return _DD_BUILDERS[kind](n_pi if n_pi is not None else sq["n_pi"],
-                                  tau, t_pi2, t_pi)
+        return _DD_BUILDERS[kind](sq["n_pi"], tau, t_pi2, t_pi)
 
 
 def read_json(path):
@@ -570,28 +569,30 @@ def _dd_reports(grids, per_grid, resolution: float, t_meas: float,
                sample: SampleSpec, ens) -> list[SensitivityReport]:
     """The transduction fit and report of each dd grid from its rows,
     simulated with `ens`.  Its inputs were checked before it ran, so a
-    failed fit is a NumericalError naming the sweep, with a note if the
-    train leaves a net free time t_net (the filter's signed sum of
-    intervals)."""
+    failed fit or report is a NumericalError naming the sweep; a failed
+    fit notes if the train leaves a net free time t_net (the filter's
+    signed sum of intervals)."""
     reports = []
     for g, rows in zip(grids, per_grid):
         seq, protocol = g.seq, g.metadata["protocol"]
-        n_pi, tau = seq.n_pi, seq.tau
+        n_pi, tau, fit = seq.n_pi, seq.tau, None
         try:
-            reports.append(build_report(
-                fit_transduction((r["b1_t"], r["phase_unwrapped_deg"])
-                                 for r in rows),
-                resolution, t_meas, sample, protocol, n_pi, tau))
+            fit = fit_transduction((r["b1_t"], r["phase_unwrapped_deg"])
+                                   for r in rows)
+            reports.append(build_report(fit, resolution, t_meas, sample,
+                                        protocol, n_pi, tau))
         except ConfigError as err:
             e = filter_function(seq).edges
             t_net = sum((-1) ** k * (e[k + 1] - e[k])
                         for k in range(len(e) - 1))
+            # a net free time explains a failed fit, not a failed report
+            unrefocused = fit is None and abs(t_net) > 1e-12 * seq.echo_time
             note = (f"; the train is unrefocused, with a net free time of "
                     f"{t_net:.3g} s: its predicted zero-field reference "
                     f"exp(-(sigma_Delta * t_net)^2 / 2) = "
                     f"{math.exp(-(ens.detuning_sigma * t_net) ** 2 / 2):.3g}"
                     f", against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}"
-                    ) if abs(t_net) > 1e-12 * seq.echo_time else ""
+                    ) if unrefocused else ""
             raise NumericalError(
                 f"the simulated {protocol}({n_pi}) sweep at tau {tau:.6g} s "
                 f"has no sensitivity: {err}{note}") from err

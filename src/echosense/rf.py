@@ -18,40 +18,30 @@ checked `_Shape` record of everything else (frequency, windows, window
 phases, reset mode), which its read-only properties of those names read.
 The constructor checks and converts its inputs into a new record; a
 copy at another amplitude writes the three slots and shares the record,
-checking only the amplitude.  Three memos let a grid build and walk
-each shape once:
+checking only the amplitude.  Two one-entry memos, and no process-wide
+cache, let a grid build and walk each shape once:
 
-* `_unit_walk`, an LRU cache of `_CACHE_SIZE` entries keyed on (shape
-  record, edges), is the `integrals` walk at unit amplitude.  A record
-  hashes by identity, so a lookup hashes the edges but not the windows,
-  and only waveforms that share a record share an entry.
-* `_synchronized`, an LRU cache of the same size keyed on (tau,
-  echo_time, pi_centers, n, phase, reset mode), is the shape record of
-  `build_synchronized`.  It checks the scalars and builds the record
-  straight from the windows and phases it generates, which are valid by
-  construction.  In front of it, `build_synchronized` keeps its last
-  result, (sequence, n, phase, reset mode, record), as one module-level
-  tuple rebound in one assignment, so a threaded caller never reads a
-  torn entry.  The next call reuses that record, without hashing, when
-  its sequence is the same object and its other three arguments compare
-  equal; each call wraps the record in a new waveform of the caller's
-  amplitude and phase.
-* Each record has one `walk` slot, which `analytic.accumulate_phase`
-  fills with an immutable (edges, signed walk) pair: the unit walk over
-  a filter's edges, checked against the filter domain and signed by the
-  filter.  A later call reuses the pair when its filter's edges are that
-  very tuple, so the fields of a sweep look nothing up; any other edges
-  replace the pair.  The slot holds one pair per live record.
+* `build_synchronized` keeps its last (sequence, n, phase, reset mode,
+  record) as one module-level tuple, rebound in one assignment so that
+  a threaded caller never reads a torn entry.  A call whose sequence is
+  the same object and whose other three arguments compare equal reuses
+  the record without hashing; any other call has `_synchronized` build
+  one straight from the windows and phases it generates, which are
+  valid by construction.
+* Each record's `walk` slot holds the immutable (edges, signed walk)
+  pair that `analytic.accumulate_phase` last made of it: the unit walk
+  over a filter's edges, checked against the filter domain and signed.
+  A call whose filter's edges are that very tuple reuses the pair; any
+  other edges replace it.
 
-This is exact: the walk always summed each interval at unit amplitude
-and scaled it by the amplitude once, so `amplitude * unit_total` is the
-same float, and a copy holds the fields that a fresh construction would
-have checked and converted.  A memo stores no exceptions, so an invalid
-input raises on every call; the amplitude is checked on every call.
-The `_synchronized` keys and the last-call test compare by value: 1 and
+This is exact: a walk sums each interval at unit amplitude and scales
+it by the amplitude once, and a copy holds the fields that a fresh
+construction would have checked and converted.  Neither memo stores an
+exception, and the amplitude is checked on every call, so an invalid
+input raises every time.  The last-call test compares by value: 1 and
 1.0, 0.0 and -0.0, or "continuous" and `ResetMode.CONTINUOUS` share a
-record.  Every integral is the same for either, since a record is built
-from the checked, coerced values.
+record, which is built from the checked, coerced values, so every
+integral is the same for either.
 """
 
 from __future__ import annotations
@@ -59,14 +49,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import FrozenInstanceError
-from functools import lru_cache
 
 from .core import ConfigError, _StrChoice
 from .sequence import PulseSequence
 
 TWO_PI = 2 * math.pi
-#: entries of each geometry cache; one entry holds one waveform shape
-_CACHE_SIZE = 256
 
 
 class ResetMode(_StrChoice):
@@ -180,8 +167,7 @@ class RFWaveform:
         overlaps, so the cost is linear in len(edges) + len(windows).
         Each interval sums its window pieces (antiderivative of sin) in
         window order, whatever the other edges.  The walk runs at unit
-        amplitude and is memoised per shape and edges; each result is the
-        amplitude times its unit integral.
+        amplitude; each result is the amplitude times its unit integral.
         """
         amp = self.amplitude
         return [amp * v for v in _unit_walk(self._shape, tuple(edges))]
@@ -216,8 +202,8 @@ class _Shape:
     `phases` holds the phase of each window's sinusoid: the window phases,
     or else the global phase for every window.  A record compares and
     hashes by identity; each construction checks and builds its own, and
-    the waveforms that `build_synchronized` makes from one cache entry
-    share it.  `walk` holds the (edges, signed walk) pair that
+    the waveforms that `build_synchronized` makes from one last-call
+    record share it.  `walk` holds the (edges, signed walk) pair that
     `analytic.accumulate_phase` last made of the record, or (None, ())
     before its first call.
     """
@@ -267,7 +253,6 @@ def _checked_shape(frequency, phase, windows, window_phases,
     return _Shape(frequency, wins, ph, ph, reset_mode)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _unit_walk(shape: _Shape, edges) -> tuple[float, ...]:
     """`RFWaveform.integrals` of the unit-amplitude field of `shape`."""
     wins, phases = shape.windows, shape.phases
@@ -296,34 +281,35 @@ def _unit_walk(shape: _Shape, edges) -> tuple[float, ...]:
                 continue
             t0 = wa if reset else 0.0
             ph = phases[k]
-            total += (cos(w * (lo - t0) + ph) - cos(w * (hi - t0) + ph)) / w
+            try:
+                total += (cos(w * (lo - t0) + ph)
+                          - cos(w * (hi - t0) + ph)) / w
+            except ValueError:  # math.cos of an infinite phase
+                raise ConfigError(f"the RF phase over [{a}, {b}] "
+                                  "overflows") from None
         out.append(total)
     return tuple(out)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _synchronized(tau, echo_time, centers, n, phase, reset_mode) -> _Shape:
+def _synchronized(seq: PulseSequence, n, phase, reset_mode) -> _Shape:
     """The checked shape record of `build_synchronized`.  The reset
     windows tile [0, echo_time] in tau-length steps, and each window's
     phase advances by pi for every pi center at or before its start
-    (`centers` strictly increasing, as `PulseSequence.pi_centers` are).
+    (the pi centers are strictly increasing).
 
-    Only the scalars and the span are checked.  The windows k*tau ..
-    (k+1)*tau of a finite positive tau are non-empty, ordered and
-    disjoint, and finite if the last edge is; their phases are finite
-    with the phase."""
+    Only n, phase and the span are checked: a `PulseSequence`'s echo
+    time is finite and after its pi centers, and the windows k*tau ..
+    (k+1)*tau of its positive tau are non-empty, ordered, disjoint, and
+    finite if the last one is, with phases finite with the phase."""
+    tau, echo_time, centers = seq.tau, seq.echo_time, seq.pi_centers
     nu = synchronized_frequency(tau, n)
     reset_mode = ResetMode(reset_mode)
     if not 0.0 < nu < math.inf:
         raise ConfigError(f"frequency must be finite and positive, got {nu}")
     if not math.isfinite(phase):
         raise ConfigError(f"phase must be finite, got {phase}")
-    if not math.isfinite(echo_time):
-        raise ConfigError(f"echo_time must be finite, got {echo_time}")
     tau, echo_time = float(tau), float(echo_time)
     if reset_mode is ResetMode.CONTINUOUS:
-        if not echo_time > 0:
-            raise ConfigError(f"empty or inverted window [0.0, {echo_time})")
         return _Shape(nu, ((0.0, echo_time),), None, (phase,), reset_mode)
     n_windows = int(round(echo_time / tau))
     if not n_windows * tau < math.inf:
@@ -383,7 +369,7 @@ def exclude_intervals(wave: RFWaveform, blocked) -> RFWaveform:
     """
     blocked = sorted((float(a), float(b)) for a, b in blocked)
     for a, b in blocked:
-        if b <= a:
+        if not a < b:  # NaN too
             raise ConfigError(f"empty or inverted blocked span [{a}, {b}]")
     shape = wave._shape
     w = TWO_PI * shape.frequency
@@ -440,8 +426,7 @@ def build_synchronized(seq: PulseSequence, amplitude: float, n: int = 1,
     last_seq, last_n, last_phase, last_mode, shape = _last_synchronized
     if not (last_seq is seq and last_n == n and last_phase == phase
             and last_mode == reset_mode):
-        shape = _synchronized(seq.tau, seq.echo_time, seq.pi_centers, n,
-                              phase, reset_mode)
+        shape = _synchronized(seq, n, phase, reset_mode)
         _last_synchronized = (seq, n, phase, reset_mode, shape)
     # the shape was checked with a phase equal to this one; the slot keeps
     # the phase as given, so a -0.0 stays -0.0

@@ -168,8 +168,8 @@ def spectral_sensitivity(b_min: float, t_meas: float) -> float:
 
 def concentration_sensitivity(s: float, density: float) -> float:
     """s / sqrt(density in um^-3), density given in spins/m^3."""
-    if not density > 0:
-        raise ConfigError("density must be positive")
+    if not density * 1e-18 > 0:
+        raise ConfigError(f"density must be > 0 per um^3, got {density} m^-3")
     return s / math.sqrt(density * 1e-18)
 
 
@@ -180,12 +180,27 @@ def dipole_field(moment: float, distance: float) -> float:
     return MU0_OVER_4PI * moment / distance ** 3
 
 
+def _figure(value: float, formula: str, *inputs) -> float:
+    """`value`, checked finite and positive; `formula` names its inputs."""
+    if not 0 < value < math.inf:
+        what = "underflows to 0" if value == 0 else f"is {value}"
+        raise ConfigError(f"{formula.format(*inputs)} {what}")
+    return value
+
+
 def build_report(fit: TransductionFit, phase_resolution: float, t_meas: float,
                  sample: SampleSpec, protocol: str = "", n_pi: int = 0,
                  tau: float = 0.0) -> SensitivityReport:
-    b_min = minimum_detectable_field(fit, phase_resolution)
-    s = spectral_sensitivity(b_min, t_meas)
-    s_vol = concentration_sensitivity(s, sample.spin_density)
+    """The sensitivity chain of `fit`; a figure that under- or overflows
+    is a ConfigError naming the inputs it was computed from."""
+    b_min = _figure(minimum_detectable_field(fit, phase_resolution),
+                    "phase resolution {:.3g} deg / |slope| {:.3g} deg/T",
+                    phase_resolution, abs(fit.slope))
+    s = _figure(spectral_sensitivity(b_min, t_meas),
+                "b_min {:.3g} T * sqrt(t_meas {:.3g} s)", b_min, t_meas)
+    s_vol = _figure(concentration_sensitivity(s, sample.spin_density),
+                    "s_spectral {:.3g} T/sqrt(Hz) / sqrt({:.3g} um^-3)", s,
+                    sample.spin_density * 1e-18)
     return SensitivityReport(b_min, s, s_vol, phase_resolution, t_meas,
                              sample.active_spin_count, fit, protocol, n_pi,
                              tau)

@@ -16,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from echosense import (ConfigError, NumericalError, PulseMode, ResetMode,
-                       SequenceKind, accumulate_phase, build_split_interval,
-                       build_synchronized, filter_function, pulse_gated)
+                       SequenceKind, accumulate_phase, build_cp, build_pdd,
+                       build_split_interval, build_synchronized,
+                       filter_function, pulse_gated)
 from echosense.blochsim import echo_observable, evolve, point_seed
 from echosense.echo import noisy_echo, wrap_phase
 from echosense.sensitivity import (build_report, fit_transduction,
@@ -86,11 +87,13 @@ def _split(cfg) -> list[dict]:
 
 
 def _dd_sweeps(cfg) -> list[list[dict]]:
+    t_pi2, t_pi = (cfg.sequence[k] * 1e-9 for k in ("t_pi2_ns", "t_pi_ns"))
     sweeps = []
     for p, protocol in enumerate(cfg.dd_protocols):
+        build = build_pdd if protocol is SequenceKind.PDD else build_cp
         for t, tau in enumerate(cfg.dd_taus):
             for n_pi in cfg.dd_n_pi:
-                seq = cfg.build_sequence(protocol, n_pi, tau)
+                seq = build(n_pi, tau, t_pi2, t_pi)
                 sweeps.append(sweep(
                     cfg, seq, [build_synchronized(seq, a, 1, 0.0,
                                                   cfg.dd_reset_mode)

@@ -119,13 +119,13 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_build_sequence_kind_value_equals_member(self, fast_cfg, kind):
-        got = fast_cfg.build_sequence(kind.value, 3, 1.5e-6)
-        assert got == fast_cfg.build_sequence(kind, 3, 1.5e-6)
+        got = fast_cfg.build_sequence(kind.value)
+        assert got == fast_cfg.build_sequence(kind)
 
     @pytest.mark.parametrize("kind", ["custom", "bogus"])
     def test_build_sequence_unknown_kind_rejected(self, fast_cfg, kind):
         with pytest.raises(ConfigError):
-            fast_cfg.build_sequence(kind, 3, 1.5e-6)
+            fast_cfg.build_sequence(kind)
 
     def test_invalid_enum_fails_fast(self):
         raw = json.loads(json.dumps(FAST_RAW))

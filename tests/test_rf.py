@@ -6,19 +6,21 @@ import importlib
 import math
 import pickle
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, FilterFunction,
                        ResetMode, RFWaveform, SpinSystem, accumulate_phase,
                        build_hahn, build_cp, build_pdd, build_split_interval,
-                       build_synchronized, filter_function, pulse_gated,
+                       build_synchronized, exclude_intervals,
+                       filter_function, pulse_gated,
                        synchronized_frequency, zero_field)
 import echosense
-from echosense import rf
+from echosense import analytic, rf
 
 from rf_oracle import build_synchronized_count, integral_loop
 
@@ -47,14 +49,14 @@ class TestSynchronizedFrequency:
     @pytest.mark.parametrize("n", [1.5, 0.5, math.nan, math.inf])
     def test_fractional_harmonic_rejected(self, n):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
-        build_synchronized(seq, 1e-3, 1)  # a warm cache holds n = 1 only
+        build_synchronized(seq, 1e-3, 1)  # the last-call record holds n = 1
         with pytest.raises(ConfigError, match="whole number"):
             synchronized_frequency(seq.tau, n)
         with pytest.raises(ConfigError, match="whole number"):
             build_synchronized(seq, 1e-3, n=n)
 
     def test_whole_float_harmonic_is_that_harmonic(self):
-        # 2 and 2.0 set one frequency, and share a shape cache entry
+        # 2 and 2.0 set one frequency, and share the last-call record
         seq = build_hahn(1.2e-6, T_PI2, T_PI)
         assert synchronized_frequency(seq.tau, 2.0) == synchronized_frequency(
             seq.tau, 2)
@@ -366,6 +368,9 @@ class TestExcludeIntervals:
         w = RFWaveform(1e-3, 1e6, 0.0, ((0.0, 1e-6),))
         with pytest.raises(ConfigError):
             exclude_intervals(w, [(0.5e-6, 0.5e-6)])
+        for span in ((math.nan, 0.5e-6), (0.5e-6, math.nan)):
+            with pytest.raises(ConfigError, match="blocked span"):
+                exclude_intervals(w, [span])
 
 
 class TestBuildSynchronized:
@@ -450,8 +455,8 @@ def _random_designs(seed: int, n: int):
 
 
 class TestGeometryCaches:
-    """The memoised shape paths against the uncached oracles, bit for bit,
-    whether each shape's entries are warm or were evicted."""
+    """The shape paths against the per-call oracles, bit for bit, whether
+    `build_synchronized`'s last-call record serves a call or misses."""
 
     AMPS = (0.0, 0.13e-3, 0.5e-3, 1.7e-3)
 
@@ -479,26 +484,27 @@ class TestGeometryCaches:
                 self.check(seq, mode, n + 1, phase, amp)
 
     def test_amplitude_loop_outer_cold(self):
-        designs = list(_random_designs(6, 2 * rf._CACHE_SIZE))
-        for amp in self.AMPS:  # every shape is evicted before it recurs
+        designs = list(_random_designs(6, 512))
+        for amp in self.AMPS:  # every call misses the last-call record
             for design in designs:
                 self.check(*design, amp)
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_signed_zero_phase_shares_an_entry(self, first):
+        # the second signed zero reuses the record that the first built
         seqs = [build_hahn(1.1e-6, T_PI2, T_PI),
                 build_pdd(3, 1.3e-6, T_PI2, T_PI),
                 build_cp(4, 0.95e-6, T_PI2, T_PI)]
-        for clear in (rf._synchronized, rf._unit_walk):
-            clear.cache_clear()
-        for phase in (first, -first):
-            for seq in seqs:
-                for mode in ResetMode:
+        for seq in seqs:
+            for mode in ResetMode:
+                shapes = set()
+                for phase in (first, -first):
                     self.check(seq, mode, 1, phase, 0.7e-3)
+                    shapes.add(rf._last_synchronized[4])
+                assert len(shapes) == 1
 
     @pytest.mark.parametrize("first", [int, float])
-    def test_integer_edges_share_an_entry(self, first):
-        rf._unit_walk.cache_clear()
+    def test_integer_and_float_edges_match_the_loop(self, first):
         wave = RFWaveform(0.8, 0.3, 0.4, ((0, 2), (3, 5), (5, 7)),
                           ResetMode.PER_WINDOW_RESET, (0.1, 1.3, -0.2))
         edges = (-1, 0, 1, 3, 4, 5, 9)
@@ -516,29 +522,10 @@ class TestGeometryCaches:
                 wave.integrals((0.0, 2e-6, 1e-6))
 
     def test_every_cache_is_bounded(self):
-        caches = [f for f in vars(rf).values() if hasattr(f, "cache_info")]
-        assert len(caches) == 2
-        assert all(f.cache_info().maxsize == rf._CACHE_SIZE for f in caches)
-
-    def test_every_package_cache_is_bounded(self):
-        # the LRU caches: module-level functions and class attributes of
-        # every module
-        caches = {}
-        for info in pkgutil.iter_modules(echosense.__path__):
-            module = importlib.import_module(f"echosense.{info.name}")
-            scopes = [vars(module)] + [vars(c) for c in vars(module).values()
-                                       if isinstance(c, type)]
-            for scope in scopes:
-                for name, obj in scope.items():
-                    obj = getattr(obj, "__func__", obj)  # static/class methods
-                    if hasattr(obj, "cache_info"):
-                        caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
-        assert {"rf._unit_walk", "rf._synchronized"} <= caches.keys()
-        assert "analytic._signed_walk" not in caches
-        assert {k: v for k, v in caches.items()
-                if v != rf._CACHE_SIZE} == {}
-        # the other memos hold one entry each: build_synchronized's last
-        # result, and one (edges, signed walk) pair per live shape record
+        # rf keeps no functools cache; its memos hold one entry each:
+        # build_synchronized's last result, and one (edges, signed walk)
+        # pair per live shape record
+        assert [f for f in vars(rf).values() if hasattr(f, "cache_info")] == []
         seq = build_cp(4, 1.3e-6, T_PI2, T_PI)
         wave = build_synchronized(seq, 1e-3, 1, 0.0,
                                   ResetMode.PER_WINDOW_RESET)
@@ -549,6 +536,23 @@ class TestGeometryCaches:
             accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
             assert wave._shape.walk[0] is filt.edges
             assert len(wave._shape.walk[1]) == k + 1
+
+    def test_every_package_cache_is_bounded(self):
+        # the functools caches: module-level functions and class
+        # attributes of every module
+        caches = {}
+        for info in pkgutil.iter_modules(echosense.__path__):
+            module = importlib.import_module(f"echosense.{info.name}")
+            scopes = [vars(module)] + [vars(c) for c in vars(module).values()
+                                       if isinstance(c, type)]
+            for scope in scopes:
+                for name, obj in scope.items():
+                    obj = getattr(obj, "__func__", obj)  # static/class methods
+                    if hasattr(obj, "cache_info"):
+                        caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+        # one cache of one entry: the two Gauss-Legendre rules of the
+        # quadrature oracle
+        assert caches == {"analytic._gauss_pair": 1}
 
     @pytest.mark.parametrize("build", [build_hahn, build_pdd, build_cp])
     @pytest.mark.parametrize("mode", list(ResetMode))
@@ -565,16 +569,23 @@ class TestGeometryCaches:
 
         real = rf._synchronized
         monkeypatch.setattr(rf, "_synchronized", synchronized)
-        rf._unit_walk.cache_clear()
+        walks = []
+
+        def unit_walk(*args):
+            walks.append(args)
+            return real_walk(*args)
+
+        # the walks of accumulate_phase, through the name analytic imported
+        real_walk = analytic._unit_walk
+        monkeypatch.setattr(analytic, "_unit_walk", unit_walk)
         shapes = []
         for amp in np.linspace(0.0, 0.5e-3, 21):
             wave = build_synchronized(seq, float(amp), 1, 0.0, mode)
             accumulate_phase(SpinSystem(), CoilCalibration(), filt, wave)
-            wave.integrals(filt.edges)  # the same edge set: no new walk
             shapes.append(wave._shape)
         assert len(builds) == 1
         assert all(shape is shapes[0] for shape in shapes)
-        assert rf._unit_walk.cache_info().misses == 1
+        assert len(walks) == 1
 
     def test_copies_share_the_shape_and_pickle(self):
         seq = build_cp(3, 1.3e-6, T_PI2, T_PI)
@@ -592,7 +603,7 @@ class TestGeometryCaches:
 
 class TestResetModeValues:
     """A reset mode given by its string value is the member: the stored
-    field, every cache entry and every integral are the member's, in
+    field, the shape record and every integral are the member's, in
     either call order."""
 
     WINDOWS = ((0.0, 1e-6), (1e-6, 2e-6))
@@ -613,15 +624,11 @@ class TestResetModeValues:
     @pytest.mark.parametrize("make", ["direct", "synchronized"])
     def test_value_and_member_agree_in_either_order(self, mode, value_first,
                                                     make):
-        for cache in (rf._synchronized, rf._unit_walk):
-            cache.cache_clear()
         order = (mode.value, mode) if value_first else (mode, mode.value)
         got = [getattr(self, make)(m) for m in order]
         assert got[0] == got[1]
         assert got[0][0] is mode
-        for cache in (rf._synchronized, rf._unit_walk):
-            cache.cache_clear()
-        assert getattr(self, make)(mode) == got[0]  # a cold member call
+        assert getattr(self, make)(mode) == got[0]  # a repeated member call
 
     def test_continuous_and_reset_differ(self):
         # the values above are not vacuous: the modes integrate differently
@@ -767,3 +774,128 @@ class TestWaveformSurface:
         assert all(type(x) is float for x in (
             *(e for w in wave.windows for e in w),
             *(wave.window_phases or ())))
+
+
+#: awkward numbers for every numeric argument: NaN, infinities, signed
+#: zeros, subnormals, the float extremes and ints
+_AWKWARD = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e308, -1e308, 0, 1, 2, -3, 2 ** 64,
+            1e-6, 1.3e-6, 2.6e-6, 0.4, math.pi)
+_awkward = st.one_of(st.sampled_from(_AWKWARD),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.integers(-2 ** 70, 2 ** 70))
+#: three in four numbers are ordinary, so that most calls get far enough
+#: to meet the awkward one
+_numbers = st.integers(0, 3).flatmap(lambda k: _awkward if k == 0 else (
+    st.floats(0.0, 3.0) | st.integers(0, 3)))
+_modes = st.sampled_from([*ResetMode, *(m.value for m in ResetMode),
+                          "bogus"])
+#: spans as drawn, or as consecutive pairs of sorted numbers, which are
+#: ordered and disjoint unless two numbers tie
+_pairs = st.lists(st.tuples(_numbers, _numbers), max_size=4) | st.lists(
+    _numbers.filter(lambda v: v == v), max_size=8).map(
+        lambda v: list(zip(*[iter(sorted(v))] * 2)))
+_GATED_OFF = ("split-interval waveform with both halves gated off is "
+              "identically zero")
+
+
+#: one object each, so that calls on them meet the last-call record
+_SEQUENCES = [
+    build_hahn(1.2e-6, T_PI2, T_PI), build_pdd(4, 1.1e-6, T_PI2, T_PI),
+    build_cp(3, 1.3e-6, T_PI2, T_PI),
+    build_hahn(1e-309, 1e-310, 2e-310),  # its frequency overflows
+    echosense.PulseSequence(  # its last window edge overflows
+        (echosense.Pulse(0.0, 1.0, math.pi / 2),
+         echosense.Pulse(6e307, 1.0, math.pi)), 6e307, 1.7e308),
+    echosense.PulseSequence(  # ints
+        (echosense.Pulse(0, 1, math.pi / 2),
+         echosense.Pulse(2, 1, math.pi)), 3, 6)]
+
+
+@st.composite
+def _rf_calls(draw, depth=0):
+    """A call of a public `rf` callable on awkward arguments, as a
+    zero-argument function."""
+    x = lambda: draw(_numbers)  # noqa: E731
+    seq = draw(st.sampled_from(_SEQUENCES))
+    kinds = ["frequency", "waveform", "synchronized", "split"]
+    if depth == 0:
+        kinds += ["integrals", "exclude", "gated"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "frequency":
+        tau, n = x(), x()
+        return lambda: synchronized_frequency(tau, n)
+    if kind == "waveform":
+        windows = draw(_pairs)
+        phases = draw(st.none() | st.lists(_numbers, min_size=len(windows),
+                                           max_size=len(windows) + 1))
+        args = (x(), x(), x(), windows, draw(_modes), phases)
+        return lambda: RFWaveform(*args)
+    if kind == "synchronized":
+        args = (seq, x(), x(), x(), draw(_modes))
+        return lambda: build_synchronized(*args)
+    if kind == "split":
+        args = (x(), x(), x(), x(), draw(st.booleans()), draw(st.booleans()))
+        return lambda: build_split_interval(*args)
+    make = draw(_rf_calls(depth=1))
+    if kind == "integrals":
+        edges = draw(st.lists(_numbers, max_size=6))
+        if draw(st.booleans()):  # ordered, but for any NaN
+            edges.sort(key=lambda v: (v != v, v))
+        return lambda: _wave(make).integrals(edges)
+    if kind == "exclude":
+        blocked = draw(_pairs)
+        return lambda: exclude_intervals(_wave(make), blocked)
+    return lambda: pulse_gated(_wave(make), seq)
+
+
+def _wave(make):
+    """The waveform `make` returns; synchronized_frequency's value stands
+    for a waveform of that frequency."""
+    got = make()
+    return got if isinstance(got, RFWaveform) else RFWaveform(1e-3, got)
+
+
+def _outcome(call):
+    """None if `call` returns, or the ConfigError it raises; any other
+    exception propagates, and the only warning allowed is the documented
+    all-windows-gated-off one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except ConfigError as err:
+            return err
+        finally:
+            assert [str(w.message) for w in caught
+                    if str(w.message) != _GATED_OFF] == []
+    return None
+
+
+#: calls that random draws seldom reach: phases that overflow in the walk
+_RARE_CALLS = [
+    lambda: RFWaveform(1.0, 1e300, 0.0, ((0.0, 1e10),)).integrals((0, 1e10)),
+    lambda: RFWaveform(1.0, 1e308, 0.0, ((0, 1),)).integrals((0, 1)),
+    lambda: RFWaveform(1.0, 1.0, 0.0, ((-1e308, 1e308),),
+                       "per-window-reset").integrals((0.0, 1e308))]
+
+
+class TestExceptionContract:
+    """Every public `rf` callable, on any arguments of the right types,
+    returns, raises a ConfigError or warns that a split waveform is gated
+    off; and a call that raised raises again, whatever the memos saw
+    in between."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_rf_calls(), min_size=1, max_size=4))
+    @example(_RARE_CALLS)
+    def test_every_call_returns_or_raises_a_config_error(self, calls):
+        outcomes = [_outcome(call) for call in calls]
+        for call, first in zip(calls, outcomes):
+            if first is not None:
+                assert isinstance(_outcome(call), ConfigError)
+
+    def test_phase_overflow_is_a_config_error(self):
+        for call in _RARE_CALLS:
+            with pytest.raises(ConfigError, match="RF phase over"):
+                call()

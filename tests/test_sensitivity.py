@@ -1,5 +1,6 @@
 """Transduction fitting and the sensitivity arithmetic chain."""
 
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -10,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        FitMethod, NumericalError, SampleSpec,
-                       SensitivityReport, SpinSystem,
+                       SensitivityReport, SpinSystem, TransductionFit,
                        blochsim, concentration_sensitivity, harness,
                        dd_sensitivity_sweep, dipole_field, fit_transduction,
                        minimum_detectable_field, spectral_sensitivity)
+from echosense.cli import main
 from echosense.core import MU_B
+from echosense.sensitivity import build_report
 from echosense.sequence import SequenceKind
 
 import fit_oracle
@@ -279,6 +282,34 @@ class TestArithmeticChain:
         s = concentration_sensitivity(6.0e-6, 2.3e25)
         assert s == pytest.approx(6.0e-6 / math.sqrt(2.3e7), rel=1e-9)
 
+    @pytest.mark.parametrize("slope, resolution, t_meas, density, match", [
+        (1.46e5, 5e-324, 0.375, 2.3e25,
+         r"phase resolution 4\.94e-324 deg / \|slope\| 1\.46e\+05 deg/T "
+         "underflows to 0"),
+        (1e-3, 1e308, 0.375, 2.3e25,
+         r"phase resolution 1e\+308 deg / \|slope\| 0\.001 deg/T is inf"),
+        (1.46e5, 1e308, 1e308, 2.3e25,
+         r"b_min 6\.85e\+302 T \* sqrt\(t_meas 1e\+308 s\) is inf"),
+        (1e200, 1.0, 5e-324, 2.3e25,
+         r"b_min 1e-200 T \* sqrt\(t_meas 4\.94e-324 s\) underflows to 0"),
+        (1.0, 1e300, 1.0, 1e-290,
+         r"s_spectral 1e\+300 T/sqrt\(Hz\) / sqrt\(1e-308 um\^-3\) is inf")],
+        ids=["b_min-0", "b_min-inf", "s_spectral-inf", "s_spectral-0",
+             "s_concentration-inf"])
+    def test_report_rejects_zero_and_infinite_figures(
+            self, slope, resolution, t_meas, density, match):
+        fit = TransductionFit(slope, 0.0, 0.0, FitMethod.LINEAR_REGRESSION,
+                              (0.0, 1e-3))
+        sample = SampleSpec(spin_density=density, sensing_volume=1.0)
+        with pytest.raises(ConfigError, match=match):
+            build_report(fit, resolution, t_meas, sample)
+
+    @pytest.mark.parametrize("density", [0.0, -1.0, math.nan, 1e-309])
+    def test_concentration_sensitivity_invalid_density(self, density):
+        # 1e-309 spins/m^3 is positive, but underflows to 0 per um^3
+        with pytest.raises(ConfigError, match="density must be > 0 per um"):
+            concentration_sensitivity(6.0e-6, density)
+
     def test_dipole_field_single_moment(self):
         # mu0/(4 pi) * mu_B / (5 nm)^3 ~ 7.4e-6 T
         assert dipole_field(MU_B, 5e-9) == pytest.approx(7.42e-6, rel=0.01)
@@ -396,6 +427,31 @@ class TestDdSensitivitySweep:
                 f"{tau:.3g} s: its predicted zero-field reference "
                 f"exp(-(sigma_Delta * t_net)^2 / 2) = {reference:.3g}, "
                 f"against 1/sqrt(P) = {ens.n_packets ** -0.5:.3g}") in msg
+
+    def test_report_failure_is_numerical_error_without_a_note(self):
+        # PDD(2) leaves tau unrefocused, but its fit holds: the underflow
+        # of b_min, not the train, is what fails
+        with pytest.raises(NumericalError) as err:
+            dd_sensitivity_sweep(
+                SequenceKind.PDD, [2], 1.7e-6, self.SYS, self.CAL,
+                self.SAMPLE, self.AMPS, self.ENS, 80e-9, 160e-9, 5e-324)
+        msg = str(err.value)
+        assert "pdd(2)" in msg and "underflows to 0" in msg
+        assert "unrefocused" not in msg
+
+    def test_cli_report_overflow_exits_3_without_csv(self, tmp_path, capsys):
+        # fig5's PDD(1) report with inputs whose s_spectral overflows;
+        # `validate` may pass them, and the run fails before writing
+        fig5 = tmp_path / "fig5.json"
+        fig5.write_text(json.dumps(harness.bundled_config("fig5").raw))
+        argv = ["sensitivity", "-c", str(fig5), "--set", "dd.n_pi_list=[1]"]
+        assert main([*argv, "-o", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "-o", str(tmp_path / "out"),
+                     "--set", "measurement.phase_resolution_deg=1e308",
+                     "--set", "measurement.t_meas_s=1e308"]) == 3
+        assert "sqrt(t_meas 1e+308 s) is inf" in capsys.readouterr().err
+        assert list(tmp_path.glob("out/**/*.csv")) == []
 
     @pytest.mark.parametrize("amps, kwargs", [
         ([0.0, 1e-200, 2e-200], {}),  # increasing, no centred spread
