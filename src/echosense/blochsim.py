@@ -22,18 +22,19 @@ intervals lie and in how a pulse acts:
 
 After the last pulse each packet only precesses at its detuning, so
 `evolve` reads its trace out as one matrix product of the per-sample
-phase factors with the packets' weighted state.
+phase factors with the packets' state, each packet weighing 1/P.
 
-A sweep runs through `echo_points`, which takes one ensemble per wave,
-all of one packet count, and returns each point's echo divided by its
-zero-RF reference.  It batches the sweep: the points go through in
-blocks, each point's ensemble is drawn once and shared by signal and
-reference, which are stacked in one (2, points, packets) state, and
-each pulse acts once per block.  Signal and reference start from the
-same state before any RF acts, so the first pulse acts once on the
-unstacked (points, packets) state.  The readout builds no trace:
-the trapezoid mean over the uniform window is the closed-form geometric
-sum of each packet's per-sample factor.  A block holds at most
+A sweep runs through `echo_points`, which takes the sweep's one
+`EnsembleConfig` and one seed per wave, and returns each point's echo
+divided by its zero-RF reference.  It batches the sweep: the points go
+through in blocks, each point's packets are drawn once from its seed
+(`EnsembleConfig.draw`) and shared by signal and reference, which are
+stacked in one (2, points, packets) state, and each pulse acts once per
+block.  Signal and reference start from the same state before any RF
+acts, so the first pulse acts once on the unstacked (points, packets)
+state.  The readout builds no trace: the trapezoid mean over the
+uniform window is the closed-form geometric sum of each packet's
+per-sample factor.  A block holds at most
 `_BLOCK_PACKET_POINTS` (8192) packet-points in either pulse model,
 because its working arrays set the sweep's peak memory; a bundled-size
 finite simulation fits in one block, and so runs one RK4 loop.  No
@@ -148,7 +149,8 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
            ens: EnsembleConfig, mode: PulseMode = PulseMode.IDEAL,
            cal: CoilCalibration | None = None,
            trace_points: int = 61) -> SimulationTrace:
-    """Evolve the ensemble through the sequence and sample the echo.
+    """Evolve the ensemble, its packets drawn from `ens.seed`, through the
+    sequence and sample the echo.
 
     `wave` is in protocol time (t=0 at the first pulse center); None means
     no RF.  `cal` supplies coupling_eta (default 1).
@@ -159,9 +161,9 @@ def evolve(sys: SpinSystem, seq: PulseSequence, wave: RFWaveform | None,
     eta = 1.0 if cal is None else cal.coupling_eta
     geff = sys.gamma * eta
     times = np.linspace(*_trace_window(seq, trace_points), trace_points)
-    det, fac, w = ens.draw()
+    det, fac = ens.draw(ens.seed)
 
-    mxy = (_evolve_trace(seq, mode, wave, geff, det, fac, w, times)
+    mxy = (_evolve_trace(seq, mode, wave, geff, det, fac, times)
            * _envelope(sys, seq.echo_time))
     return SimulationTrace(times, mxy)
 
@@ -311,12 +313,14 @@ def _readout_state(seq: PulseSequence, mode: PulseMode, det, grf, waves,
 
 
 def _evolve_trace(seq: PulseSequence, mode: PulseMode, wave: RFWaveform,
-                  geff: float, det, fac, w, times) -> np.ndarray:
-    """Ensemble trace on `times`, the packets precessing after times[0]."""
+                  geff: float, det, fac, times) -> np.ndarray:
+    """Ensemble trace on `times`, the packets precessing after times[0];
+    each packet weighs 1/P."""
     m = _readout_state(seq, mode, det, geff * fac[None] * wave.amplitude,
                        [wave], times[0])[0]
-    out = np.exp(1j * np.outer(times - times[0], det)) @ (w * m)
-    # odd refocusing count: the receiver phase follows the parity (w is real)
+    out = (np.exp(1j * np.outer(times - times[0], det))
+           @ ((1.0 / len(det)) * m))
+    # odd refocusing count: the receiver phase follows the parity
     return np.conj(out) if seq.n_pi % 2 == 1 else out
 
 
@@ -334,51 +338,46 @@ def echo_observable(trace: SimulationTrace,
 
 
 @_raise_fp_errors
-def echo_points(sys: SpinSystem, seq: PulseSequence, waves, ensembles,
-                mode: PulseMode, cal: CoilCalibration | None,
+def echo_points(sys: SpinSystem, seq: PulseSequence, waves,
+                ens: EnsembleConfig, seeds, mode: PulseMode,
+                cal: CoilCalibration | None,
                 trace_points: int) -> list[complex]:
-    """The points of one sweep: for each (wave, ensemble) pair, the echo
+    """The points of one sweep: for each (wave, seed) pair, the echo
     observable of `wave` divided by the zero-RF reference, both evolved
-    with that point's ensemble and the same trace grid.
+    with the packets that `ens.draw(seed)` gives and the same trace grid.
 
     The points run in blocks of at most `_BLOCK_PACKET_POINTS`
-    packet-points, each point's ensemble drawn once; a finite point
+    packet-points, each point's packets drawn once; a finite point
     keeps the RK4 step count of its own detunings, so every result is
-    that of the point run alone.  There is one ensemble per wave, and
-    all share a packet count.
+    that of the point run alone.  There is one seed per wave.
     """
-    if len(waves) != len(ensembles):
-        raise ConfigError(f"{len(waves)} waves but {len(ensembles)} "
-                          "ensembles: one ensemble per wave")
-    if len({ens.n_packets for ens in ensembles}) > 1:
-        raise ConfigError("the ensembles of one sweep must share a packet "
-                          "count")
+    if len(waves) != len(seeds):
+        raise ConfigError(f"{len(waves)} waves but {len(seeds)} seeds: one "
+                          "seed per wave")
     mode = PulseMode(mode)
     win = _trace_window(seq, trace_points)
     geff = sys.gamma * (1.0 if cal is None else cal.coupling_eta)
     # the readout's trapezoid mean, times the T2 envelope: a reference
     # that the envelope underflows to zero must still be caught below
     scale = _envelope(sys, seq.echo_time) / (trace_points - 1)
+    n = max(1, _BLOCK_PACKET_POINTS // ens.n_packets)
     out = []
-    i = 0
-    while i < len(waves):
-        n = max(1, _BLOCK_PACKET_POINTS // ensembles[i].n_packets)
-        z = _block(seq, mode, waves[i:i + n], ensembles[i:i + n], geff,
+    for i in range(0, len(waves), n):
+        z = _block(seq, mode, waves[i:i + n], ens, seeds[i:i + n], geff,
                    win, trace_points) * scale
         if np.any(z[0] == 0):
             raise NumericalError("zero-RF reference echo vanished")
         out += (z[1] / z[0]).tolist()
-        i += n
     return out
 
 
-def _block(seq: PulseSequence, mode: PulseMode, waves, ensembles,
-           geff: float, win: tuple[float, float], n_t: int) -> np.ndarray:
+def _block(seq: PulseSequence, mode: PulseMode, waves, ens: EnsembleConfig,
+           seeds, geff: float, win: tuple[float, float],
+           n_t: int) -> np.ndarray:
     """(2, n) window sums of the n points' reference (row 0) and signal
     (row 1) traces on n_t uniform samples of `win`, before the envelope
     and the 1/(n_t - 1) of the trapezoid mean."""
-    draws = [ens.draw() for ens in ensembles]
-    det, fac, w = (np.stack(x) for x in zip(*draws))  # each (n, P)
+    det, fac = (np.stack(x) for x in zip(*map(ens.draw, seeds)))  # (n, P)
     # reference and signal share the ensemble and differ only in the RF
     # coupling, zero for the reference: one stacked (2, n, P) state
     grf = np.zeros((2, *det.shape))
@@ -394,8 +393,8 @@ def _block(seq: PulseSequence, mode: PulseMode, waves, ensembles,
     g = np.full(d.shape, float(n_t), dtype=complex)
     np.divide(np.expm1(1j * (n_t * theta)), d, out=g, where=d != 0)
     g -= 0.5 * (1.0 + np.exp(1j * ((n_t - 1) * theta)))
-    g *= w
+    g *= 1.0 / ens.n_packets  # each packet's weight
     m *= g
     z = m.sum(axis=-1)
-    # odd refocusing count: the receiver phase follows the parity (w is real)
+    # odd refocusing count: the receiver phase follows the parity
     return np.conj(z) if seq.n_pi % 2 == 1 else z

@@ -168,7 +168,9 @@ class EnsembleConfig:
     detuning_sigma = 0 is the Delta (single-packet-class) distribution.
     rf_amplitude_spread is the relative std of the per-packet RF
     amplitude (coil-field inhomogeneity); the drawn factors are clipped
-    at zero.  n_packets and seed must be integers.
+    at zero.  n_packets and seed must be integers.  A sweep draws each
+    point from a seed derived from `seed` (`blochsim.point_seed`);
+    `blochsim.evolve` draws its one point from `seed` itself.
     """
 
     n_packets: int = 1
@@ -183,17 +185,17 @@ class EnsembleConfig:
             raise ConfigError("distribution widths must be finite and >= 0")
         _integer(self.seed, "seed", 0)
 
-    def draw(self):
-        """(detunings, rf amplitude factors, weights), numpy arrays of
-        n_packets each; deterministic in seed.
+    def draw(self, seed: int):
+        """(detunings, rf amplitude factors) of one point, numpy arrays of
+        n_packets each, drawn from `seed`, an integer >= 0 (ConfigError
+        otherwise).  The packets weigh equally, 1/n_packets each.
 
         Draw order (detunings then factors) is part of the contract.
         """
         import numpy as np
 
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(_integer(seed, "seed", 0))
         det = self.detuning_sigma * rng.standard_normal(self.n_packets)
         fac = 1.0 + self.rf_amplitude_spread * rng.standard_normal(self.n_packets)
         np.clip(fac, 0.0, None, out=fac)
-        w = np.full(self.n_packets, 1.0 / self.n_packets)
-        return det, fac, w
+        return det, fac

@@ -326,9 +326,9 @@ def load_config(source) -> ExperimentConfig:
 
 
 #: one grid of a plan: point i runs waves[i] on the sequence `seq`, with
-#: the ensemble reseeded from (*seed_tag, i) and noise drawn from (7919,
-#: *noise_tag, i); its CSV row holds axis_values[i] as `axis_name`, and
-#: the metadata
+#: the ensemble's packets drawn from the seed of (*seed_tag, i) and noise
+#: drawn from (7919, *noise_tag, i); its CSV row holds axis_values[i] as
+#: `axis_name`, and the metadata
 Grid = namedtuple("Grid", "seq waves seed_tag noise_tag axis_name "
                   "axis_values metadata")
 
@@ -356,11 +356,6 @@ def _point_seeds(base: int, tag, n: int) -> list[int]:
     from .blochsim import point_seed
 
     return [point_seed(base, *tag, i) for i in range(n)]
-
-
-def _point_ensembles(ens, tag, n: int) -> list:
-    """`ens` reseeded for each of the n points of a grid seeded from `tag`."""
-    return [replace(ens, seed=seed) for seed in _point_seeds(ens.seed, tag, n)]
 
 
 def _closed_forms(sim, grids) -> list[list[float]]:
@@ -411,11 +406,12 @@ def run_grids(sim, grids, stamp: dict, workers: int = 1) -> list:
         hit = simulated.get((g.seq, g.seed_tag))
         if hit is None or hit[0] != g.waves:
             n = len(g.waves)
-            ensembles = _point_ensembles(sim.ensemble, g.seed_tag, n)
+            seeds = _point_seeds(sim.ensemble.seed, g.seed_tag, n)
             k = max(1, min(workers, n))
             cuts = [n * j // k for j in range(k + 1)]
-            tasks = [(sim.spin_system, g.seq, g.waves[a:b], ensembles[a:b],
-                      sim.pulse_mode, sim.calibration, sim.trace_points)
+            tasks = [(sim.spin_system, g.seq, g.waves[a:b], sim.ensemble,
+                      seeds[a:b], sim.pulse_mode, sim.calibration,
+                      sim.trace_points)
                      for a, b in zip(cuts, cuts[1:])]
             zs = list(chain(*_map(blochsim.echo_points, tasks, workers)))
             hit = simulated[g.seq, g.seed_tag] = g.waves, zs
@@ -462,9 +458,10 @@ def dump_trace(cfg: ExperimentConfig, outdir: Path) -> Path:
     from . import blochsim
 
     [g] = _amplitude_plan(cfg)
+    [seed] = _point_seeds(cfg.ensemble.seed, g.seed_tag, 1)
     tr = blochsim.evolve(cfg.spin_system, g.seq, g.waves[0],
-                         _point_ensembles(cfg.ensemble, g.seed_tag, 1)[0],
-                         cfg.pulse_mode, cfg.calibration, cfg.trace_points)
+                         replace(cfg.ensemble, seed=seed), cfg.pulse_mode,
+                         cfg.calibration, cfg.trace_points)
     path = outdir / "trace.csv"
     write_csv(path, [{"time_s": t, "mx": m.real, "my": m.imag} for t, m
                      in zip(tr.times.tolist(), tr.ensemble_mxy.tolist())])
@@ -509,7 +506,7 @@ def _dd_grids(protocols, taus, n_pi_list, amplitudes, t_pi2: float,
               t_pi: float, reset_mode: ResetMode, md: dict) -> list[Grid]:
     """An amplitude grid per (protocol, tau, n_pi) with refocusing-locked
     RF, tagged with `md` and its protocol, n_pi and tau; the grids of one
-    n_pi share their ensembles."""
+    n_pi share their point seeds."""
     grids = []
     for (p, protocol), (t, tau), n_pi in product(
             enumerate(protocols), enumerate(taus), n_pi_list):
@@ -623,8 +620,9 @@ def dd_sensitivity_sweep(protocol: SequenceKind, n_pi_list, tau: float,
                          ) -> list[SensitivityReport]:
     """Simulated amplitude sweep -> transduction fit -> report, per pulse
     count of one protocol: the `sensitivity` command without a config or
-    noise.  Point i of the n_pi sweep runs `ens_base` reseeded from (n_pi,
-    i), so PDD and CP runs of the same n_pi share identical ensembles.
+    noise.  Point i of the n_pi sweep draws the packets of `ens_base` from
+    the seed of (n_pi, i), so PDD and CP runs of the same n_pi draw
+    identical packets.
 
     The inputs and closed-form phases are checked before any simulation,
     as a config's are: a bad one is a ConfigError.  A sweep whose

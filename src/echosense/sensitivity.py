@@ -23,7 +23,6 @@ RESIDUAL_THRESHOLD_DEG = 2.0
 class FitMethod(_StrChoice):
     LINEAR_REGRESSION = "linear-regression"
     MAX_DERIVATIVE = "max-derivative"
-    AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,21 @@ def _centred(b: list[float]) -> tuple[float, list[float], float]:
     return b_mean, db, sum(map(operator.mul, db, db))
 
 
-def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
+def fit_transduction(points,
                      residual_threshold: float = RESIDUAL_THRESHOLD_DEG,
                      ) -> TransductionFit:
     """Fit phase [deg] vs field [T] points to a transduction slope.
 
-    AUTO keeps the least-squares line only when its residual rms stays
+    The least-squares line is kept only when its residual rms stays
     under the threshold; otherwise the maximum of the centered finite
-    differences is reported (nonlinear regime).  A forced method is
-    always used.  Every field and phase must be finite, and the fields
-    strictly increasing, with a centred sum of squares that is positive
-    and finite in T^2.  Input phases must already be unwrapped; a wrap
+    differences is reported (nonlinear regime).  A threshold of inf
+    always keeps the line, and one of 0 always takes the steepest slope.
+    Every field and phase must be finite, and the fields strictly
+    increasing, with a centred sum of squares that is positive and
+    finite in T^2.  Input phases must already be unwrapped; a wrap
     flyback (a jump > 90 deg running against the overall trend) is
     rejected, and so is a line or steepest slope that overflows.
     """
-    if method.__class__ is not FitMethod:
-        method = FitMethod(method)
     pts = list(points)
     if len(pts) < 3:
         raise ConfigError("fit_transduction needs at least 3 points")
@@ -133,9 +131,7 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                           f"deg/T, intercept {intercept} deg, residual rms "
                           f"{rms} deg")
 
-    use_linear = (method is FitMethod.LINEAR_REGRESSION
-                  or (method is FitMethod.AUTO and rms < residual_threshold))
-    if use_linear:
+    if rms < residual_threshold:
         return TransductionFit(slope_lin, intercept, rms,
                                FitMethod.LINEAR_REGRESSION, b_range)
     import numpy as np

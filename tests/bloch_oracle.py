@@ -148,7 +148,8 @@ def finite_trace(sys, seq, wave, ens, cal, trace_points: int = 61):
     """The RK4 trace of `wave` (None: no RF) on the default trace window,
     without the decoherence envelope."""
     times = np.linspace(*_trace_window(seq, trace_points), trace_points)
-    det, fac, w = ens.draw()
+    det, fac = ens.draw(ens.seed)
+    w = np.full(ens.n_packets, 1.0 / ens.n_packets)  # equal packet weights
     if wave is None:
         wave = zero_field()
     mxy = _evolve_finite(seq, wave, sys.gamma * cal.coupling_eta,

@@ -14,10 +14,9 @@ from echosense import ConfigError, FitMethod
 from echosense.sensitivity import RESIDUAL_THRESHOLD_DEG, TransductionFit
 
 
-def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
+def fit_transduction(points,
                      residual_threshold: float = RESIDUAL_THRESHOLD_DEG,
                      ) -> TransductionFit:
-    method = FitMethod(method)
     pts = list(points)
     if len(pts) < 3:
         raise ConfigError("fit_transduction needs at least 3 points")
@@ -61,9 +60,7 @@ def fit_transduction(points, method: FitMethod = FitMethod.AUTO,
                           f"deg/T, intercept {intercept} deg, residual rms "
                           f"{rms} deg")
 
-    use_linear = (method is FitMethod.LINEAR_REGRESSION
-                  or (method is FitMethod.AUTO and rms < residual_threshold))
-    if use_linear:
+    if rms < residual_threshold:
         return TransductionFit(slope_lin, intercept, rms,
                                FitMethod.LINEAR_REGRESSION, b_range)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -276,10 +276,10 @@ class TestSweeps:
         rows = harness.run_experiment("sweep-amplitude", cfg)
         seq, base = cfg.build_sequence(), cfg.ensemble.seed
         for i, (amp, row) in enumerate(zip(cfg.amplitude_grid, rows)):
-            ens = replace(cfg.ensemble, seed=blochsim.point_seed(base, i))
             wave = build_synchronized(seq, amp, 1, 0.0)
             [clean] = blochsim.echo_points(
-                cfg.spin_system, seq, [wave], [ens], cfg.pulse_mode,
+                cfg.spin_system, seq, [wave], cfg.ensemble,
+                [blochsim.point_seed(base, i)], cfg.pulse_mode,
                 cfg.calibration, cfg.trace_points)
             z = noisy_echo(clean, 0.05, 4, blochsim.point_seed(base, 7919, i))
             assert z != clean
@@ -337,8 +337,10 @@ class TestSweeps:
         assert abs((sim - ana + 180.0) % 360.0 - 180.0) < 3 * width
 
     def test_one_draw_and_no_trace_per_point(self, fast_cfg, monkeypatch):
-        calls = {"draw": 0, "evolve": 0}
+        # nor a per-point ensemble config: the points draw from the run's
+        calls = {"draw": 0, "evolve": 0, "ensemble": 0}
         draw, evolve = blochsim.EnsembleConfig.draw, blochsim.evolve
+        post_init = blochsim.EnsembleConfig.__post_init__
 
         def counting(name, fn):
             def spy(*args, **kwargs):
@@ -350,9 +352,11 @@ class TestSweeps:
         with monkeypatch.context() as mp:
             mp.setattr(blochsim.EnsembleConfig, "draw", counting("draw", draw))
             mp.setattr(blochsim, "evolve", counting("evolve", evolve))
+            mp.setattr(blochsim.EnsembleConfig, "__post_init__",
+                       counting("ensemble", post_init))
             counted = harness.run_experiment("sweep-amplitude", fast_cfg)
         assert len(fast_cfg.amplitude_grid) == 5
-        assert calls == {"draw": 5, "evolve": 0}
+        assert calls == {"draw": 5, "evolve": 0, "ensemble": 0}
         parallel = harness.run_experiment("sweep-amplitude", fast_cfg,
                                           workers=2)
         assert counted == serial
@@ -475,13 +479,18 @@ class TestSharedSimulation:
     def test_each_pulse_train_simulated_once(self, monkeypatch, command):
         calls = []
         echo_points = blochsim.echo_points
+        cfg = self.cfg()
 
         def spy(*args):
-            calls.append(args[1])  # the sequence
+            _, seq, waves, ens, seeds = args[:5]
+            # every sweep draws from the config's one ensemble, a seed
+            # per wave
+            assert ens is cfg.ensemble and len(seeds) == len(waves)
+            calls.append(seq)
             return echo_points(*args)
 
         monkeypatch.setattr(blochsim, "echo_points", spy)
-        harness.run_experiment(command, self.cfg())
+        harness.run_experiment(command, cfg)
         # PDD(1), PDD(2), CP(2): CP(1) reuses PDD(1)
         assert len(calls) == 3
         assert [s.n_pi for s in calls] == [1, 2, 2]

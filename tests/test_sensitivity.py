@@ -17,7 +17,7 @@ from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        minimum_detectable_field, spectral_sensitivity)
 from echosense.cli import main
 from echosense.core import MU_B
-from echosense.sensitivity import build_report
+from echosense.sensitivity import RESIDUAL_THRESHOLD_DEG, build_report
 from echosense.sequence import SequenceKind
 
 import fit_oracle
@@ -38,14 +38,6 @@ class TestFitTransduction:
         assert fit.method is FitMethod.LINEAR_REGRESSION
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
 
-    def test_method_value_equals_member(self):
-        pts = linear_points(1.527e7, noise=np.linspace(0, 3.0, 11) ** 2)
-        for method in FitMethod:
-            assert fit_transduction(pts, method.value) == \
-                fit_transduction(pts, method)
-        with pytest.raises(ConfigError):
-            fit_transduction(pts, "least-squares")
-
     def test_auto_switches_to_max_derivative_when_nonlinear(self):
         # saturating curve: linear fit residual blows past the threshold
         b = np.linspace(0, 1e-3, 21)
@@ -56,28 +48,34 @@ class TestFitTransduction:
         assert fit.slope == pytest.approx(80 * math.pi / 2 / 1e-3, rel=0.05)
 
     def test_forced_linear_keeps_regression(self):
-        b = np.linspace(0, 1e-3, 21)
-        phi = 80.0 * np.sin(b / 1e-3 * math.pi / 2)
-        fit = fit_transduction(list(zip(b, phi)),
-                               method=FitMethod.LINEAR_REGRESSION,
-                               residual_threshold=math.inf)
-        assert fit.method is FitMethod.LINEAR_REGRESSION
-
-    def test_forced_linear_with_default_threshold(self):
         # the residual of this saturating curve is far above the default
-        # threshold, which only AUTO consults
+        # threshold; an infinite threshold keeps the line anyway
         b = np.linspace(0, 1e-3, 21)
         phi = 80.0 * np.sin(b / 1e-3 * math.pi / 2)
         fit = fit_transduction(list(zip(b, phi)),
-                               method=FitMethod.LINEAR_REGRESSION)
+                               residual_threshold=math.inf)
         assert fit.method is FitMethod.LINEAR_REGRESSION
         assert fit.residual_rms > 2.0
         assert fit.slope == pytest.approx(np.polyfit(b, phi, 1)[0],
                                           rel=1e-12)
 
+    def test_forced_linear_with_default_threshold(self):
+        # a gentler saturating curve: its residual is well above zero but
+        # under the default threshold, so the default keeps the line
+        b = np.linspace(0, 1e-3, 21)
+        phi = 20.0 * np.sin(b / 1e-3 * math.pi / 2)
+        fit = fit_transduction(list(zip(b, phi)))
+        assert fit.method is FitMethod.LINEAR_REGRESSION
+        assert 1.0 < fit.residual_rms < RESIDUAL_THRESHOLD_DEG
+        assert fit.slope == pytest.approx(np.polyfit(b, phi, 1)[0],
+                                          rel=1e-12)
+        assert fit == fit_transduction(list(zip(b, phi)),
+                                       RESIDUAL_THRESHOLD_DEG)
+
     def test_forced_max_derivative_on_linear_data(self):
+        # no residual is below a zero threshold
         fit = fit_transduction(linear_points(1.527e7),
-                               method=FitMethod.MAX_DERIVATIVE)
+                               residual_threshold=0.0)
         assert fit.method is FitMethod.MAX_DERIVATIVE
         assert fit.slope == pytest.approx(1.527e7, rel=1e-9)
 
@@ -96,9 +94,10 @@ class TestFitTransduction:
                 phi = slope0 * b + rng.normal(0, 0.5, n) + 3.0
             else:
                 phi = slope0 * b - 7.5
-            # AUTO may fall back to max-derivative on random data
+            # the default threshold may fall back to max-derivative on
+            # random data
             fit = fit_transduction(list(zip(b, phi)),
-                                   method=FitMethod.LINEAR_REGRESSION)
+                                   residual_threshold=math.inf)
             slope, intercept = np.polyfit(b, phi, 1)
             # relative to the slope scale of the data, so that a near-zero
             # fitted slope of random data is not judged by its own size
@@ -202,21 +201,21 @@ class TestFitAgainstOracle:
     """`fit_transduction` against its generator-expression reference
     (`tests/fit_oracle.py`): bit-equal fits, or the same error."""
 
-    METHODS = [(), (FitMethod.AUTO,), (FitMethod.LINEAR_REGRESSION,),
-               (FitMethod.MAX_DERIVATIVE,), ("auto",), ("max-derivative",),
-               ("bogus",), (FitMethod.AUTO, 1e9), ("auto", 0.0)]
+    #: residual thresholds: the default, one that always keeps the line,
+    #: one that always takes the steepest slope, and a finite large one
+    THRESHOLDS = [(), (math.inf,), (0.0,), (1e9,)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_point_sets(self, seed):
         branches = set()
         for name, points in _fit_cases(seed):
-            for args in self.METHODS:
+            for args in self.THRESHOLDS:
                 want = _fit_outcome(fit_oracle.fit_transduction, points, *args)
                 got = _fit_outcome(fit_transduction, points, *args)
                 assert got == want, (name, args)
 
     def test_every_branch_is_reached(self):
-        # the default-method fits of the seeded sets reach both methods
+        # the default-threshold fits of the seeded sets reach both methods
         # and every error message
         seen = set()
         for seed in range(40):
@@ -237,15 +236,20 @@ class TestFitAgainstOracle:
         ([(0, 0), (1e-4, 1.7e308), (2e-4, 1.75e308)], "least-squares"),
         ([(0.0, 0.0), (1e-300, 1e10), (1.0, 1e10)], "steepest")],
         ids=["squared-residual", "phase-sum", "phase-jump", "steepest-slope"])
-    @pytest.mark.parametrize("method", list(FitMethod))
-    def test_overflow_is_config_error(self, points, label, method):
+    # the default threshold chooses by the residual; inf always keeps the
+    # line and 0 always takes the steepest slope
+    @pytest.mark.parametrize("threshold", [RESIDUAL_THRESHOLD_DEG, math.inf,
+                                           0.0],
+                             ids=["auto", "linear-regression",
+                                  "max-derivative"])
+    def test_overflow_is_config_error(self, points, label, threshold):
         # finite phases whose least-squares sums or finite differences
         # overflow: rejected before a bare OverflowError or a numpy warning
         # (an error under this suite's filterwarnings) can escape
-        if label == "steepest" and method is FitMethod.LINEAR_REGRESSION:
+        if label == "steepest" and threshold == math.inf:
             label = "fit"  # the forced line never takes differences
-        want = _fit_outcome(fit_oracle.fit_transduction, points, method)
-        assert _fit_outcome(fit_transduction, points, method) == want
+        want = _fit_outcome(fit_oracle.fit_transduction, points, threshold)
+        assert _fit_outcome(fit_transduction, points, threshold) == want
         kind, message = want
         assert (kind is ConfigError and message.startswith(label)
                 or label == "fit" and not isinstance(kind, type))
