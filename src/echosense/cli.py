@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Parses argv for the subcommands of `harness.EXPERIMENTS`, which decides
-what each runs and writes, and for reproduce and validate; --set
+Parses argv for the subcommands of `experiments.EXPERIMENTS`, which
+decides what each runs and writes, and for reproduce and validate; --set
 key=value flags override config fields.  Exit codes: 0 success, 2
 config error, 3 numerical error.
 """
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import harness
+from . import experiments, harness
 from .core import ConfigError, NumericalError
 
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=_workers, default=1,
                         help="worker processes (>= 1)")
 
-    for name in harness.EXPERIMENTS:
+    for name in experiments.EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         add_common(sp)
         if name == "sweep-amplitude":
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="dump the first grid point's time trace")
 
     sp = sub.add_parser("reproduce", help="regenerate a figure bundle")
-    sp.add_argument("figure", choices=harness.FIGURES)
+    sp.add_argument("figure", choices=experiments.FIGURES)
     sp.add_argument("-o", "--output-root")
     sp.add_argument("--workers", type=_workers, default=1,
                     help="worker processes (>= 1)")
@@ -97,24 +97,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            harness._validate(harness.load_config(args.config))
+            experiments._validate(harness.load_config(args.config))
             print(f"OK: {args.config} is a valid configuration")
             return 0
         if args.command == "reproduce":
-            written = harness.reproduce(args.figure, args.output_root,
-                                        args.workers)
+            written = experiments.reproduce(args.figure, args.output_root,
+                                            args.workers)
             for p in written:
                 print(p)
             return 0
 
         cfg = _load(args)
         root = harness.output_root(args.output_root)
-        _, _, stem = harness.EXPERIMENTS[args.command]
-        rows = harness.run_experiment(args.command, cfg, args.workers)
+        _, _, stem = experiments.EXPERIMENTS[args.command]
+        rows = experiments.run_experiment(args.command, cfg, args.workers)
         outdir = harness.run_directory(args.command, cfg, root)
         written = harness.emit(outdir, {stem: rows})
         if getattr(args, "dump_trace", False):
-            written.append(harness.dump_trace(cfg, outdir))
+            written.append(experiments.dump_trace(cfg, outdir))
         for p in written:
             print(p)
         return 0

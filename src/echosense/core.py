@@ -1,5 +1,6 @@
 """Physical constants, the static description of the sensor, and the
-simulation settings a config holds (`PulseMode`, `EnsembleConfig`).
+simulation settings a config holds (`PulseMode`, `SequenceKind`,
+`ResetMode`, `EnsembleConfig`).
 
 Everything in this package is SI internally: tesla, seconds, radians,
 meters.  Conversions from bench units (mT, MHz, ns, degrees) happen only
@@ -54,6 +55,14 @@ def _integer(value, name: str, low: int) -> int:
     if n < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return n
+
+
+def _centred(b: list[float]) -> tuple[float, list[float], float]:
+    """(mean, deviations from it, sum of their squares) of the fields b,
+    as the least-squares slope takes them."""
+    b_mean = sum(b) / len(b)
+    db = [x - b_mean for x in b]
+    return b_mean, db, sum(map(operator.mul, db, db))
 
 
 def gyromagnetic_ratio(g: float) -> float:
@@ -159,6 +168,17 @@ class PulseMode(_StrChoice):
 
     IDEAL = "ideal"
     FINITE = "finite"
+
+
+class SequenceKind(_StrChoice):
+    HAHN = "hahn"
+    PDD = "pdd"
+    CP = "cp"
+
+
+class ResetMode(_StrChoice):
+    CONTINUOUS = "continuous"
+    PER_WINDOW_RESET = "per-window-reset"
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,10 @@ import math
 import warnings
 from dataclasses import FrozenInstanceError
 
-from .core import ConfigError, _StrChoice
+from .core import ConfigError, ResetMode
 from .sequence import PulseSequence
 
 TWO_PI = 2 * math.pi
-
-
-class ResetMode(_StrChoice):
-    CONTINUOUS = "continuous"
-    PER_WINDOW_RESET = "per-window-reset"
 
 
 def synchronized_frequency(tau: float, n: int) -> float:

@@ -3,9 +3,11 @@
 Slope detection: the transduction coefficient d(phase)/d(B_RF) converts
 the instrument's phase resolution into a minimum detectable field, which
 normalizes to spectral sensitivity B_min*sqrt(t_meas) [T/sqrt(Hz)] and,
-divided by sqrt(spin density), to concentration sensitivity.  This
-module only analyses phases: the sweeps that simulate them, the DD
-sweep `dd_sensitivity_sweep` included, live in `harness`.
+divided by sqrt(spin density), to concentration sensitivity.  Each
+figure, `dipole_field`'s too, is checked finite and positive: one that
+under- or overflows is a ConfigError naming its inputs.  This module
+only analyses phases: the sweeps that simulate them, the DD sweep
+`dd_sensitivity_sweep` included, live in `experiments`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import MU0_OVER_4PI, ConfigError, SampleSpec, _StrChoice
+from .core import MU0_OVER_4PI, ConfigError, SampleSpec, _centred, _StrChoice
 
 #: linear fit residual (deg) above which the max-derivative estimate is used
 RESIDUAL_THRESHOLD_DEG = 2.0
@@ -46,14 +48,6 @@ class SensitivityReport:
     protocol: str = ""
     n_pi: int = 0
     tau: float = 0.0
-
-
-def _centred(b: list[float]) -> tuple[float, list[float], float]:
-    """(mean, deviations from it, sum of their squares) of the fields b,
-    as the least-squares slope takes them."""
-    b_mean = sum(b) / len(b)
-    db = [x - b_mean for x in b]
-    return b_mean, db, sum(map(operator.mul, db, db))
 
 
 def fit_transduction(points,
@@ -152,28 +146,40 @@ def minimum_detectable_field(fit: TransductionFit,
     """Smallest resolvable field change: resolution / |slope|."""
     if fit.slope == 0:
         raise ConfigError("zero transduction slope: field not detectable")
-    return phase_resolution / abs(fit.slope)
+    return _figure(phase_resolution / abs(fit.slope),
+                   "phase resolution {:.3g} deg / |slope| {:.3g} deg/T",
+                   phase_resolution, abs(fit.slope))
 
 
 def spectral_sensitivity(b_min: float, t_meas: float) -> float:
     """b_min normalized to unit bandwidth: b_min * sqrt(t_meas)."""
     if not (b_min > 0 and t_meas > 0):
         raise ConfigError("b_min and t_meas must be positive")
-    return b_min * math.sqrt(t_meas)
+    return _figure(b_min * math.sqrt(t_meas),
+                   "b_min {:.3g} T * sqrt(t_meas {:.3g} s)", b_min, t_meas)
 
 
 def concentration_sensitivity(s: float, density: float) -> float:
     """s / sqrt(density in um^-3), density given in spins/m^3."""
     if not density * 1e-18 > 0:
         raise ConfigError(f"density must be > 0 per um^3, got {density} m^-3")
-    return s / math.sqrt(density * 1e-18)
+    return _figure(s / math.sqrt(density * 1e-18),
+                   "s_spectral {:.3g} T/sqrt(Hz) / sqrt({:.3g} um^-3)", s,
+                   density * 1e-18)
 
 
 def dipole_field(moment: float, distance: float) -> float:
     """Equatorial point-dipole field magnitude mu0/(4 pi) * m / r^3."""
     if not distance > 0:
         raise ConfigError(f"distance must be positive, got {distance}")
-    return MU0_OVER_4PI * moment / distance ** 3
+    try:
+        b = MU0_OVER_4PI * moment / distance ** 3
+    except ZeroDivisionError:  # r^3 underflows to 0
+        b = math.inf
+    except OverflowError:  # r^3 overflows
+        b = 0.0
+    return _figure(b, "mu0/(4 pi) * moment {:.3g} A m^2 / (distance {:.3g} "
+                   "m)^3", moment, distance)
 
 
 def _figure(value: float, formula: str, *inputs) -> float:
@@ -189,14 +195,9 @@ def build_report(fit: TransductionFit, phase_resolution: float, t_meas: float,
                  tau: float = 0.0) -> SensitivityReport:
     """The sensitivity chain of `fit`; a figure that under- or overflows
     is a ConfigError naming the inputs it was computed from."""
-    b_min = _figure(minimum_detectable_field(fit, phase_resolution),
-                    "phase resolution {:.3g} deg / |slope| {:.3g} deg/T",
-                    phase_resolution, abs(fit.slope))
-    s = _figure(spectral_sensitivity(b_min, t_meas),
-                "b_min {:.3g} T * sqrt(t_meas {:.3g} s)", b_min, t_meas)
-    s_vol = _figure(concentration_sensitivity(s, sample.spin_density),
-                    "s_spectral {:.3g} T/sqrt(Hz) / sqrt({:.3g} um^-3)", s,
-                    sample.spin_density * 1e-18)
+    b_min = minimum_detectable_field(fit, phase_resolution)
+    s = spectral_sensitivity(b_min, t_meas)
+    s_vol = concentration_sensitivity(s, sample.spin_density)
     return SensitivityReport(b_min, s, s_vol, phase_resolution, t_meas,
                              sample.active_spin_count, fit, protocol, n_pi,
                              tau)

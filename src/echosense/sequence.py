@@ -20,16 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import ConfigError, _integer, _StrChoice
+from .core import ConfigError, SequenceKind, _integer
 
 PI = math.pi
 _new = object.__new__
-
-
-class SequenceKind(_StrChoice):
-    HAHN = "hahn"
-    PDD = "pdd"
-    CP = "cp"
 
 
 @dataclass(frozen=True)
@@ -45,6 +39,10 @@ class Pulse:
         if not (0 < self.duration < math.inf and 0 <= self.start < math.inf):
             raise ConfigError(f"pulse duration must be finite and > 0 and its "
                               f"start finite and >= 0, got {self}")
+        if not (math.isfinite(self.nominal_angle)
+                and math.isfinite(self.axis_phase)):
+            raise ConfigError(f"pulse angle and axis phase must be finite, "
+                              f"got {self}")
 
     @property
     def end(self) -> float:
@@ -206,6 +204,10 @@ def build_cp(n_pi: int, tau: float, t_pi2: float, t_pi: float) -> PulseSequence:
     n_pi = _integer(n_pi, "n_pi", 1)
     return _pulse_train(tau, t_pi2, t_pi, range(1, 2 * n_pi, 2),
                         2 * n_pi * tau)
+
+
+#: the builder of each DD protocol, from its pulse count, tau, t_pi2, t_pi
+DD_BUILDERS = {SequenceKind.PDD: build_pdd, SequenceKind.CP: build_cp}
 
 
 def filter_function(seq: PulseSequence) -> FilterFunction:

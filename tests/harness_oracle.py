@@ -1,5 +1,5 @@
 """Every subcommand's CSV rows rebuilt point by point, for checking
-`harness.run_experiment` against.
+`experiments.run_experiment` against.
 
 Each design is built from the config.  Point i of a sweep tagged `tag`
 evolves the signal and the zero-RF reference one by one with the
@@ -122,7 +122,8 @@ def _sensitivity(cfg) -> list[dict]:
 
 
 def experiment_rows(command: str, cfg) -> list[dict]:
-    """`command`'s CSV rows on cfg, as `harness.run_experiment` gives them."""
+    """`command`'s CSV rows on cfg, as `experiments.run_experiment` gives
+    them."""
     if command == "sweep-amplitude":
         seq = cfg.build_sequence()
         return sweep(cfg, seq, [build_synchronized(seq, a, cfg.rf_n,

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from echosense import ConfigError, harness
+from echosense import ConfigError, experiments, harness
 from echosense.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-COMMANDS = tuple(harness.EXPERIMENTS)
+COMMANDS = tuple(experiments.EXPERIMENTS)
 
 
 def _bundled_raw(name: str) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from echosense import harness
+from echosense import experiments, harness
 from echosense.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,9 +67,9 @@ def _assert_matches(name: str, got: Path) -> None:
                 assert got_cell == cell, where
 
 
-@pytest.mark.parametrize("figure", harness.FIGURES)
+@pytest.mark.parametrize("figure", experiments.FIGURES)
 def test_reproduce_matches_golden(figure, tmp_path):
-    written = harness.reproduce(figure, tmp_path)
+    written = experiments.reproduce(figure, tmp_path)
     got = {p.name: p for p in written if p.suffix == ".csv"}
     want = sorted(p.name for p in GOLDEN.glob(f"{figure}_*.csv"))
     assert sorted(got) == want

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import harness_oracle
 from echosense import (ConfigError, NumericalError, ResetMode, SequenceKind,
                        blochsim, build_synchronized, dd_sensitivity_sweep)
-from echosense import harness
+from echosense import experiments, harness
 from echosense.cli import _apply_overrides, main
 from echosense.echo import noisy_echo, wrap_phase
 from echosense.sensitivity import reports_to_rows
@@ -65,7 +65,7 @@ def _serial_pools(monkeypatch) -> list:
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     return pools
 
 
@@ -111,7 +111,7 @@ class TestLoadConfig:
         path.write_text(json.dumps(raw))
         for argv in (["validate", str(path)],
                      *([c, "-c", str(path), "-o", str(tmp_path / "out")]
-                       for c in harness.EXPERIMENTS)):
+                       for c in experiments.EXPERIMENTS)):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "must exceed t_pi" in err, argv
@@ -152,7 +152,7 @@ class TestLoadConfig:
         assert cfg.seed == 99
 
     def test_bundled_configs_all_load(self):
-        for name in ("default",) + harness.FIGURES:
+        for name in ("default",) + experiments.FIGURES:
             cfg = harness.bundled_config(name)
             assert cfg.hash
 
@@ -177,9 +177,9 @@ class TestGrid:
 
 def _by_grid(cfg, command, workers=1):
     """The rows of each grid of `command`'s plan on cfg."""
-    plan, _, _ = harness.EXPERIMENTS[command]
-    return harness.run_grids(cfg, plan(cfg), {"config_hash": cfg.hash,
-                                              "seed": cfg.seed}, workers)
+    plan, _, _ = experiments.EXPERIMENTS[command]
+    return experiments.run_grids(cfg, plan(cfg), {"config_hash": cfg.hash,
+                                                  "seed": cfg.seed}, workers)
 
 
 def _column(rows, key) -> list:
@@ -188,7 +188,7 @@ def _column(rows, key) -> list:
 
 class TestSweeps:
     def test_amplitude_sweep_monotone_phase(self, fast_cfg):
-        rows = harness.run_experiment("sweep-amplitude", fast_cfg)
+        rows = experiments.run_experiment("sweep-amplitude", fast_cfg)
         assert len(rows) == 5 and "b1_t" in rows[0]
         phases = _column(rows, "phase_unwrapped_deg")
         assert all(b >= a - 1e-9 for a, b in zip(phases, phases[1:]))
@@ -201,10 +201,10 @@ class TestSweeps:
         raw = dict(FAST_RAW, rf={"n": 1})
         cfg = harness.load_config(raw)
         with pytest.raises(ConfigError):
-            harness.run_experiment("sweep-amplitude", cfg)
+            experiments.run_experiment("sweep-amplitude", cfg)
 
     def test_phase_sweep_cosine_nodes(self, fast_cfg):
-        rows = harness.run_experiment("sweep-phase", fast_cfg)
+        rows = experiments.run_experiment("sweep-phase", fast_cfg)
         # 7 points over 360 deg: index 0 is phi_rf = 0 (max), analytic
         # phase follows cos
         a = np.asarray(_column(rows, "analytic_phase_rad"))
@@ -221,24 +221,25 @@ class TestSweeps:
 
     def test_rows_and_phase_errors_name_their_command(self, fast_cfg):
         # sweep-phase and symmetry share one plan; each labels its own rows
-        concat = [name for name, (_, rows, _) in harness.EXPERIMENTS.items()
-                  if rows is harness._concat]
+        concat = [name for name, (_, rows, _)
+                  in experiments.EXPERIMENTS.items()
+                  if rows is experiments._concat]
         assert concat == ["sweep-amplitude", "sweep-phase", "symmetry",
                           "dd-sweep"]
         for name in concat:
-            rows = harness.run_experiment(name, fast_cfg)
+            rows = experiments.run_experiment(name, fast_cfg)
             assert {r["experiment"] for r in rows} == {name}
         cfg = harness.load_config(
             dict(FAST_RAW, rf={**FAST_RAW["rf"], "amplitude_mt": 1e12}))
         with pytest.raises(ConfigError, match=r"^experiment=symmetry n=1 "
                            r"phi_rf_deg=0: closed-form phase"):
-            harness.run_experiment("symmetry", cfg)
+            experiments.run_experiment("symmetry", cfg)
 
     def test_split_interval_variants_and_additivity(self, fast_cfg):
-        grids = harness.EXPERIMENTS["split-interval"][0](fast_cfg)
+        grids = experiments.EXPERIMENTS["split-interval"][0](fast_cfg)
         assert [g.metadata["variant"] for g in grids] == [
             "first", "second", "both", "full"]
-        rows = harness.run_experiment("split-interval", fast_cfg)
+        rows = experiments.run_experiment("split-interval", fast_cfg)
         first, second, both = (np.asarray(_column(rows, f"analytic_{v}_rad"))
                                for v in ("first", "second", "both"))
         # the harness sweeps the first lobe's phase with the second fixed
@@ -249,11 +250,11 @@ class TestSweeps:
         def scalar(v):
             return isinstance(v, (int, float, str))
 
-        for name, (plan, _, _) in harness.EXPERIMENTS.items():
+        for name, (plan, _, _) in experiments.EXPERIMENTS.items():
             for grid in plan(fast_cfg):
                 assert all(map(scalar, grid.metadata.values())), (
                     name, grid.metadata)
-            for row in harness.run_experiment(name, fast_cfg):
+            for row in experiments.run_experiment(name, fast_cfg):
                 assert all(map(scalar, row.values())), (name, row)
 
     def test_dd_sweep_per_protocol_results(self, fast_cfg):
@@ -273,7 +274,7 @@ class TestSweeps:
         raw = json.loads(json.dumps(FAST_RAW))
         raw["noise"] = {"sigma": 0.05, "n_averages": 4}
         cfg = harness.load_config(raw)
-        rows = harness.run_experiment("sweep-amplitude", cfg)
+        rows = experiments.run_experiment("sweep-amplitude", cfg)
         seq, base = cfg.build_sequence(), cfg.ensemble.seed
         for i, (amp, row) in enumerate(zip(cfg.amplitude_grid, rows)):
             wave = build_synchronized(seq, amp, 1, 0.0)
@@ -309,9 +310,10 @@ class TestSweeps:
         raw = json.loads(json.dumps(FAST_RAW))
         raw["simulation"]["pulse_mode"] = "finite"
         for cfg in (fast_cfg, harness.load_config(raw)):
-            serial = harness.run_experiment("sweep-amplitude", cfg, workers=1)
-            parallel = harness.run_experiment("sweep-amplitude", cfg,
-                                              workers=2)
+            serial = experiments.run_experiment("sweep-amplitude", cfg,
+                                                workers=1)
+            parallel = experiments.run_experiment("sweep-amplitude", cfg,
+                                                  workers=2)
             assert _column(serial, "phase_unwrapped_deg") == \
                    _column(parallel, "phase_unwrapped_deg")
 
@@ -348,17 +350,17 @@ class TestSweeps:
                 return fn(*args, **kwargs)
             return spy
 
-        serial = harness.run_experiment("sweep-amplitude", fast_cfg)
+        serial = experiments.run_experiment("sweep-amplitude", fast_cfg)
         with monkeypatch.context() as mp:
             mp.setattr(blochsim.EnsembleConfig, "draw", counting("draw", draw))
             mp.setattr(blochsim, "evolve", counting("evolve", evolve))
             mp.setattr(blochsim.EnsembleConfig, "__post_init__",
                        counting("ensemble", post_init))
-            counted = harness.run_experiment("sweep-amplitude", fast_cfg)
+            counted = experiments.run_experiment("sweep-amplitude", fast_cfg)
         assert len(fast_cfg.amplitude_grid) == 5
         assert calls == {"draw": 5, "evolve": 0, "ensemble": 0}
-        parallel = harness.run_experiment("sweep-amplitude", fast_cfg,
-                                          workers=2)
+        parallel = experiments.run_experiment("sweep-amplitude", fast_cfg,
+                                              workers=2)
         assert counted == serial
         assert parallel == serial
 
@@ -376,19 +378,19 @@ class TestSweeps:
             "protocols": ["cp"], "n_pi_list": [1], "tau_us_list": [1.2],
             "amplitude_sweep_mt": {"start": 0, "stop": 0.3, "points": 3}}})
         assert cfg.trace_points == 21
-        harness.run_experiment("sensitivity", cfg)
+        experiments.run_experiment("sensitivity", cfg)
         assert seen and set(seen) == {21}
 
 
 class TestPlans:
-    @pytest.mark.parametrize("name", ("default",) + harness.FIGURES)
+    @pytest.mark.parametrize("name", ("default",) + experiments.FIGURES)
     def test_shared_seed_tag_means_shared_waves(self, name):
         # run_grids simulates each (sequence, seed tag) once: grids that
         # share both must hold equal waves, and no two grids of a plan may
         # share noise
         cfg = harness.bundled_config(name)
         planned = 0
-        for command, (plan, _, _) in harness.EXPERIMENTS.items():
+        for command, (plan, _, _) in experiments.EXPERIMENTS.items():
             try:
                 grids = plan(cfg)
             except ConfigError:  # the config lacks this command's grid
@@ -423,25 +425,25 @@ class TestSensitivityPipeline:
                     cfg.ensemble, 80 * harness.NS, 160 * harness.NS,
                     reset_mode=ResetMode.PER_WINDOW_RESET,
                     trace_points=cfg.trace_points)]
-        assert harness.run_experiment("sensitivity", cfg) == [
+        assert experiments.run_experiment("sensitivity", cfg) == [
             {**row, "config_hash": cfg.hash, "seed": cfg.seed}
             for row in reports_to_rows(want)]
 
     def test_workers_reach_the_pool(self, monkeypatch):
         pools = _serial_pools(monkeypatch)
         cfg = self.cfg()
-        assert harness.run_experiment("sensitivity", cfg, workers=2) == \
-            harness.run_experiment("sensitivity", cfg)
+        assert experiments.run_experiment("sensitivity", cfg, workers=2) == \
+            experiments.run_experiment("sensitivity", cfg)
         assert pools and set(pools) == {2}
 
     def test_pool_has_at_most_one_process_per_slice(self, monkeypatch):
         pools = _serial_pools(monkeypatch)
         cfg = self.cfg()
-        assert harness.run_experiment("sensitivity", cfg, workers=64) == \
-            harness.run_experiment("sensitivity", cfg)
+        assert experiments.run_experiment("sensitivity", cfg, workers=64) == \
+            experiments.run_experiment("sensitivity", cfg)
         assert pools and set(pools) == {5}  # five amplitudes per sweep
         pools.clear()
-        assert harness._map(abs, [(-3,)], workers=4) == [3]
+        assert experiments._map(abs, [(-3,)], workers=4) == [3]
         assert pools == []  # one task runs in this process
 
     def test_ensemble_seed_seeds_every_sweep(self):
@@ -449,11 +451,11 @@ class TestSensitivityPipeline:
         b = self.cfg(seed=5)
 
         def phases(cfg):
-            return _column(harness.run_experiment("dd-sweep", cfg),
+            return _column(experiments.run_experiment("dd-sweep", cfg),
                            "phase_unwrapped_deg")
 
         def slopes(cfg):
-            return _column(harness.run_experiment("sensitivity", cfg),
+            return _column(experiments.run_experiment("sensitivity", cfg),
                            "slope_deg_per_t")
 
         assert phases(a) == phases(b)
@@ -490,7 +492,7 @@ class TestSharedSimulation:
             return echo_points(*args)
 
         monkeypatch.setattr(blochsim, "echo_points", spy)
-        harness.run_experiment(command, cfg)
+        experiments.run_experiment(command, cfg)
         # PDD(1), PDD(2), CP(2): CP(1) reuses PDD(1)
         assert len(calls) == 3
         assert [s.n_pi for s in calls] == [1, 2, 2]
@@ -515,9 +517,9 @@ class TestSharedSimulation:
 
     def test_workers_match_serial(self, monkeypatch):
         cfg = self.cfg()
-        serial = harness.run_experiment("dd-sweep", cfg)
+        serial = experiments.run_experiment("dd-sweep", cfg)
         pools = _serial_pools(monkeypatch)
-        assert harness.run_experiment("dd-sweep", cfg, workers=2) == serial
+        assert experiments.run_experiment("dd-sweep", cfg, workers=2) == serial
         assert pools == [2, 2, 2]  # one pool per simulated pulse train
 
 
@@ -534,7 +536,7 @@ class TestEmission:
             harness.write_csv(tmp_path / "e.csv", [])
 
     def test_sweep_rows_columns(self, fast_cfg):
-        rows = harness.run_experiment("sweep-amplitude", fast_cfg)
+        rows = experiments.run_experiment("sweep-amplitude", fast_cfg)
         assert list(rows[0]) == [
             "index", "b1_t", "amplitude_norm", "phase_wrapped_deg",
             "phase_unwrapped_deg", "analytic_phase_rad", "analytic_phase_deg",
@@ -542,7 +544,7 @@ class TestEmission:
         assert rows[0]["config_hash"] == fast_cfg.hash
 
     def test_split_rows_include_removed_lobe(self, fast_cfg):
-        rows = harness.run_experiment("split-interval", fast_cfg)
+        rows = experiments.run_experiment("split-interval", fast_cfg)
         r0 = rows[0]
         assert r0["analytic_removed_rad"] == pytest.approx(
             r0["analytic_full_rad"] - r0["analytic_first_rad"], abs=1e-15)
@@ -551,11 +553,11 @@ class TestEmission:
 class TestReproduce:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ConfigError):
-            harness.reproduce("fig99")
+            experiments.reproduce("fig99")
 
     def test_fig2_deterministic_bytes(self, tmp_path):
-        a = harness.reproduce("fig2", outroot=tmp_path / "a")
-        b = harness.reproduce("fig2", outroot=tmp_path / "b")
+        a = experiments.reproduce("fig2", outroot=tmp_path / "a")
+        b = experiments.reproduce("fig2", outroot=tmp_path / "b")
         assert [p.name for p in a] == [p.name for p in b]
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
@@ -882,7 +884,7 @@ def _perturbed_configs(draw):
     """A bundled config with small grids and ensembles, and perturbed
     sequences, harmonics, noise and pulse model."""
     raw = json.loads(json.dumps(harness.bundled_config(draw(
-        st.sampled_from(("default",) + harness.FIGURES))).raw))
+        st.sampled_from(("default",) + experiments.FIGURES))).raw))
     finite = draw(st.booleans())
     fields = st.integers(3, 4) if finite else st.integers(3, 6)
 
@@ -932,10 +934,10 @@ class TestAgainstOracle:
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(raw=_perturbed_configs(),
-           command=st.sampled_from(list(harness.EXPERIMENTS)))
+           command=st.sampled_from(list(experiments.EXPERIMENTS)))
     def test_rows_match_point_by_point_oracle(self, raw, command):
         cfg = harness.load_config(raw)
-        got = _outcome(lambda: harness.run_experiment(command, cfg))
+        got = _outcome(lambda: experiments.run_experiment(command, cfg))
         want = _outcome(lambda: harness_oracle.experiment_rows(command, cfg))
         if isinstance(want, type) or isinstance(got, type):
             assert got is want

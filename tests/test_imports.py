@@ -107,3 +107,64 @@ def test_simulation_names_resolve_in_a_fresh_interpreter():
                      "echosense.blochsim", "echosense.blochsim",
                      "echosense.blochsim"]
     assert numpy_before is False
+
+
+def test_loading_configs_loads_only_core_and_harness():
+    # every public name loads with its submodule on first use, and a
+    # config needs only the schema: no sequence, RF, phase or simulator
+    # module runs
+    assert _fresh("""
+        import json, sys
+        from importlib import resources
+        import echosense
+        from echosense import harness
+
+        for p in resources.files("echosense").joinpath("configs").iterdir():
+            if p.name.endswith(".json"):
+                harness.load_config(str(p))
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split('.')[0] == 'echosense')))
+    """) == ["echosense", "echosense.core", "echosense.harness"]
+
+
+#: every name the package namespace held when it imported its submodules
+#: eagerly
+_EXPORTS = (
+    "HBAR", "MU0_OVER_4PI", "MU_B", "CoilCalibration", "ConfigError",
+    "EnsembleConfig", "NumericalError", "PulseMode", "SampleSpec",
+    "SpinSystem", "gyromagnetic_ratio", "FilterFunction", "Pulse",
+    "PulseSequence", "SequenceKind", "build_cp", "build_hahn", "build_pdd",
+    "filter_function", "ResetMode", "RFWaveform", "build_split_interval",
+    "build_synchronized", "exclude_intervals", "pulse_gated",
+    "synchronized_frequency", "zero_field", "PhaseAccumulation",
+    "accumulate_phase", "accumulate_phase_quadrature", "phase_vs_rf_phase",
+    "split_interval_decomposition", "wrap_phase", "FitMethod",
+    "SensitivityReport", "TransductionFit", "concentration_sensitivity",
+    "dipole_field", "fit_transduction", "minimum_detectable_field",
+    "spectral_sensitivity", "SimulationTrace", "echo_observable", "evolve",
+    "dd_sensitivity_sweep", "__version__")
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    missing, star, modules = _fresh(f"""
+        import json
+        import echosense
+
+        missing = []
+        for name in {list(_EXPORTS)!r}:
+            try:
+                exec(f"from echosense import {{name}}", {{}})
+            except ImportError:
+                missing.append(name)
+        star = {{}}
+        exec("from echosense import *", star)
+        print(json.dumps([missing, sorted(star), [
+            echosense.blochsim.__name__,
+            echosense.dd_sensitivity_sweep.__module__,
+            echosense.sequence.SequenceKind is echosense.core.SequenceKind,
+            echosense.rf.ResetMode is echosense.core.ResetMode]]))
+    """)
+    assert missing == []
+    assert set(_EXPORTS) - {"__version__"} <= set(star)
+    assert modules == ["echosense.blochsim", "echosense.experiments",
+                       True, True]

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
                        FitMethod, NumericalError, SampleSpec,
@@ -325,6 +325,28 @@ class TestArithmeticChain:
     def test_dipole_invalid_distance(self):
         with pytest.raises(ConfigError):
             dipole_field(MU_B, 0.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(("b_min", "spectral", "concentration", "dipole")),
+           st.floats(), st.floats())
+    @example("b_min", 1.46e5, math.nan)
+    @example("concentration", -1.0, 1e25)
+    @example("dipole", 1.0, 5e-324)
+    @example("dipole", 1.0, 1e308)
+    def test_exception_contract(self, helper, x, y):
+        # any floats give a finite positive figure, or raise a ConfigError;
+        # b_min's x is the fit's slope
+        fit = TransductionFit(x, 0.0, 0.0, FitMethod.LINEAR_REGRESSION,
+                              (0.0, 1e-3))
+        call = {"b_min": lambda: minimum_detectable_field(fit, y),
+                "spectral": lambda: spectral_sensitivity(x, y),
+                "concentration": lambda: concentration_sensitivity(x, y),
+                "dipole": lambda: dipole_field(x, y)}[helper]
+        try:
+            value = call()
+        except ConfigError:
+            return
+        assert 0 < value < math.inf
 
 
 class TestDdSensitivitySweep:

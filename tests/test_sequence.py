@@ -39,6 +39,21 @@ class TestPulse:
         with pytest.raises(ConfigError, match="must be finite"):
             Pulse(start, duration, 1.0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(), st.floats(), st.floats(), st.floats())
+    @example(0.0, 1e-9, math.nan, 0.0)
+    @example(0.0, 1e-9, -math.inf, 0.0)
+    @example(0.0, 1e-9, math.pi, math.nan)
+    @example(0.0, 1e-9, math.pi, math.inf)
+    def test_exception_contract(self, start, duration, angle, phase):
+        # any floats build a pulse of finite fields, or raise a ConfigError
+        try:
+            p = Pulse(start, duration, angle, phase)
+        except ConfigError:
+            return
+        assert all(map(math.isfinite, (p.start, p.duration, p.nominal_angle,
+                                       p.axis_phase)))
+
 
 class TestBuildHahn:
     def test_reference_timing(self):
