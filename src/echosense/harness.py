@@ -351,11 +351,3 @@ def bundled_config(name: str) -> ExperimentConfig:
         raise ConfigError(f"bundled config {name}.json is missing from the "
                           "package installation")
     return load_config(json.loads(ref.read_text()))
-
-
-
-def reproduce(figure: str, outroot=None, workers: int = 1) -> list[Path]:
-    """`experiments.reproduce`, which this module loads on first use."""
-    from . import experiments
-
-    return experiments.reproduce(figure, outroot, workers)

@@ -36,9 +36,10 @@ class Pulse:
     axis_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.duration < math.inf and 0 <= self.start < math.inf):
-            raise ConfigError(f"pulse duration must be finite and > 0 and its "
-                              f"start finite and >= 0, got {self}")
+        if not (0 < self.duration < math.inf and 0 <= self.start
+                and self.end < math.inf):
+            raise ConfigError(f"pulse duration must be finite and > 0, its "
+                              f"start >= 0 and its end finite, got {self}")
         if not (math.isfinite(self.nominal_angle)
                 and math.isfinite(self.axis_phase)):
             raise ConfigError(f"pulse angle and axis phase must be finite, "

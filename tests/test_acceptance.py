@@ -17,7 +17,7 @@ from echosense import (CoilCalibration, EnsembleConfig, PulseMode, ResetMode,
                        build_pdd, build_synchronized, pulse_gated,
                        dd_sensitivity_sweep,
                        dipole_field, echo_observable, evolve, filter_function,
-                       gyromagnetic_ratio, harness, phase_vs_rf_phase,
+                       gyromagnetic_ratio, experiments, phase_vs_rf_phase,
                        split_interval_decomposition, spectral_sensitivity,
                        concentration_sensitivity)
 from echosense.core import MU_B, SampleSpec
@@ -274,8 +274,8 @@ def test_acceptance_9_dd_sensitivity_trend():
 
 def test_acceptance_10_reproduce_determinism(tmp_path):
     """Two fig2 regenerations produce byte-identical CSV bodies."""
-    a = harness.reproduce("fig2", outroot=tmp_path / "a")
-    b = harness.reproduce("fig2", outroot=tmp_path / "b")
+    a = experiments.reproduce("fig2", outroot=tmp_path / "a")
+    b = experiments.reproduce("fig2", outroot=tmp_path / "b")
     assert [p.name for p in a] == [p.name for p in b] and a
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes(), f"{pa.name} differs"

@@ -562,6 +562,16 @@ class TestReproduce:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_fig4_pool_writes_serial_bytes(self, tmp_path):
+        # fig4 over a real two-process pool writes the serial run's bytes
+        serial = experiments.reproduce("fig4", outroot=tmp_path / "serial")
+        pooled = experiments.reproduce("fig4", outroot=tmp_path / "pooled",
+                                       workers=2)
+        assert [p.name for p in serial] == [p.name for p in pooled]
+        assert len(serial) == 2
+        for ps, pp in zip(serial, pooled):
+            assert ps.read_bytes() == pp.read_bytes()
+
 
 class TestCli:
     def _cfg_file(self, tmp_path, raw=None):
@@ -715,7 +725,8 @@ class TestCli:
             json.loads(json.dumps(FAST_RAW)),
             self.BAD_VALUES["unresolved-dd-phase"])))
         out = str(tmp_path / "out")
-        assert main(["sweep-amplitude", "-c", str(path), "-o", out]) == 0
+        for command in ("sweep-amplitude", "split-interval"):
+            assert main([command, "-c", str(path), "-o", out]) == 0
         for argv in (["validate", str(path)],
                      ["dd-sweep", "-c", str(path), "-o", out]):
             capsys.readouterr()
@@ -840,6 +851,16 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         rows = _read_csv(out[0])
         assert len(rows) == 10  # PDD and CP, n_pi 1..5
+
+    def test_full_finite_fig4_dd_sweep(self, tmp_path, capsys):
+        # fig4's whole dd-sweep with finite pulses: 2 protocols x 5 pulse
+        # counts x 21 fields
+        raw = json.loads(json.dumps(harness.bundled_config("fig4").raw))
+        raw["simulation"]["pulse_mode"] = "finite"
+        assert main(["dd-sweep", "-c", self._cfg_file(tmp_path, raw),
+                     "-o", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(_read_csv(out[0])) == 210
 
     def test_dump_trace_is_grid_point_zero(self, tmp_path, capsys):
         raw = json.loads(json.dumps(FAST_RAW))

@@ -45,14 +45,16 @@ class TestPulse:
     @example(0.0, 1e-9, -math.inf, 0.0)
     @example(0.0, 1e-9, math.pi, math.nan)
     @example(0.0, 1e-9, math.pi, math.inf)
+    @example(1e308, 1.7e308, 1.0, 0.0)  # finite start and duration, inf end
     def test_exception_contract(self, start, duration, angle, phase):
-        # any floats build a pulse of finite fields, or raise a ConfigError
+        # any floats build a pulse of finite fields and edges, or raise a
+        # ConfigError
         try:
             p = Pulse(start, duration, angle, phase)
         except ConfigError:
             return
         assert all(map(math.isfinite, (p.start, p.duration, p.nominal_angle,
-                                       p.axis_phase)))
+                                       p.axis_phase, p.end, p.center)))
 
 
 class TestBuildHahn:
