@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from echosense import (CoilCalibration, ConfigError, EnsembleConfig,
-                       NumericalError, PulseMode, ResetMode, RFWaveform,
-                       SpinSystem, accumulate_phase,
+                       NumericalError, Pulse, PulseMode, ResetMode,
+                       RFWaveform, SpinSystem, accumulate_phase,
                        build_cp, build_hahn, build_pdd, build_synchronized,
                        echo_observable, evolve, filter_function, zero_field)
 from echosense import blochsim
@@ -309,6 +309,35 @@ class TestFinitePulse:
 
         e1, e2 = err(1e-2), err(5e-3)
         assert e1 / e2 >= 8.0
+
+    @pytest.mark.parametrize("axis_phase", [0.0, 1.1])
+    def test_drive_applies_the_rk4_step_matrix(self, axis_phase):
+        # `_drive` steps each point by RK4's step matrix, the degree-4
+        # Taylor polynomial sum_k (hA)^k / k! of the drive's 3x3 generator,
+        # to rounding, at the step count that the point's own largest
+        # |detuning| sets.  Two points: the bundled 0.02 MHz spread (64
+        # steps) and a 5 MHz one (153 steps).
+        pulse = Pulse(0.0, T_PI, math.pi, axis_phase)
+        det = np.stack([EnsembleConfig(4, sigma * 2e6 * math.pi).draw(7)[0]
+                        for sigma in (0.02, 5.0)])
+        v = np.random.default_rng(1).standard_normal((3, *det.shape))
+        v /= np.linalg.norm(v, axis=0)
+        m, mz = blochsim._drive(v[0] + 1j * v[1], v[2].copy(), det, 0, pulse)
+        rabi = math.pi / T_PI
+        ox, oy = rabi * math.cos(axis_phase), rabi * math.sin(axis_phase)
+        for i, row in enumerate(det):
+            steps = T_PI * (rabi + np.max(np.abs(row))) / blochsim._ANGLE_CAP
+            n = max(50, math.ceil(steps))
+            for j, d in enumerate(row):
+                ha = T_PI / n * np.array([[0, -d, oy], [d, 0, -ox],
+                                          [-oy, ox, 0]])
+                step = sum(np.linalg.matrix_power(ha, k) / math.factorial(k)
+                           for k in range(5))
+                x = v[:, i, j]
+                for _ in range(n):
+                    x = step @ x
+                got = (m[i, j].real, m[i, j].imag, mz[i, j])
+                assert np.max(np.abs(np.subtract(got, x))) <= 1e-12
 
     def test_step_blowup_raises(self):
         seq = build_hahn(1.2e-6, T_PI2, T_PI)

@@ -879,6 +879,11 @@ _RARE_CALLS = [
     lambda: RFWaveform(1.0, 1.0, 0.0, ((-1e308, 1e308),),
                        "per-window-reset").integrals((0.0, 1e308))]
 
+#: a two-pulse train whose echo time holds 10**6 taus: 10**6 reset windows
+_MANY_WINDOWS = echosense.PulseSequence(
+    (echosense.Pulse(0.0, 1e-10, math.pi / 2),
+     echosense.Pulse(1e-9, 1e-10, math.pi)), 1e-9, 1e-3)
+
 
 class TestExceptionContract:
     """Every public `rf` callable, on any arguments of the right types,
@@ -889,6 +894,8 @@ class TestExceptionContract:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(_rf_calls(), min_size=1, max_size=4))
     @example(_RARE_CALLS)
+    @example([lambda: build_synchronized(_MANY_WINDOWS, 1e-3, 1, 0.0,
+                                         ResetMode.PER_WINDOW_RESET)])
     def test_every_call_returns_or_raises_a_config_error(self, calls):
         outcomes = [_outcome(call) for call in calls]
         for call, first in zip(calls, outcomes):
@@ -899,3 +906,17 @@ class TestExceptionContract:
         for call in _RARE_CALLS:
             with pytest.raises(ConfigError, match="RF phase over"):
                 call()
+
+    def test_too_many_reset_windows_is_a_config_error(self):
+        # the error names tau, the echo time and the count; a train at the
+        # limit builds, and a continuous waveform has one window
+        with pytest.raises(ConfigError, match=r"tau 1e-09 s, echo time "
+                           r"0\.001 s: 1e\+06 reset windows, over the limit "
+                           r"of 100000"):
+            build_synchronized(_MANY_WINDOWS, 1e-3, 1, 0.0,
+                               ResetMode.PER_WINDOW_RESET)
+        at_limit = dataclasses.replace(_MANY_WINDOWS, echo_time=1e-4)
+        assert len(build_synchronized(at_limit, 1e-3, 1, 0.0,
+                                      ResetMode.PER_WINDOW_RESET).windows) \
+            == rf._MAX_RESET_WINDOWS
+        assert len(build_synchronized(_MANY_WINDOWS, 1e-3).windows) == 1
