@@ -96,10 +96,13 @@ def accumulate_phase(sys: SpinSystem, cal: CoilCalibration,
     if held_edges is not edges:
         signed = _signed_walk(shape, edges)
     per = tuple([gamma_eff * (amp * s) for s in signed])
+    phi = sum(per)
+    if phi - phi != 0:  # inf - inf and nan - nan are nan
+        raise ConfigError(f"the phase at RF amplitude {amp:.6g} T is {phi}")
     # the fields a construction would set, without its frozen-setattr calls
     acc = object.__new__(PhaseAccumulation)
     fields = acc.__dict__
-    fields["phi"] = sum(per)
+    fields["phi"] = phi
     fields["per_interval"] = per
     return acc
 

@@ -101,20 +101,12 @@ def main(argv=None) -> int:
             print(f"OK: {args.config} is a valid configuration")
             return 0
         if args.command == "reproduce":
-            written = experiments.reproduce(args.figure, args.output_root,
-                                            args.workers)
-            for p in written:
-                print(p)
-            return 0
-
-        cfg = _load(args)
-        root = harness.output_root(args.output_root)
-        _, _, stem = experiments.EXPERIMENTS[args.command]
-        rows = experiments.run_experiment(args.command, cfg, args.workers)
-        outdir = harness.run_directory(args.command, cfg, root)
-        written = harness.emit(outdir, {stem: rows})
+            name, cfg = args.figure, harness.bundled_config(args.figure)
+        else:
+            name, cfg = args.command, _load(args)
+        written = experiments.write(name, cfg, args.output_root, args.workers)
         if getattr(args, "dump_trace", False):
-            written.append(experiments.dump_trace(cfg, outdir))
+            written.append(experiments.dump_trace(cfg, written[0].parent))
         for p in written:
             print(p)
         return 0

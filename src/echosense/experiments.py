@@ -4,12 +4,15 @@ A run is reproducible from (config, seed): point seeds derive from
 (ensemble seed, sweep tag, grid index), results keep grid order, and
 the config hash and seed are stamped into every row.
 
-`EXPERIMENTS` maps each subcommand to a plan, which returns its `Grid`
-records (sequence, waves, seed and noise tags, axis, metadata), a row
-builder, which turns the grids and their rows into CSV rows, and a CSV
-stem.  `run_grids`, the one executor, checks every grid's closed-form
-phases (`_closed_forms`) before it simulates each distinct (sequence,
-seed tag) once, and turns every grid into noisy rows stamped with the
+`EXPERIMENTS` maps each subcommand to a plan of `Grid` records
+(sequence, waves, seed and noise tags, axis, metadata), a row builder
+of CSV rows from the grids and their rows, and a CSV stem;
+`FIGURE_TABLES` maps each figure to its CSVs, each a selection of one
+command's rows.  `write`, the one emission path, runs each command that
+a command or figure reads once and writes its CSVs (`harness.emit`).
+`run_grids`, the one executor, checks every grid's closed-form phases
+(`_closed_forms`) before it simulates each distinct (sequence, seed
+tag) once, and turns every grid into noisy rows stamped with the
 caller's config hash and seed; `validate` runs the same check on every
 command whose grids the config gives.  The library's
 `dd_sensitivity_sweep` is the `sensitivity` command without a config:
@@ -87,8 +90,7 @@ def _closed_forms(sim, grids) -> list[list[float]]:
             drift = 10 * sim.ensemble.detuning_sigma * g.seq.echo_time
             ok = math.isfinite(drift) and math.ulp(drift) <= _PHASE_ULP_MAX
             for x, phi in zip(g.axis_values, phis):
-                if not (ok and math.isfinite(phi)
-                        and math.ulp(phi) <= _PHASE_ULP_MAX):
+                if not (ok and math.ulp(phi) <= _PHASE_ULP_MAX):
                     where = " ".join(
                         f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in {**g.metadata, g.axis_name: x}.items())
@@ -397,40 +399,52 @@ def _validate(cfg: ExperimentConfig) -> None:
         _closed_forms(cfg, grids)
 
 
-FIGURES = ("fig2", "fig3", "fig4", "fig5")
+# the row selections of the figure CSVs: fig3's projections of symmetry
+# rows on some columns, and fig4's dd rows of one protocol
+
+def _columns(*cols):
+    keys = ("index", "phi_rf_deg", *cols, "n", "config_hash", "seed")
+    return lambda rows: [{k: r[k] for k in keys} for r in rows]
+
+
+def _protocol(p: str):
+    return lambda rows: [r for r in rows if r["protocol"] == p]
+
+
+#: figure -> {CSV stem: (command, row selection)}: each CSV of a figure's
+#: bundle is a selection of one command's rows on the figure's bundled
+#: config (`list`: all of them)
+FIGURE_TABLES = {
+    "fig2": {"fig2_amplitude": ("sweep-amplitude", list),
+             "fig2_phase": ("sweep-phase", list)},
+    "fig3": {"fig3_amplitude": ("symmetry", _columns("amplitude_norm")),
+             "fig3_phase": ("symmetry", _columns("phase_wrapped_deg",
+                                                 "phase_unwrapped_deg")),
+             "fig3_simulation": ("symmetry", _columns("analytic_phase_rad",
+                                                      "analytic_phase_deg")),
+             "fig3_split": ("split-interval", list)},
+    "fig4": {"fig4_pdd": ("dd-sweep", _protocol("pdd")),
+             "fig4_cp": ("dd-sweep", _protocol("cp"))},
+    "fig5": {"fig5_sensitivity": ("sensitivity", list)},
+}
+FIGURES = tuple(FIGURE_TABLES)
+
+
+def write(name: str, cfg: ExperimentConfig, outroot=None,
+          workers: int = 1) -> list[Path]:
+    """Write the CSVs of `name`, a command or a figure, on cfg; return
+    their paths.  The output root is made first, so that a bad one fails
+    before any simulation, and each command the CSVs read runs once."""
+    outroot = harness.output_root(outroot)
+    table = FIGURE_TABLES.get(name) or {EXPERIMENTS[name][2]: (name, list)}
+    rows = {c: run_experiment(c, cfg, workers)
+            for c in dict.fromkeys(c for c, _ in table.values())}
+    return harness.emit(outroot, name, cfg, {
+        stem: select(rows[c]) for stem, (c, select) in table.items()})
 
 
 def reproduce(figure: str, outroot=None, workers: int = 1) -> list[Path]:
     """Regenerate a figure's CSV bundle from its bundled default config."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    cfg = harness.bundled_config(figure)
-    outroot = harness.output_root(outroot)
-
-    def rows(experiment):
-        return run_experiment(experiment, cfg, workers)
-
-    if figure == "fig2":
-        tables = {"amplitude": rows("sweep-amplitude"),
-                  "phase": rows("sweep-phase")}
-    elif figure == "fig3":
-        sym = rows("symmetry")
-
-        def project(*cols):
-            keys = ("index", "phi_rf_deg", *cols, "n", "config_hash", "seed")
-            return [{k: r[k] for k in keys} for r in sym]
-
-        tables = {
-            "amplitude": project("amplitude_norm"),
-            "phase": project("phase_wrapped_deg", "phase_unwrapped_deg"),
-            "simulation": project("analytic_phase_rad", "analytic_phase_deg"),
-            "split": rows("split-interval")}
-    elif figure == "fig4":
-        dd = rows("dd-sweep")
-        by_protocol = {p: [r for r in dd if r["protocol"] == p]
-                       for p in ("pdd", "cp")}
-        tables = {p: r for p, r in by_protocol.items() if r}
-    else:
-        tables = {"sensitivity": rows("sensitivity")}
-    return harness.emit(harness.run_directory(figure, cfg, outroot),
-                        {f"{figure}_{stem}": r for stem, r in tables.items()})
+    return write(figure, harness.bundled_config(figure), outroot, workers)

@@ -2,8 +2,9 @@
 
 Configs are JSON with bench units (mT, MHz, ns, degrees).  `load_config`
 alone knows that format: it parses each section against `SCHEMA` (each
-key's default and check) into SI units, and builds no design.  The
-config hash names each run directory, and `write_csv` writes every CSV.
+key's default and check) into SI units, and builds no design.  `emit`
+writes a run's CSVs to its run directory, <name>_<config hash>, and
+`write_csv` writes every CSV.
 
 This module imports only `core` when it loads.  Each subcommand's plan
 and its run are `experiments`'s, and `ExperimentConfig.build_sequence`
@@ -317,15 +318,14 @@ def write_csv(path, rows: list[dict]) -> None:
         wr.writerows(rows)
 
 
-def emit(outdir: Path, tables: dict) -> list[Path]:
-    """Write each {stem: rows} table to outdir/<stem>.csv; return the
-    written paths."""
-    written = []
+def emit(outroot, name: str, cfg: ExperimentConfig,
+         tables: dict) -> list[Path]:
+    """Write each {stem: rows} table to the run directory of `name` on
+    cfg, <outroot>/<name>_<cfg.hash>/<stem>.csv; return their paths."""
+    outdir = Path(outroot) / f"{name}_{cfg.hash}"
     for stem, rows in tables.items():
-        path = outdir / f"{stem}.csv"
-        write_csv(path, rows)
-        written.append(path)
-    return written
+        write_csv(outdir / f"{stem}.csv", rows)
+    return [outdir / f"{stem}.csv" for stem in tables]
 
 
 def output_root(override=None) -> Path:
@@ -335,12 +335,6 @@ def output_root(override=None) -> Path:
     root = Path(override or os.environ.get(OUTPUT_ROOT_ENV, "runs"))
     root.mkdir(parents=True, exist_ok=True)
     return root
-
-
-def run_directory(name: str, cfg: ExperimentConfig, outroot=None) -> Path:
-    d = output_root(outroot) / f"{name}_{cfg.hash}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
 
 
 def bundled_config(name: str) -> ExperimentConfig:

@@ -324,6 +324,20 @@ class TestDomainChecks:
         with pytest.raises(ConfigError):
             accumulate_phase_quadrature(SYS, CAL, filt, too_long)
 
+    def test_overflowing_phase_rejected_naming_the_amplitude(self):
+        # an RF field of 1e308 T overflows gamma_eff * B * t to inf, and
+        # the split decomposition's lobes to inf, -inf and nan
+        seq = build_hahn(1.2e-6, T_PI2, T_PI)
+        calls = (
+            lambda: accumulate_phase(SpinSystem(), CoilCalibration(),
+                                     filter_function(seq),
+                                     build_synchronized(seq, 1e308)),
+            lambda: split_interval_decomposition(
+                SpinSystem(), CoilCalibration(), 1.2e-6, 1e308))
+        for call in calls:
+            with pytest.raises(ConfigError, match=r"amplitude 1e\+308 T"):
+                call()
+
     def test_additivity_over_window_partition(self):
         # per-part phases over a partition of the windows sum to the whole
         tau = 1.2e-6

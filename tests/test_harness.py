@@ -555,12 +555,24 @@ class TestReproduce:
         with pytest.raises(ConfigError):
             experiments.reproduce("fig99")
 
-    def test_fig2_deterministic_bytes(self, tmp_path):
-        a = experiments.reproduce("fig2", outroot=tmp_path / "a")
-        b = experiments.reproduce("fig2", outroot=tmp_path / "b")
-        assert [p.name for p in a] == [p.name for p in b]
-        for pa, pb in zip(a, b):
-            assert pa.read_bytes() == pb.read_bytes()
+    @pytest.mark.parametrize("figure, commands", [
+        ("fig3", ["symmetry", "split-interval"]), ("fig4", ["dd-sweep"])])
+    def test_each_command_runs_once(self, tmp_path, monkeypatch, figure,
+                                    commands):
+        # fig3's three symmetry CSVs share one symmetry run, and fig4's
+        # two protocol CSVs one dd-sweep run
+        calls = []
+        run_experiment = experiments.run_experiment
+
+        def spy(command, *args):
+            calls.append(command)
+            return run_experiment(command, *args)
+
+        monkeypatch.setattr(experiments, "run_experiment", spy)
+        written = experiments.reproduce(figure, outroot=tmp_path)
+        assert calls == commands
+        assert ([p.stem for p in written]
+                == list(experiments.FIGURE_TABLES[figure]))
 
     def test_fig4_pool_writes_serial_bytes(self, tmp_path):
         # fig4 over a real two-process pool writes the serial run's bytes
@@ -654,6 +666,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(_read_csv(out[0])) == 3
+
+    def test_failed_run_leaves_no_run_directory(self, tmp_path):
+        # bundled fig2's PDD(2) train is unrefocused: its sensitivity fit
+        # fails after planning, and the run writes nothing
+        fig2 = Path(harness.__file__).resolve().parent / "configs/fig2.json"
+        out = tmp_path / "out"
+        assert main(["sensitivity", "-c", str(fig2), "-o", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     def test_numerical_failure_exit_3(self, tmp_path):
         # a vanishing phase-memory time kills the reference echo
